@@ -16,6 +16,10 @@ stiffness matrix, c = tau + gamma tau^(1-alpha)):
 where q_j^{(beta)} are the Taylor coefficients of (1-zeta)^(-beta).  The
 linearized scheme sums f over the previous iterates, the implicit scheme
 includes f(U^n) and resolves it by Picard iteration.
+
+The step matrix W + c A is the same for every step of a run, so it is
+factored once (sparse LU, :meth:`CompositeOperator.factorize`) and each
+step, and each Picard iterate, is a pair of triangular solves.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .fem_assembly import (
     assemble_stiffness,
 )
 from .mesh import TriMesh
-from .sparse_linalg import CompositeOperator, SparseSymMatrix, cg_solve
+from .sparse_linalg import CompositeOperator, SparseSymMatrix
 
 __all__ = [
     "CQWeights",
@@ -114,7 +118,10 @@ class SchemeConfig:
     ``source_lumping`` switches the nonlinear load from the consistent
     reading M f(U) to the vertex-quadrature reading D f(U).  Snapshots are
     kept every ``snapshot_stride`` steps (default ceil(N/100)) plus the
-    final step; ``store_full`` keeps every step.
+    final step; ``store_full`` keeps every step.  The steppers solve each
+    step directly with a factorization of the step matrix, so ``cg_tol``
+    no longer affects the result; it is validated and kept for existing
+    callers and cache keys.
     """
 
     variant: str
@@ -173,7 +180,7 @@ def _snapshot_steps(N: int, stride: int | None, store_full: bool) -> np.ndarray:
 
 
 def _advance(A, W, u0: np.ndarray, alpha: float, gamma: float, tau: float,
-             N: int, source_of_prev, cg_tol: float, implicit_source=None,
+             N: int, source_of_prev, implicit_source=None,
              picard_tol: float = 1e-12, picard_maxit: int = 50,
              on_accept=None) -> np.ndarray:
     """Run the update recursion; returns the (N+1, ndof) history.
@@ -192,7 +199,7 @@ def _advance(A, W, u0: np.ndarray, alpha: float, gamma: float, tau: float,
     q = cq_weights(1.0 - alpha, N).q
     frac_scale = gamma * tau ** (1.0 - alpha)
     c = tau + frac_scale
-    B = CompositeOperator(W, c, A)
+    lu = CompositeOperator(W, c, A).factorize()
     w_u0 = W.matvec(u0)
 
     sum_plain = np.zeros(ndof)
@@ -208,14 +215,13 @@ def _advance(A, W, u0: np.ndarray, alpha: float, gamma: float, tau: float,
             sum_source += source_of_prev(prev)
         weighted = q[1 : n + 1][::-1].dot(history[:n])
         rhs = w_u0 - A.matvec(tau * sum_plain + frac_scale * weighted) + tau * sum_source
-        guess = 2.0 * prev - history[n - 2] if n >= 2 else prev
 
         if implicit_source is None:
-            u = cg_solve(B, rhs, tol=cg_tol, x0=guess)
+            u = lu.solve(rhs)
         else:
-            u = guess
+            u = 2.0 * prev - history[n - 2] if n >= 2 else prev
             for _ in range(picard_maxit):
-                u_next = cg_solve(B, rhs + tau * implicit_source(u), tol=cg_tol, x0=u)
+                u_next = lu.solve(rhs + tau * implicit_source(u))
                 increment = np.linalg.norm(u_next - u)
                 u = u_next
                 if not np.all(np.isfinite(u)):
@@ -300,7 +306,7 @@ def step_linearized(config: SchemeConfig, problem: ProblemSpec, mesh: TriMesh,
 
     u0 = problem.initial_data.field(mesh).interior()
     history = _advance(A, W, u0, problem.alpha, problem.gamma, tau, config.N,
-                       source, config.cg_tol)
+                       source)
     return _package(mesh, history, tau, config.N, config)
 
 
@@ -331,7 +337,7 @@ def step_implicit(config: SchemeConfig, problem: ProblemSpec, mesh: TriMesh,
 
     u0 = problem.initial_data.field(mesh).interior()
     history = _advance(A, W, u0, problem.alpha, problem.gamma, tau, config.N,
-                       None, config.cg_tol, implicit_source=source,
+                       None, implicit_source=source,
                        picard_tol=config.picard_tol,
                        picard_maxit=config.picard_maxit)
     return _package(mesh, history, tau, config.N, config)

@@ -50,6 +50,8 @@ class StudyConfig:
     ``M``; prefactor studies sweep the final time over ``t_list`` along the
     chosen ``axis``.  ``case`` selects the initial data: the smooth bump
     ("a"), the half-square indicator ("b"), or a single sine mode ("mode").
+    ``tol`` is passed on as ``SchemeConfig.cg_tol`` and is part of the
+    cache key; the steppers solve directly, so it does not change a field.
     """
 
     case: str = "a"
@@ -188,8 +190,14 @@ def _problem(case: str, alpha: float, gamma: float, T: float, mode_kl=(1, 1)) ->
                        initial_data=initial_data_for_case(case))
 
 
+# Names the solver and the file layout behind a cached field.  Change it
+# whenever either changes what a run produces, so older files are not served.
+CACHE_FORMAT = "splu-1"
+
+
 def _run_key(case, alpha, gamma, T, family, M, N, scheme, source_lumping, tol, mode_kl):
     payload = {
+        "format": CACHE_FORMAT,
         "case": case,
         "mode_kl": list(mode_kl) if case == "mode" else None,
         "alpha": repr(float(alpha)),
@@ -209,7 +217,11 @@ def solve_final(case: str, alpha: float, gamma: float, T: float, family: str,
                 M: int, N: int, scheme: str = "lumped-linearized",
                 source_lumping: bool = False, tol: float = 1e-12,
                 cache_dir: str | None = None, mode_kl=(1, 1)) -> tuple[TriMesh, NodalField]:
-    """Final-time field of one fully discrete run, cached when possible."""
+    """Final-time field of one fully discrete run, cached when possible.
+
+    A cache file is served only when the key stored in it equals the key
+    of the request; any other file at that path is recomputed and replaced.
+    """
     mesh = build_mesh(family, M)
     key = _run_key(case, alpha, gamma, T, family, M, N, scheme,
                    source_lumping, tol, mode_kl)
@@ -219,7 +231,8 @@ def solve_final(case: str, alpha: float, gamma: float, T: float, family: str,
         path = os.path.join(cache_dir, f"run-{digest}.npz")
         if os.path.exists(path):
             with np.load(path) as data:
-                return mesh, NodalField(mesh, data["values"])
+                if "key" in data.files and str(data["key"]) == key:
+                    return mesh, NodalField(mesh, data["values"])
 
     problem = _problem(case, alpha, gamma, T, mode_kl)
     config = SchemeConfig(variant=scheme, N=N, source_lumping=source_lumping,

@@ -1,10 +1,11 @@
 """Minimal symmetric sparse linear algebra for the FEM solvers.
 
 Matrices are stored in compressed sparse row form (backed by
-``scipy.sparse``), and systems are solved with a Jacobi-preconditioned
-conjugate gradient iteration.  The time-stepping matrix W + c*A is applied
-matrix-free through :class:`CompositeOperator` so no third matrix is ever
-materialized per (alpha, tau) configuration.
+``scipy.sparse``).  The time-stepping matrix W + c*A of one run is
+described by :class:`CompositeOperator`; :meth:`CompositeOperator.factorize`
+materializes it once and returns its sparse LU factorization, which the
+steppers reuse for every step.  :func:`cg_solve` is a Jacobi-preconditioned
+conjugate gradient iteration for one-off solves (the L2 projection).
 """
 
 from __future__ import annotations
@@ -83,6 +84,9 @@ class SparseSymMatrix:
     def toarray(self) -> np.ndarray:
         return self._csr.toarray()
 
+    def tocsr(self):
+        return self._csr
+
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.matvec(x)
 
@@ -115,12 +119,15 @@ class DiagMatrix:
     def toarray(self) -> np.ndarray:
         return np.diag(self.values)
 
+    def tocsr(self):
+        return sp.diags(self.values, format="csr")
+
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.matvec(x)
 
 
 class CompositeOperator:
-    """Matrix-free application of W + c*A (two sparse products per apply)."""
+    """W + c*A, applied matrix-free or factorized once for repeated solves."""
 
     def __init__(self, W, c: float, A):
         if W.n != A.n:
@@ -138,6 +145,21 @@ class CompositeOperator:
 
     def diagonal(self) -> np.ndarray:
         return self.W.diagonal() + self.c * self.A.diagonal()
+
+    def factorize(self):
+        """SuperLU factorization of the materialized W + c*A.
+
+        Returns the ``scipy.sparse.linalg.SuperLU`` object; ``.solve(b)``
+        then costs two sparse triangular solves.  The matrix is symmetric,
+        so a minimum-degree ordering of A^T + A with symmetric pivoting
+        keeps the fill well below that of the default column ordering.
+        The import is deferred because ``scipy.sparse.linalg`` is heavy to
+        load and most entry points never factor.
+        """
+        from scipy.sparse.linalg import splu
+
+        B = (self.W.tocsr() + self.c * self.A.tocsr()).tocsc()
+        return splu(B, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.matvec(x)

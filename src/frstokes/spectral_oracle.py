@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import binom
 
 __all__ = [
     "ContourSpec",
@@ -162,6 +161,10 @@ def scalar_cq_response(lam: float, alpha: float, gamma: float, T: float,
     binomial form q_j = (-1)^j C(-beta, j) rather than the recursion, so
     this path is an independent check of the vector stepper.
     """
+    # Deferred: scipy.special is this module's only use of it and is heavy
+    # to load for every process that imports frstokes.
+    from scipy.special import binom
+
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
     tau = T / N

@@ -174,13 +174,19 @@ def test_installed_entry_point():
     assert "convergence" in helper.stdout
 
 
-def test_module_entry_point():
-    # The same frstokes.cli:main that [project.scripts] installs as frs,
-    # run without an install from the tree under test.
+def _tree_env():
+    """Environment whose PYTHONPATH leads with the tree under test."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(frstokes.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return env
+
+
+def test_module_entry_point():
+    # The same frstokes.cli:main that [project.scripts] installs as frs,
+    # run without an install from the tree under test.
+    env = _tree_env()
     frs = [sys.executable, "-m", "frstokes.cli"]
     proc = subprocess.run(
         frs + ["oracle", "--lambda", "0", "--alpha", "0.5", "--t", "2.0"],
@@ -190,3 +196,16 @@ def test_module_entry_point():
     helper = subprocess.run(frs + ["--help"], capture_output=True, text=True, env=env)
     assert helper.returncode == 0
     assert "convergence" in helper.stdout
+
+
+def test_package_import_defers_heavy_scipy_modules():
+    # scipy.sparse.linalg (the factorization) and scipy.special (the
+    # oracle's binomials) are imported where they are used, so starting
+    # any frs command does not pay for them.
+    probe = ("import sys, frstokes; "
+             "print(sorted(m for m in ('scipy.sparse.linalg', 'scipy.special') "
+             "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=_tree_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

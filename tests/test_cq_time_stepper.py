@@ -27,7 +27,7 @@ from frstokes.fem_assembly import (
     zero_source,
 )
 from frstokes.mesh import build_symmetric_mesh
-from frstokes.sparse_linalg import DiagMatrix, SparseSymMatrix
+from frstokes.sparse_linalg import CompositeOperator, DiagMatrix, SparseSymMatrix
 
 
 def brute_force_history(A, W, u0, alpha, gamma, tau, N, f=None, f_apply=None):
@@ -121,7 +121,7 @@ def test_scalar_first_step_closed_form():
     # (1 + tau + sqrt(tau)) U1 = 1 - (tau + sqrt(tau) * q_1), q_1 = 1/2
     hist = _advance(one_by_one(1.0), DiagMatrix([1.0]), np.array([1.0]),
                     alpha=0.5, gamma=1.0, tau=0.5, N=2,
-                    source_of_prev=None, cg_tol=1e-15)
+                    source_of_prev=None)
     expect = (0.5 - math.sqrt(2.0) / 4.0) / (1.5 + math.sqrt(2.0) / 2.0)
     assert hist[1, 0] == pytest.approx(expect, abs=1e-15)
     ref = brute_force_history(1.0, 1.0, 1.0, 0.5, 1.0, 0.5, 2)
@@ -136,7 +136,7 @@ def test_scalar_trajectory_matches_double_sum():
         lam = rng.uniform(0.5, 40.0)
         hist = _advance(one_by_one(lam), DiagMatrix([1.0]), np.array([1.0]),
                         alpha=alpha, gamma=gamma, tau=0.1, N=8,
-                        source_of_prev=None, cg_tol=1e-15)
+                        source_of_prev=None)
         ref = brute_force_history(lam, 1.0, 1.0, alpha, gamma, 0.1, 8)
         assert np.allclose(hist, ref, atol=1e-13)
 
@@ -223,6 +223,34 @@ def test_implicit_matches_double_sum_fixed_point():
         hist.append(u)
     got = traj.values[:, mesh.interior_nodes]
     assert np.allclose(got, np.array(hist), atol=1e-11)
+
+
+def test_implicit_factors_step_matrix_once_per_run(monkeypatch):
+    factorizations, solves = [], []
+    factorize = CompositeOperator.factorize
+
+    class CountingLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            solves.append(1)
+            return self.lu.solve(b)
+
+    def counting_factorize(op):
+        factorizations.append(op.n)
+        return CountingLU(factorize(op))
+
+    monkeypatch.setattr(CompositeOperator, "factorize", counting_factorize)
+    mesh = build_symmetric_mesh(6)
+    problem = ProblemSpec(alpha=0.5, gamma=1.0, T=1.0,
+                          nonlinearity=sqrt_one_plus_u2(),
+                          initial_data=CaseAInitialData())
+    N = 8
+    step_implicit(SchemeConfig(variant="galerkin-implicit", N=N), problem, mesh)
+    assert factorizations == [mesh.n_interior]
+    # every step runs several Picard iterates against the one factorization
+    assert len(solves) > 2 * N
 
 
 def test_lumped_single_mode_reduces_to_scalar_recursion():

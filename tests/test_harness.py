@@ -93,6 +93,23 @@ def test_solve_final_cache_hit(tmp_path):
     assert len(list((tmp_path / "runs").glob("run-*.npz"))) == 2
 
 
+def test_solve_final_recomputes_on_key_mismatch(tmp_path):
+    cache = str(tmp_path / "runs")
+    kw = dict(case="a", alpha=0.5, gamma=1.0, T=1.0, family="symmetric",
+              M=4, N=4, cache_dir=cache)
+    mesh, fresh = solve_final(**kw)
+    (path,) = (tmp_path / "runs").glob("run-*.npz")
+    with np.load(path) as data:
+        key = str(data["key"])
+    # a file at the digest path written by another solver or format
+    np.savez(path, values=np.full(mesh.n_nodes, 7.0), key=np.array("stale"))
+    _, again = solve_final(**kw)
+    assert np.array_equal(again.values, fresh.values)
+    with np.load(path) as data:
+        assert str(data["key"]) == key
+        assert np.array_equal(data["values"], fresh.values)
+
+
 def test_solve_final_deterministic_without_cache():
     kw = dict(case="b", alpha=0.5, gamma=1.0, T=1.0, family="symmetric",
               M=4, N=4)

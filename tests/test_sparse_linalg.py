@@ -70,6 +70,12 @@ def test_composite_operator_is_w_plus_c_times_a():
     want = np.arange(1.0, 10.0) * x + c * (dense @ x)
     assert np.allclose(op.matvec(x), want, atol=1e-13)
     assert np.allclose(op.diagonal(), np.arange(1.0, 10.0) + c * np.diag(dense))
+    # the factorization solves the materialized matrix, for either mass type
+    b = np.random.default_rng(6).standard_normal(9)
+    for mass, W_dense in ((W, np.diag(np.arange(1.0, 10.0))), (A, dense)):
+        B = W_dense + c * dense
+        x = CompositeOperator(mass, c, A).factorize().solve(b)
+        assert np.linalg.norm(B @ x - b) <= 1e-13 * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("n,seed", [(5, 2), (30, 3), (80, 8)])
