@@ -50,8 +50,8 @@ class StudyConfig:
     ``M``; prefactor studies sweep the final time over ``t_list`` along the
     chosen ``axis``.  ``case`` selects the initial data: the smooth bump
     ("a"), the half-square indicator ("b"), or a single sine mode ("mode").
-    ``tol`` is passed on as ``SchemeConfig.cg_tol`` and is part of the
-    cache key; the steppers solve directly, so it does not change a field.
+    ``tol`` is passed on as ``SchemeConfig.cg_tol``; the steppers solve
+    directly, so it does not change a field and is not part of the cache key.
     """
 
     case: str = "a"
@@ -192,10 +192,10 @@ def _problem(case: str, alpha: float, gamma: float, T: float, mode_kl=(1, 1)) ->
 
 # Names the solver and the file layout behind a cached field.  Change it
 # whenever either changes what a run produces, so older files are not served.
-CACHE_FORMAT = "splu-1"
+CACHE_FORMAT = "splu-soe-1"
 
 
-def _run_key(case, alpha, gamma, T, family, M, N, scheme, source_lumping, tol, mode_kl):
+def _run_key(case, alpha, gamma, T, family, M, N, scheme, source_lumping, mode_kl):
     payload = {
         "format": CACHE_FORMAT,
         "case": case,
@@ -208,7 +208,6 @@ def _run_key(case, alpha, gamma, T, family, M, N, scheme, source_lumping, tol, m
         "N": int(N),
         "scheme": scheme,
         "source_lumping": bool(source_lumping),
-        "tol": repr(float(tol)),
     }
     return json.dumps(payload, sort_keys=True)
 
@@ -221,10 +220,11 @@ def solve_final(case: str, alpha: float, gamma: float, T: float, family: str,
 
     A cache file is served only when the key stored in it equals the key
     of the request; any other file at that path is recomputed and replaced.
+    ``tol`` does not change the field and is left out of the key.
     """
     mesh = build_mesh(family, M)
     key = _run_key(case, alpha, gamma, T, family, M, N, scheme,
-                   source_lumping, tol, mode_kl)
+                   source_lumping, mode_kl)
     path = None
     if cache_dir is not None:
         digest = hashlib.sha256(key.encode()).hexdigest()

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import binom
 
 from frstokes.cq_time_stepper import (
@@ -13,12 +15,16 @@ from frstokes.cq_time_stepper import (
     step_implicit,
     step_linearized,
     _advance,
+    _soe_tail,
+    _source_builder,
+    _SOE_NEAR,
 )
 from frstokes.fem_assembly import (
     CaseAInitialData,
     ProblemSpec,
     Nonlinearity,
     SingleModeInitialData,
+    _interior_block,
     assemble_lumped_mass,
     assemble_mass,
     assemble_stiffness,
@@ -47,6 +53,43 @@ def brute_force_history(A, W, u0, alpha, gamma, tau, N, f=None, f_apply=None):
             rhs = rhs + tau * sum(f_apply(f(hist[j - 1])) for j in range(1, n + 1))
         hist.append(np.linalg.solve(B, rhs))
     return np.array(hist)
+
+
+def direct_sum_advance(A, W, u0, alpha, gamma, tau, N, source_of_prev,
+                       implicit_source=None, picard_tol=1e-12, picard_maxit=50):
+    """The stepper with the history sum evaluated directly over every past
+    step, O(N^2 ndof); returns the whole (N+1, ndof) history."""
+    ndof = u0.size
+    history = np.zeros((N + 1, ndof))
+    history[0] = u0
+    q = cq_weights(1.0 - alpha, N).q
+    frac_scale = gamma * tau ** (1.0 - alpha)
+    lu = CompositeOperator(W, tau + frac_scale, A).factorize()
+    w_u0 = W.matvec(u0)
+    sum_plain = np.zeros(ndof)
+    sum_source = np.zeros(ndof)
+    if implicit_source is not None:
+        sum_source += implicit_source(u0)
+    for n in range(1, N + 1):
+        prev = history[n - 1]
+        sum_plain += prev
+        if source_of_prev is not None:
+            sum_source += source_of_prev(prev)
+        weighted = q[1 : n + 1][::-1].dot(history[:n])
+        rhs = w_u0 - A.matvec(tau * sum_plain + frac_scale * weighted) + tau * sum_source
+        if implicit_source is None:
+            u = lu.solve(rhs)
+        else:
+            u = 2.0 * prev - history[n - 2] if n >= 2 else prev
+            for _ in range(picard_maxit):
+                u_next = lu.solve(rhs + tau * implicit_source(u))
+                increment = np.linalg.norm(u_next - u)
+                u = u_next
+                if increment <= picard_tol:
+                    break
+            sum_source += implicit_source(u)
+        history[n] = u
+    return history
 
 
 def one_by_one(value):
@@ -121,7 +164,7 @@ def test_scalar_first_step_closed_form():
     # (1 + tau + sqrt(tau)) U1 = 1 - (tau + sqrt(tau) * q_1), q_1 = 1/2
     hist = _advance(one_by_one(1.0), DiagMatrix([1.0]), np.array([1.0]),
                     alpha=0.5, gamma=1.0, tau=0.5, N=2,
-                    source_of_prev=None)
+                    steps=np.arange(3), source_of_prev=None)
     expect = (0.5 - math.sqrt(2.0) / 4.0) / (1.5 + math.sqrt(2.0) / 2.0)
     assert hist[1, 0] == pytest.approx(expect, abs=1e-15)
     ref = brute_force_history(1.0, 1.0, 1.0, 0.5, 1.0, 0.5, 2)
@@ -136,7 +179,7 @@ def test_scalar_trajectory_matches_double_sum():
         lam = rng.uniform(0.5, 40.0)
         hist = _advance(one_by_one(lam), DiagMatrix([1.0]), np.array([1.0]),
                         alpha=alpha, gamma=gamma, tau=0.1, N=8,
-                        source_of_prev=None)
+                        steps=np.arange(9), source_of_prev=None)
         ref = brute_force_history(lam, 1.0, 1.0, alpha, gamma, 0.1, 8)
         assert np.allclose(hist, ref, atol=1e-13)
 
@@ -375,3 +418,72 @@ def test_trajectory_stays_bounded():
     u0_norm = l2_norm(mesh, traj.values[0])
     norms = [l2_norm(mesh, v) for v in traj.values]
     assert max(norms) <= u0_norm + 2.0 * problem.T
+
+
+@settings(max_examples=30)
+@given(beta=st.floats(0.05, 0.95), N=st.integers(_SOE_NEAR + 1, 100_000))
+def test_soe_tail_weights_match_exact_and_recursion(beta, N):
+    mpmath = pytest.importorskip("mpmath")
+    s, w = _soe_tail(beta, N)
+
+    def soe(lags):
+        return np.exp(-np.outer(lags, s)) @ w
+
+    lags = np.unique(np.concatenate([
+        np.arange(_SOE_NEAR, min(N, 4 * _SOE_NEAR) + 1),
+        np.geomspace(_SOE_NEAR, N, 400).round().astype(int), [N]]))
+    q = cq_weights(beta, N).q
+    assert np.max(np.abs(soe(lags) / q[lags] - 1.0)) <= 5e-12
+
+    sampled = np.unique(np.geomspace(_SOE_NEAR, N, 12).round().astype(int))
+    with mpmath.workdps(30):
+        b = mpmath.mpf(beta)
+        exact = np.array([float(mpmath.exp(mpmath.loggamma(j + b) - mpmath.loggamma(b)
+                                           - mpmath.loggamma(j + 1)))
+                          for j in sampled])
+    assert np.max(np.abs(soe(sampled) / exact - 1.0)) <= 1e-13
+
+
+def stepper_inputs(mesh, problem, variant):
+    A = assemble_stiffness(mesh)
+    mass_full = assemble_mass(mesh, full=True)
+    W = (assemble_lumped_mass(mesh) if variant == "lumped-linearized"
+         else _interior_block(mass_full, mesh))
+    source = _source_builder(mesh, problem, False, mass_full=mass_full)
+    u0 = problem.initial_data.field(mesh).interior()
+    return A, W, u0, source
+
+
+@pytest.mark.parametrize("variant,N", [("lumped-linearized", 2000),
+                                       ("galerkin-implicit", 300)])
+def test_long_run_matches_direct_history_sum(variant, N):
+    mesh = build_symmetric_mesh(8)
+    problem = ProblemSpec(alpha=0.5, gamma=1.0, T=1.0,
+                          nonlinearity=sqrt_one_plus_u2(),
+                          initial_data=CaseAInitialData())
+    A, W, u0, source = stepper_inputs(mesh, problem, variant)
+    args = (A, W, u0, problem.alpha, problem.gamma, 1.0 / N, N)
+    if variant == "galerkin-implicit":
+        kw = dict(source_of_prev=None, implicit_source=source)
+    else:
+        kw = dict(source_of_prev=source)
+    got = _advance(*args, steps=np.arange(N + 1), **kw)
+    ref = direct_sum_advance(*args, **kw)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_history_memory_does_not_grow_with_steps():
+    mesh = build_symmetric_mesh(16)
+    problem = ProblemSpec(alpha=0.5, gamma=1.0, T=1.0,
+                          nonlinearity=sqrt_one_plus_u2(),
+                          initial_data=CaseAInitialData())
+    peaks = []
+    for N in (2000, 20000):
+        config = SchemeConfig(variant="lumped-linearized", N=N)
+        tracemalloc.start()
+        try:
+            step_linearized(config, problem, mesh)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]

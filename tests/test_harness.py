@@ -110,6 +110,26 @@ def test_solve_final_recomputes_on_key_mismatch(tmp_path):
         assert np.array_equal(data["values"], fresh.values)
 
 
+def test_solve_final_cache_key_ignores_tol(tmp_path, monkeypatch):
+    from frstokes import experiment_harness
+
+    runs = []
+    stepper = experiment_harness.step_linearized
+
+    def counting_stepper(*args, **kwargs):
+        runs.append(1)
+        return stepper(*args, **kwargs)
+
+    monkeypatch.setattr(experiment_harness, "step_linearized", counting_stepper)
+    kw = dict(case="a", alpha=0.5, gamma=1.0, T=1.0, family="symmetric",
+              M=4, N=4, cache_dir=str(tmp_path / "runs"))
+    _, f1 = solve_final(**kw, tol=1e-12)
+    _, f2 = solve_final(**kw, tol=1e-6)
+    assert len(list((tmp_path / "runs").glob("run-*.npz"))) == 1
+    assert len(runs) == 1  # the second call is served from the cache
+    assert np.array_equal(f1.values, f2.values)
+
+
 def test_solve_final_deterministic_without_cache():
     kw = dict(case="b", alpha=0.5, gamma=1.0, T=1.0, family="symmetric",
               M=4, N=4)

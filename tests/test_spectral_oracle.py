@@ -155,7 +155,7 @@ def test_scalar_cq_matches_matrix_stepper():
         u = scalar_cq_response(lam, alpha, gamma, 1.0, N)
         hist = _advance(A1(lam), DiagMatrix([1.0]), np.array([1.0]),
                         alpha=alpha, gamma=gamma, tau=1.0 / N, N=N,
-                        source_of_prev=None)
+                        steps=np.arange(N + 1), source_of_prev=None)
         assert np.allclose(u, hist[:, 0], atol=1e-13)
 
 
