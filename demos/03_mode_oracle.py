@@ -28,7 +28,7 @@ print("\nlam = 0 is frozen at 1 (no diffusion):",
 
 print("\nscalar CQ marching toward the kernel at t = 1:")
 exact = mode_response(lam, 1.0, ALPHA, GAMMA)
-for N in (10, 100, 1000, 10_000):
+for N in (10, 100, 1000, 10_000, 100_000):
     approx = scalar_cq_response(lam, ALPHA, GAMMA, 1.0, N)[-1]
     print(f"  N = {N:6d}: error {abs(approx - exact):.3e}")
 

@@ -34,6 +34,9 @@ __all__ = [
 _GL_ORDER = 8
 # exp(z t) below 1e-18 in modulus is dropped when choosing the ray length.
 _TRUNC_LOG = 18.0 * np.log(10.0)
+# Eigenvalues per block in mode_response_many: bounds the working array to
+# _LAM_BLOCK x (contour nodes) complex values, about 8 MB at 480 nodes.
+_LAM_BLOCK = 1024
 
 
 class ContourResolutionError(RuntimeError):
@@ -75,14 +78,18 @@ class ContourSpec:
                    nodes_per_ray=nodes_per_ray)
 
 
+def _check_alpha_gamma(alpha: float, gamma: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if not gamma >= 0:
+        raise ValueError(f"gamma must be nonnegative, got {gamma}")
+
+
 def symbol_g(z: complex, alpha: float, gamma: float) -> complex:
     """Laplace symbol g(z) = z / (1 + gamma z^alpha), principal branch."""
     if z == 0:
         raise ValueError("symbol is evaluated away from z = 0")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if gamma < 0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
+    _check_alpha_gamma(alpha, gamma)
     z = complex(z)
     return z / (1.0 + gamma * z**alpha)
 
@@ -117,20 +124,27 @@ def contour_nodes(spec: ContourSpec):
 
 def mode_response_many(lams, t: float, alpha: float, gamma: float,
                        contour: ContourSpec | None = None) -> np.ndarray:
-    """Vectorized e_lam(t) over an array of eigenvalues (one contour)."""
+    """Vectorized e_lam(t) over an array of eigenvalues (one contour).
+
+    The eigenvalues are taken in blocks of ``_LAM_BLOCK``, so the working
+    array is at most ``_LAM_BLOCK`` x (number of nodes) whatever the length
+    of ``lams``; each value is the same as a single-eigenvalue call.
+    """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    if np.any(lams < 0):
+    if not np.all(lams >= 0):
         raise ValueError("eigenvalues must be nonnegative")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if gamma < 0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
+    _check_alpha_gamma(alpha, gamma)
     spec = contour if contour is not None else ContourSpec.for_time(t)
     z, w = contour_nodes(spec)
     ezt_w = w * np.exp(z * t)
-    za = z**alpha
-    denom = z[None, :] + lams[:, None] * (1.0 + gamma * za)[None, :]
-    vals = (ezt_w[None, :] / denom).sum(axis=1)
+    symbol = 1.0 + gamma * z**alpha
+    vals = np.empty(lams.shape, dtype=complex)
+    for start in range(0, lams.size, _LAM_BLOCK):
+        block = lams[start : start + _LAM_BLOCK]
+        denom = np.multiply.outer(block, symbol)
+        denom += z
+        np.divide(ezt_w, denom, out=denom)
+        vals[start : start + block.size] = denom.sum(axis=1)
     residue = np.abs(vals.imag)
     bound = 1e-10 * (1.0 + np.abs(vals.real))
     if np.any(residue > bound):
@@ -157,30 +171,64 @@ def scalar_cq_response(lam: float, alpha: float, gamma: float, T: float,
         u_n (1 + lam c) = u_0 - lam (tau * S_n + gamma tau^(1-alpha) * W_n),
 
     where S_n, W_n are the plain and q^{(1-alpha)}-weighted history sums
-    and c = tau + gamma tau^(1-alpha).  The weights are computed from the
-    binomial form q_j = (-1)^j C(-beta, j) rather than the recursion, so
-    this path is an independent check of the vector stepper.
+    and c = tau + gamma tau^(1-alpha).  Moved to one side, this is the
+    lower-triangular Toeplitz system sum_{j<=n} a_{n-j} u_j = u_0 (n >= 1)
+    with a_0 = 1 + lam c and a_j = lam (tau + gamma tau^(1-alpha) q_j).
+    In generating functions, with sum_j q_j zeta^j = (1 - zeta)^(-beta),
+
+        a(zeta) = 1 + lam tau / (1 - zeta)
+                    + lam gamma tau^(1-alpha) (1 - zeta)^(-beta),
+        U(zeta) a(zeta) = u_0 (1 / (1 - zeta) + lam c),
+
+    so with b = 1/a, u_n = u_0 (b_0 + ... + b_n + lam c b_n).  The first
+    N + 1 coefficients of b come from Newton doubling b <- b (2 - a b) with
+    FFT products, in O(N log N) time and O(N) memory.
+
+    The weights are the binomial form q_j = (-1)^j C(-beta, j), and the
+    solve shares nothing with the vector stepper (neither its recursive
+    weights nor its sum-of-exponentials history), so this path is an
+    independent check of it.
     """
     # Deferred: scipy.special is this module's only use of it and is heavy
     # to load for every process that imports frstokes.
     from scipy.special import binom
 
-    if N < 1:
-        raise ValueError(f"N must be positive, got {N}")
+    if not lam >= 0:
+        raise ValueError(f"eigenvalue must be nonnegative, got {lam}")
+    _check_alpha_gamma(alpha, gamma)
+    if not T > 0:
+        raise ValueError(f"T must be positive, got {T}")
+    if not isinstance(N, (int, np.integer)) or N < 1:
+        raise ValueError(f"N must be a positive integer, got {N!r}")
     tau = T / N
     beta = 1.0 - alpha
     j = np.arange(N + 1)
     q = (-1.0) ** j * binom(-beta, j)
     frac_scale = gamma * tau**beta
     c = tau + frac_scale
-    u = np.empty(N + 1)
-    u[0] = u0
-    plain = 0.0
-    for n in range(1, N + 1):
-        plain += u[n - 1]
-        weighted = q[1 : n + 1][::-1].dot(u[:n])
-        u[n] = (u0 - lam * (tau * plain + frac_scale * weighted)) / (1.0 + lam * c)
-    return u
+    a = lam * (tau + frac_scale * q)
+    a[0] += 1.0
+    b = _series_inverse(a)
+    return u0 * (np.cumsum(b) + lam * c * b)
+
+
+def _series_inverse(a: np.ndarray) -> np.ndarray:
+    """First a.size coefficients of the power series 1/a(zeta), a[0] != 0.
+
+    Newton doubling: with b correct to m terms, a b = 1 + O(zeta^m) and
+    b (2 - a b) is correct to 2m.  Only the coefficients m..2m-1 of a b are
+    needed, and a cyclic product of length 2m leaves them unwrapped.
+    """
+    n = a.size
+    b = np.zeros(1 << (n - 1).bit_length())
+    b[0] = 1.0 / a[0]
+    m = 1
+    while m < n:
+        fb = np.fft.rfft(b[:m], 2 * m)
+        residual = np.fft.irfft(np.fft.rfft(a[: 2 * m], 2 * m) * fb, 2 * m)[m:]
+        b[m : 2 * m] = -np.fft.irfft(np.fft.rfft(residual, 2 * m) * fb, 2 * m)[:m]
+        m *= 2
+    return b[:n]
 
 
 def laplacian_eigenvalue(k: int, l: int) -> float:

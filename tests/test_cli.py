@@ -209,3 +209,13 @@ def test_package_import_defers_heavy_scipy_modules():
                           text=True, env=_tree_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_package_entry_point():
+    # python -m frstokes runs the same main through frstokes/__main__.py
+    proc = subprocess.run(
+        [sys.executable, "-m", "frstokes",
+         "oracle", "--lambda", "0", "--alpha", "0.5", "--t", "2.0"],
+        capture_output=True, text=True, env=_tree_env())
+    assert proc.returncode == 0
+    assert float(proc.stdout) == pytest.approx(1.0, abs=1e-13)

@@ -1,12 +1,16 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import binom
 
 from frstokes.cq_time_stepper import _advance
 from frstokes.sparse_linalg import DiagMatrix, SparseSymMatrix
 from frstokes.spectral_oracle import (
+    _LAM_BLOCK,
     ContourResolutionError,
     ContourSpec,
     contour_nodes,
@@ -18,6 +22,32 @@ from frstokes.spectral_oracle import (
     smoothing_probe,
     symbol_g,
 )
+
+
+def direct_scalar_cq(lam, alpha, gamma, T, N, u0=1.0):
+    """The scalar CQ recursion with the history sum evaluated directly over
+    every past step, O(N^2)."""
+    tau = T / N
+    beta = 1.0 - alpha
+    j = np.arange(N + 1)
+    q = (-1.0) ** j * binom(-beta, j)
+    frac_scale = gamma * tau**beta
+    c = tau + frac_scale
+    u = np.empty(N + 1)
+    u[0] = u0
+    plain = 0.0
+    for n in range(1, N + 1):
+        plain += u[n - 1]
+        weighted = q[1 : n + 1][::-1].dot(u[:n])
+        u[n] = (u0 - lam * (tau * plain + frac_scale * weighted)) / (1.0 + lam * c)
+    return u
+
+
+def grid_eigenvalues(M):
+    """The (M-1)^2 eigenvalues of the 5-point Laplacian on the M-grid."""
+    k = np.arange(1, M)
+    s2 = np.sin(k * np.pi / (2 * M)) ** 2
+    return (4.0 * M * M * (s2[:, None] + s2[None, :])).ravel()
 
 
 def test_symbol_values():
@@ -131,6 +161,36 @@ def test_mode_response_many_matches_scalar_calls():
         mode_response_many([1.0], 0.7, 0.3, -2.0)
 
 
+def test_mode_response_many_blocks_match_single_calls():
+    lams = grid_eigenvalues(64)[: _LAM_BLOCK + 300]
+    batch = mode_response_many(lams, 1e-3, 0.5, 1.0)
+    single = np.array([mode_response(float(l), 1e-3, 0.5, 1.0) for l in lams])
+    assert np.array_equal(batch, single)
+
+
+def test_mode_response_many_checks_every_block():
+    # with this oversized arc, exp(z t) is ~1e13 on the contour: large
+    # eigenvalues damp it and pass, lam = 0 leaves a residue of ~1e-5
+    spec = ContourSpec(delta=30.0, radius=200.0)
+    lams = np.full(_LAM_BLOCK + 5, 1e8)
+    mode_response_many(lams, 1.0, 0.5, 1.0, spec)
+    lams[-1] = 0.0
+    with pytest.raises(ContourResolutionError):
+        mode_response_many(lams, 1.0, 0.5, 1.0, spec)
+
+
+def test_mode_response_many_memory_is_bounded_by_block():
+    lams = grid_eigenvalues(128)
+    tracemalloc.start()
+    try:
+        mode_response_many(lams, 1e-3, 0.5, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one unblocked 16129 x 480 complex array alone is 124 MB
+    assert peak <= 40e6
+
+
 def test_scalar_cq_converges_to_contour_value():
     lam = 2.0 * np.pi**2
     exact = mode_response(lam, 1.0, 0.5, 1.0)
@@ -157,6 +217,34 @@ def test_scalar_cq_matches_matrix_stepper():
                         alpha=alpha, gamma=gamma, tau=1.0 / N, N=N,
                         steps=np.arange(N + 1), source_of_prev=None)
         assert np.allclose(u, hist[:, 0], atol=1e-13)
+
+
+@settings(max_examples=60)
+@given(lam=st.one_of(st.just(0.0), st.floats(-3.0, 8.0).map(lambda e: 10.0**e)),
+       alpha=st.floats(0.05, 0.95), gamma=st.floats(0.0, 10.0),
+       T=st.floats(0.01, 10.0), N=st.integers(1, 3000),
+       u0=st.floats(-2.0, 2.0))
+def test_scalar_cq_matches_direct_sum(lam, alpha, gamma, T, N, u0):
+    got = scalar_cq_response(lam, alpha, gamma, T, N, u0)
+    want = direct_scalar_cq(lam, alpha, gamma, T, N, u0)
+    assert got.shape == (N + 1,)
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("args,match", [
+    ((20.0, 1.2, 1.0, 1.0, 4), "alpha"),
+    ((20.0, 0.0, 1.0, 1.0, 4), "alpha"),
+    ((20.0, 0.5, -1.0, 1.0, 4), "gamma"),
+    ((-20.0, 0.5, 1.0, 1.0, 4), "eigenvalue"),
+    ((float("nan"), 0.5, 1.0, 1.0, 4), "eigenvalue"),
+    ((20.0, 0.5, 1.0, -1.0, 4), "T must be positive"),
+    ((20.0, 0.5, 1.0, 0.0, 4), "T must be positive"),
+    ((20.0, 0.5, 1.0, 1.0, 0), "N must be a positive integer"),
+    ((20.0, 0.5, 1.0, 1.0, 4.0), "N must be a positive integer"),
+])
+def test_scalar_cq_rejects_bad_input(args, match):
+    with pytest.raises(ValueError, match=match):
+        scalar_cq_response(*args)
 
 
 def test_laplacian_eigenvalues():
