@@ -46,6 +46,7 @@ from .fem_assembly import (
     l2_norm,
     l2_project,
     load_vector,
+    mesh_operator,
     sqrt_one_plus_u2,
     zero_source,
 )

@@ -142,7 +142,7 @@ def _cmd_run(args) -> int:
     config = SchemeConfig(
         variant=scheme,
         N=int(raw.get("N", 100)),
-        source_lumping=bool(raw.get("source_lumping", False)),
+        source_lumping=raw.get("source_lumping", False),
         cg_tol=float(raw.get("tol", 1e-12)),
         snapshot_stride=raw.get("snapshot_stride"),
     )

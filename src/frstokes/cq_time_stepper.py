@@ -36,20 +36,14 @@ N < n0 + B never fold and use the direct sum.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
 
-from .fem_assembly import (
-    NodalField,
-    ProblemSpec,
-    _interior_block,
-    assemble_lumped_mass,
-    assemble_mass,
-    assemble_stiffness,
-)
+from .fem_assembly import NodalField, ProblemSpec, mesh_operator
 from .mesh import TriMesh
 from .sparse_linalg import CompositeOperator
 
@@ -124,14 +118,26 @@ def cq_fractional_integral(samples, beta: float, tau: float) -> float:
     return float(tau**beta * q[::-1].dot(phi))
 
 
+def _require_bool(name: str, value) -> None:
+    """Reject anything but a bool, such as the string "false"."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+
+
+def _is_count(value) -> bool:
+    """True for an integer >= 1 that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     """Discretization choices for one run.
 
-    ``source_lumping`` switches the nonlinear load from the consistent
-    reading M f(U) to the vertex-quadrature reading D f(U).  Snapshots are
-    kept every ``snapshot_stride`` steps (default ceil(N/100)) plus the
-    final step; ``store_full`` keeps every step.  The steppers solve each
+    ``source_lumping`` (a bool) switches the nonlinear load from the
+    consistent reading M f(U) to the vertex-quadrature reading D f(U).
+    Snapshots are kept every ``snapshot_stride`` steps (None, the default,
+    means ceil(N/100); otherwise an integer >= 1) plus the final step;
+    ``store_full`` keeps every step.  The steppers solve each
     step directly with a factorization of the step matrix, so ``cg_tol``
     no longer affects the result; it is validated and kept for existing
     callers.
@@ -150,12 +156,16 @@ class SchemeConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
-        if self.N < 1:
-            raise ValueError(f"N must be a positive integer, got {self.N}")
+        if not _is_count(self.N):
+            raise ValueError(f"N must be a positive integer, got {self.N!r}")
         if self.cg_tol <= 0 or self.picard_tol <= 0:
             raise ValueError("solver tolerances must be positive")
         if self.picard_maxit < 1:
             raise ValueError("picard_maxit must be at least 1")
+        _require_bool("source_lumping", self.source_lumping)
+        if self.snapshot_stride is not None and not _is_count(self.snapshot_stride):
+            raise ValueError("snapshot_stride must be None or an integer >= 1, "
+                             f"got {self.snapshot_stride!r}")
 
     def resolve_tau(self, T: float) -> float:
         tau = T / self.N if self.tau is None else self.tau
@@ -342,14 +352,14 @@ def _source_builder(mesh: TriMesh, problem: ProblemSpec, lumped: bool,
     interior = mesh.interior_nodes
     if lumped:
         diag = (lumped_interior if lumped_interior is not None
-                else assemble_lumped_mass(mesh)).values
+                else mesh_operator(mesh, "lumped_mass")).values
 
         def source(v: np.ndarray) -> np.ndarray:
             return diag * np.asarray(f(v), dtype=float)
 
         return source
 
-    M_full = mass_full if mass_full is not None else assemble_mass(mesh, full=True)
+    M_full = mass_full if mass_full is not None else mesh_operator(mesh, "mass", full=True)
     f_boundary = np.zeros(mesh.n_nodes)
     f_boundary[mesh.boundary_mask] = f(np.zeros(np.count_nonzero(mesh.boundary_mask)))
 
@@ -378,16 +388,10 @@ def step_linearized(config: SchemeConfig, problem: ProblemSpec, mesh: TriMesh,
     tau = config.resolve_tau(problem.T)
 
     if A is None:
-        A = assemble_stiffness(mesh)
-    mass_full = None
+        A = mesh_operator(mesh, "stiffness")
     if W is None:
-        if lumped_variant:
-            W = assemble_lumped_mass(mesh)
-        else:
-            mass_full = assemble_mass(mesh, full=True)
-            W = _interior_block(mass_full, mesh)
+        W = mesh_operator(mesh, "lumped_mass" if lumped_variant else "mass")
     source = _source_builder(mesh, problem, config.source_lumping,
-                             mass_full=mass_full,
                              lumped_interior=W if lumped_variant and config.source_lumping else None)
 
     u0 = problem.initial_data.field(mesh).interior()
@@ -416,11 +420,10 @@ def step_implicit(config: SchemeConfig, problem: ProblemSpec, mesh: TriMesh,
         )
 
     if A is None:
-        A = assemble_stiffness(mesh)
-    mass_full = assemble_mass(mesh, full=True)
+        A = mesh_operator(mesh, "stiffness")
     if W is None:
-        W = _interior_block(mass_full, mesh)
-    source = _source_builder(mesh, problem, config.source_lumping, mass_full=mass_full)
+        W = mesh_operator(mesh, "mass")
+    source = _source_builder(mesh, problem, config.source_lumping)
 
     u0 = problem.initial_data.field(mesh).interior()
     steps = _snapshot_steps(config.N, config.snapshot_stride, config.store_full)

@@ -6,18 +6,24 @@ L2 errors at the final time, and fits rates.  Reports serialize to CSV with
 header ``param,error_l2,rate_pairwise`` and a ``fitted_rate`` footer, plus a
 markdown mirror.  Final fields are cached content-addressed by the full
 run configuration, so references shared between studies are solved once.
+Within a process, :func:`build_mesh` hands out one mesh per (family, M)
+while any caller holds it, so the runs and error measurements of a study
+share the mesh and the operators memoized on it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
+import weakref
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cq_time_stepper import SchemeConfig, step_implicit, step_linearized
+from .cq_time_stepper import SchemeConfig, _require_bool, step_implicit, step_linearized
 from .fem_assembly import (
     NodalField,
     ProblemSpec,
@@ -83,6 +89,7 @@ class StudyConfig:
             raise ValueError(f"prefactor axis must be spatial or temporal")
         if not self.alphas:
             raise ValueError("need at least one alpha")
+        _require_bool("source_lumping", self.source_lumping)
 
 
 @dataclass(frozen=True)
@@ -170,12 +177,30 @@ def _make_report(kind, case, alpha, param_name, params, errors, theory) -> Exper
 # ---------------------------------------------------------------------------
 
 
+_MESHES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def build_mesh(family: str, M: int) -> TriMesh:
-    if family == "symmetric":
-        return build_symmetric_mesh(M)
-    if family == "nonsymmetric":
-        return build_nonsymmetric_mesh(M)
-    raise ValueError(f"unknown family {family!r}")
+    """The mesh of ``family`` at resolution M.
+
+    While any caller still holds the mesh, later calls return that same
+    object, so the operators memoized on it are reused; once the last
+    reference goes, so does the mesh with its memo.
+    """
+    mesh = _MESHES.get((family, M))
+    if mesh is None:
+        if family == "symmetric":
+            mesh = build_symmetric_mesh(M)
+        elif family == "nonsymmetric":
+            mesh = build_nonsymmetric_mesh(M)
+        else:
+            raise ValueError(f"unknown family {family!r}")
+        _MESHES[family, M] = mesh
+    return mesh
+
+
+# One data object per case, so each mesh projects it once for every run.
+_case_data = functools.cache(initial_data_for_case)
 
 
 def _problem(case: str, alpha: float, gamma: float, T: float, mode_kl=(1, 1)) -> ProblemSpec:
@@ -187,7 +212,7 @@ def _problem(case: str, alpha: float, gamma: float, T: float, mode_kl=(1, 1)) ->
                            nonlinearity=zero_source(), initial_data=data)
     return ProblemSpec(alpha=alpha, gamma=gamma, T=T,
                        nonlinearity=sqrt_one_plus_u2(),
-                       initial_data=initial_data_for_case(case))
+                       initial_data=_case_data(case))
 
 
 # Names the solver and the file layout behind a cached field.  Change it
@@ -218,10 +243,15 @@ def solve_final(case: str, alpha: float, gamma: float, T: float, family: str,
                 cache_dir: str | None = None, mode_kl=(1, 1)) -> tuple[TriMesh, NodalField]:
     """Final-time field of one fully discrete run, cached when possible.
 
-    A cache file is served only when the key stored in it equals the key
-    of the request; any other file at that path is recomputed and replaced.
-    ``tol`` does not change the field and is left out of the key.
+    A cache file is served only when it reads back whole, the key stored
+    in it equals the key of the request and its values fit the mesh; any
+    other file at that path is recomputed and replaced.  Files are written
+    to a temporary name and renamed into place, so an interrupted run
+    never leaves a partial file under the final name.  ``tol`` does not
+    change the field and is left out of the key.
     """
+    config = SchemeConfig(variant=scheme, N=N, source_lumping=source_lumping,
+                          cg_tol=tol, snapshot_stride=N)
     mesh = build_mesh(family, M)
     key = _run_key(case, alpha, gamma, T, family, M, N, scheme,
                    source_lumping, mode_kl)
@@ -229,20 +259,36 @@ def solve_final(case: str, alpha: float, gamma: float, T: float, family: str,
     if cache_dir is not None:
         digest = hashlib.sha256(key.encode()).hexdigest()
         path = os.path.join(cache_dir, f"run-{digest}.npz")
-        if os.path.exists(path):
-            with np.load(path) as data:
-                if "key" in data.files and str(data["key"]) == key:
-                    return mesh, NodalField(mesh, data["values"])
+        values = _read_cached(path, key)
+        if values is not None and values.shape == (mesh.n_nodes,):
+            return mesh, NodalField(mesh, values)
 
     problem = _problem(case, alpha, gamma, T, mode_kl)
-    config = SchemeConfig(variant=scheme, N=N, source_lumping=source_lumping,
-                          cg_tol=tol, snapshot_stride=N)
     stepper = step_implicit if scheme == "galerkin-implicit" else step_linearized
     final = stepper(config, problem, mesh).final()
     if path is not None:
         os.makedirs(cache_dir, exist_ok=True)
-        np.savez(path, values=final.values, key=np.array(key))
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                np.savez(fh, values=final.values, key=np.array(key))
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
     return mesh, final
+
+
+def _read_cached(path: str, key: str):
+    """Values stored at ``path`` under ``key``; None when the file is
+    missing, unreadable or holds another key."""
+    try:
+        with np.load(path) as data:
+            if "key" in data.files and str(data["key"]) == key:
+                return data["values"]
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+        pass
+    return None
 
 
 def _solve_cfg(cfg: StudyConfig, alpha: float, *, M: int, N: int, T: float,

@@ -3,13 +3,17 @@
 Assembles stiffness, consistent mass and lumped (vertex-quadrature) mass
 matrices, load vectors for several triangle quadrature rules, and the L2
 projection onto the space V_h of continuous piecewise linears vanishing on
-the boundary.  Also defines the problem description consumed by the time
-steppers: fractional order alpha, damping gamma, a Lipschitz nonlinearity
-and an initial-data descriptor.
+the boundary.  :func:`mesh_operator` memoizes the assembled operators on
+the mesh, and the default realization of initial data is memoized there
+too, so a study that reuses one mesh assembles and projects once.  Also
+defines the problem description consumed by the time steppers: fractional
+order alpha, damping gamma, a Lipschitz nonlinearity and an initial-data
+descriptor.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +27,7 @@ __all__ = [
     "assemble_stiffness",
     "assemble_mass",
     "assemble_lumped_mass",
+    "mesh_operator",
     "load_vector",
     "l2_project",
     "l2_norm",
@@ -165,6 +170,37 @@ def assemble_lumped_mass(mesh: TriMesh, full: bool = False) -> DiagMatrix:
     return DiagMatrix(diag[mesh.interior_nodes])
 
 
+def _read_only(op):
+    if isinstance(op, SparseSymMatrix):
+        for arr in (op.data, op.indices, op.indptr):
+            arr.setflags(write=False)
+    return op  # a DiagMatrix is read-only already
+
+
+def mesh_operator(mesh: TriMesh, kind: str, full: bool = False):
+    """The operator ``assemble_<kind>(mesh, full)`` returns, memoized on the mesh.
+
+    ``kind`` is ``"stiffness"``, ``"mass"`` or ``"lumped_mass"``.  The first
+    request assembles it (an interior block is cut from the memoized full
+    matrix, as ``assemble_*`` does); later requests return the same object,
+    whose arrays are read-only.  The memo lives and dies with the mesh.
+    """
+    key = (kind, bool(full))
+    memo = mesh._memo
+    if key not in memo:
+        if kind == "lumped_mass":
+            op = assemble_lumped_mass(mesh, full=full)
+        elif kind not in ("stiffness", "mass"):
+            raise ValueError(f"unknown operator kind {kind!r}")
+        elif full:
+            assemble = assemble_stiffness if kind == "stiffness" else assemble_mass
+            op = assemble(mesh, full=True)
+        else:
+            op = _interior_block(mesh_operator(mesh, kind, full=True), mesh)
+        memo[key] = _read_only(op)
+    return memo[key]
+
+
 def load_vector(mesh: TriMesh, g, rule: str = "order4") -> FloatArray:
     """Full-node load b_i ~ integral of g * phi_i, by triangle quadrature.
 
@@ -192,14 +228,14 @@ def l2_project(mesh: TriMesh, g, rule: str = "order4", tol: float = 1e-12) -> No
     if mesh.n_interior == 0:
         return NodalField.zeros(mesh)
     b = load_vector(mesh, g, rule=rule)[mesh.interior_nodes]
-    M = assemble_mass(mesh)
+    M = mesh_operator(mesh, "mass")
     return NodalField.from_interior(mesh, cg_solve(M, b, tol=tol))
 
 
 def l2_norm(mesh: TriMesh, fld) -> float:
     """L2(Omega) norm of a P1 field, via the full-node consistent mass."""
     vals = np.asarray(getattr(fld, "values", fld), dtype=float)
-    M = assemble_mass(mesh, full=True)
+    M = mesh_operator(mesh, "mass", full=True)
     return float(np.sqrt(max(vals.dot(M.matvec(vals)), 0.0)))
 
 
@@ -265,7 +301,12 @@ def zero_source() -> Nonlinearity:
 
 
 class InitialData:
-    """Initial condition descriptor: a sampler plus its V_h realization."""
+    """Initial condition descriptor: a sampler plus its V_h realization.
+
+    An instance stands for one fixed function.  Its default realization is
+    memoized on each mesh under the instance itself, never under
+    ``cache_tag``, so two instances never share an entry.
+    """
 
     cache_tag: str | None = None
 
@@ -273,8 +314,12 @@ class InitialData:
         raise NotImplementedError
 
     def field(self, mesh: TriMesh) -> NodalField:
-        """Default realization: L2 projection onto V_h."""
-        return l2_project(mesh, self.sample)
+        """Default realization: L2 projection onto V_h, once per mesh."""
+        realized = mesh._memo.setdefault("initial_data", weakref.WeakKeyDictionary())
+        values = realized.get(self)
+        if values is None:
+            values = realized[self] = l2_project(mesh, self.sample).values
+        return NodalField(mesh, values.copy())
 
 
 class CaseAInitialData(InitialData):

@@ -9,12 +9,14 @@ Two mesh families over Omega = (0,1)^2 are provided:
   M divisible by 4.
 
 Nodes are ordered lexicographically by (y, x), triangles are oriented
-counterclockwise, and meshes are immutable once built.
+counterclockwise, and meshes are immutable once built.  Operators that
+depend only on the mesh are memoized on it (see ``fem_assembly``), so they
+are built once and live exactly as long as the mesh.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.typing as npt
@@ -53,6 +55,9 @@ class TriMesh:
     family : human-readable family tag, e.g. ``"symmetric(8)"``.
     h : maximum triangle diameter.
     x_breaks, y_breaks : grid lines of the underlying tensor layout.
+
+    The private ``_memo`` dict holds read-only operators and data derived
+    from the mesh alone; it is filled on first use by ``fem_assembly``.
     """
 
     nodes: FloatArray
@@ -63,6 +68,12 @@ class TriMesh:
     h: float
     x_breaks: FloatArray
     y_breaks: FloatArray
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        # the memo only caches derived data, and may hold weak references,
+        # which cannot be pickled: a copy starts without it
+        return {**self.__dict__, "_memo": {}}
 
     @property
     def n_nodes(self) -> int:

@@ -126,21 +126,24 @@ def mode_response_many(lams, t: float, alpha: float, gamma: float,
                        contour: ContourSpec | None = None) -> np.ndarray:
     """Vectorized e_lam(t) over an array of eigenvalues (one contour).
 
-    The eigenvalues are taken in blocks of ``_LAM_BLOCK``, so the working
-    array is at most ``_LAM_BLOCK`` x (number of nodes) whatever the length
-    of ``lams``; each value is the same as a single-eigenvalue call.
+    Each distinct eigenvalue is evaluated once (a grid spectrum repeats
+    lam_kl = lam_lk) and the values are scattered back.  The distinct
+    eigenvalues are taken in blocks of ``_LAM_BLOCK``, so the working array
+    is at most ``_LAM_BLOCK`` x (number of nodes) whatever the length of
+    ``lams``; each value is the same as a single-eigenvalue call.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    if not np.all(lams >= 0):
-        raise ValueError("eigenvalues must be nonnegative")
+    if not np.all((lams >= 0) & (lams < np.inf)):
+        raise ValueError("eigenvalues must be finite and nonnegative")
     _check_alpha_gamma(alpha, gamma)
+    distinct, where = np.unique(lams, return_inverse=True)
     spec = contour if contour is not None else ContourSpec.for_time(t)
     z, w = contour_nodes(spec)
     ezt_w = w * np.exp(z * t)
     symbol = 1.0 + gamma * z**alpha
-    vals = np.empty(lams.shape, dtype=complex)
-    for start in range(0, lams.size, _LAM_BLOCK):
-        block = lams[start : start + _LAM_BLOCK]
+    vals = np.empty(distinct.shape, dtype=complex)
+    for start in range(0, distinct.size, _LAM_BLOCK):
+        block = distinct[start : start + _LAM_BLOCK]
         denom = np.multiply.outer(block, symbol)
         denom += z
         np.divide(ezt_w, denom, out=denom)
@@ -152,7 +155,7 @@ def mode_response_many(lams, t: float, alpha: float, gamma: float,
             f"imaginary residue {residue.max():.3e} exceeds tolerance; "
             "increase the contour resolution"
         )
-    return vals.real
+    return vals.real[where.reshape(lams.shape)]
 
 
 def mode_response(lam: float, t: float, alpha: float, gamma: float,

@@ -126,6 +126,24 @@ def test_run_subcommand_json_equivalent(tmp_path, capsys):
     assert out_kv == out_js
 
 
+@pytest.mark.parametrize("key,value", [("source_lumping", '"false"'),
+                                       ("snapshot_stride", "-3"),
+                                       ("snapshot_stride", "2.5")])
+def test_run_subcommand_rejects_bad_scheme_options(tmp_path, capsys, key, value):
+    js = tmp_path / "run.json"
+    js.write_text('{"case": "a", "family": "symmetric", "M": 4, "N": 4,'
+                  f' "alpha": 0.5, "{key}": {value}}}')
+    with pytest.raises(ValueError, match=key):
+        main(["run", "--config", str(js)])
+    assert capsys.readouterr().out == ""
+
+
+def test_study_config_rejects_string_source_lumping():
+    with pytest.raises(ValueError, match="source_lumping"):
+        study_config_from_dict({"source_lumping": "false"})
+    assert study_config_from_dict({"source_lumping": False}).source_lumping is False
+
+
 def test_convergence_subcommand_stdout(tmp_path, capsys):
     cfg = tmp_path / "study.cfg"
     cfg.write_text("case = mode\nalpha = 0.5\nM = 2,4\nN = 32\n"

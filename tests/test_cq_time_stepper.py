@@ -356,6 +356,32 @@ def test_config_validation():
     assert SchemeConfig(variant="lumped-linearized", N=4).resolve_tau(2.0) == 0.5
 
 
+@pytest.mark.parametrize("N", [2.5, 4.0, True, "4"])
+def test_config_rejects_non_integer_N(N):
+    with pytest.raises(ValueError, match="N must be a positive integer"):
+        SchemeConfig(variant="lumped-linearized", N=N)
+
+
+@pytest.mark.parametrize("stride", [-3, 0, 2.5, True, "2"])
+def test_config_rejects_bad_snapshot_stride(stride):
+    with pytest.raises(ValueError, match="snapshot_stride"):
+        SchemeConfig(variant="lumped-linearized", N=10, snapshot_stride=stride)
+
+
+@pytest.mark.parametrize("lumping", ["false", "true", 0, 1, None])
+def test_config_rejects_non_bool_source_lumping(lumping):
+    with pytest.raises(ValueError, match="source_lumping"):
+        SchemeConfig(variant="lumped-linearized", N=10, source_lumping=lumping)
+
+
+def test_config_accepts_integer_stride_and_bool_lumping():
+    assert SchemeConfig(variant="lumped-linearized", N=np.int64(10)).N == 10
+    for stride in (None, 1, 3, np.int64(4)):
+        SchemeConfig(variant="lumped-linearized", N=10, snapshot_stride=stride)
+    for lumping in (False, True, np.bool_(True)):
+        SchemeConfig(variant="lumped-linearized", N=10, source_lumping=lumping)
+
+
 def test_variant_dispatch_guards():
     mesh = build_symmetric_mesh(2)
     problem = ProblemSpec(alpha=0.5, gamma=1.0, T=1.0,

@@ -1,3 +1,4 @@
+import gc
 from math import factorial
 
 import numpy as np
@@ -20,6 +21,7 @@ from frstokes.fem_assembly import (
     l2_norm,
     l2_project,
     load_vector,
+    mesh_operator,
     sqrt_one_plus_u2,
     zero_source,
 )
@@ -287,6 +289,62 @@ def test_custom_initial_data_wraps_callable():
     data = CustomInitialData(lambda x, y: x * y, cache_tag="xy")
     assert data.sample(0.25, 0.5) == 0.125
     assert data.cache_tag == "xy"
+
+
+@pytest.mark.parametrize("kind,full", [(k, f) for k in ("stiffness", "mass", "lumped_mass")
+                                       for f in (False, True)])
+def test_mesh_operator_is_memoized_fresh_assembly(kind, full):
+    mesh = build_nonsymmetric_mesh(8)
+    op = mesh_operator(mesh, kind, full=full)
+    assert mesh_operator(mesh, kind, full=full) is op
+    fresh = {"stiffness": assemble_stiffness, "mass": assemble_mass,
+             "lumped_mass": assemble_lumped_mass}[kind](mesh, full=full)
+    if kind == "lumped_mass":
+        arrays, want = [op.values], [fresh.values]
+    else:
+        arrays = [op.data, op.indices, op.indptr]
+        want = [fresh.data, fresh.indices, fresh.indptr]
+    for got, expected in zip(arrays, want):
+        assert np.array_equal(got, expected) and got.dtype == expected.dtype
+        with pytest.raises(ValueError, match="read-only"):
+            got[0] = got[0]
+    assert mesh_operator(build_nonsymmetric_mesh(8), kind, full=full) is not op
+    with pytest.raises(ValueError, match="unknown operator"):
+        mesh_operator(mesh, "advection")
+
+
+def test_initial_data_projected_once_per_object_and_mesh(monkeypatch):
+    from frstokes import fem_assembly
+
+    project = fem_assembly.l2_project
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return project(*args, **kwargs)
+
+    monkeypatch.setattr(fem_assembly, "l2_project", counting)
+    mesh = build_symmetric_mesh(8)
+    a = CaseAInitialData()
+    first = a.field(mesh)
+    first.values[:] = 7.0  # a caller's copy; the memo is untouched
+    second = a.field(mesh)
+    assert len(calls) == 1
+    assert np.array_equal(second.values, project(mesh, a.sample).values)
+
+    # one cache_tag, two functions: two entries, two projections
+    xy = CustomInitialData(lambda x, y: x * y, cache_tag="same")
+    xxy = CustomInitialData(lambda x, y: x * x * y, cache_tag="same")
+    assert not np.array_equal(xy.field(mesh).values, xxy.field(mesh).values)
+    assert len(calls) == 3
+    # another mesh is another entry; an entry goes with its data object
+    CaseAInitialData().field(mesh)
+    a.field(build_symmetric_mesh(8))
+    assert len(calls) == 5
+    held = len(mesh._memo["initial_data"])
+    del xxy
+    gc.collect()
+    assert len(mesh._memo["initial_data"]) == held - 1
 
 
 def test_problem_spec_validation():

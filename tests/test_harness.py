@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,15 @@ from frstokes.experiment_harness import (
     run_temporal_study,
     solve_final,
 )
-from frstokes.fem_assembly import l2_norm
+from frstokes.cq_time_stepper import SchemeConfig, step_linearized
+from frstokes.fem_assembly import (
+    CaseAInitialData,
+    ProblemSpec,
+    assemble_mass,
+    assemble_stiffness,
+    l2_norm,
+)
+from frstokes.mesh import build_symmetric_mesh
 
 
 def test_fit_rate_recovers_exact_power_law():
@@ -108,6 +119,121 @@ def test_solve_final_recomputes_on_key_mismatch(tmp_path):
     with np.load(path) as data:
         assert str(data["key"]) == key
         assert np.array_equal(data["values"], fresh.values)
+
+
+def _one_run_file(tmp_path):
+    kw = dict(case="a", alpha=0.5, gamma=1.0, T=1.0, family="symmetric",
+              M=4, N=4, cache_dir=str(tmp_path / "runs"))
+    mesh, fresh = solve_final(**kw)
+    (path,) = (tmp_path / "runs").glob("run-*.npz")
+    return kw, mesh, fresh, path
+
+
+def _assert_replaced(path, fresh):
+    with np.load(path) as data:
+        assert np.array_equal(data["values"], fresh.values)
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+
+@pytest.mark.parametrize("keep", [0.5, 0.0])
+def test_solve_final_recomputes_unreadable_file(tmp_path, keep):
+    kw, _, fresh, path = _one_run_file(tmp_path)
+    whole = path.read_bytes()
+    path.write_bytes(whole[: int(keep * len(whole))])  # an interrupted write
+    _, again = solve_final(**kw)
+    assert np.array_equal(again.values, fresh.values)
+    _assert_replaced(path, fresh)
+
+
+def test_solve_final_recomputes_wrong_shape(tmp_path):
+    kw, mesh, fresh, path = _one_run_file(tmp_path)
+    with np.load(path) as data:
+        key = data["key"]
+    np.savez(path, values=np.full(mesh.n_nodes + 3, 7.0), key=key)
+    _, again = solve_final(**kw)
+    assert np.array_equal(again.values, fresh.values)
+    _assert_replaced(path, fresh)
+
+
+def test_solve_final_interrupted_write_leaves_no_file(tmp_path, monkeypatch):
+    def interrupted(fh, **arrays):
+        fh.write(b"PK\x03\x04")
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(np, "savez", interrupted)
+    cache = tmp_path / "runs"
+    with pytest.raises(RuntimeError, match="interrupted"):
+        solve_final(case="a", alpha=0.5, gamma=1.0, T=1.0, family="symmetric",
+                    M=4, N=4, cache_dir=str(cache))
+    assert list(cache.iterdir()) == []
+
+
+def test_build_mesh_shared_while_held():
+    mesh = build_mesh("symmetric", 7)
+    assert build_mesh("symmetric", 7) is mesh
+    assert build_mesh("nonsymmetric", 8) is not build_mesh("symmetric", 8)
+    gone = weakref.ref(mesh)
+    del mesh
+    gc.collect()
+    assert gone() is None  # the registry does not keep meshes alive
+    assert build_mesh("symmetric", 7).family == "symmetric(7)"
+
+
+def test_temporal_study_builds_mesh_and_operators_once(monkeypatch):
+    from frstokes import experiment_harness, fem_assembly
+
+    gc.collect()
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, kwargs.get("full", False)))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(experiment_harness, "build_symmetric_mesh")
+    for name in ("assemble_stiffness", "assemble_mass", "assemble_lumped_mass",
+                 "l2_project"):
+        counted(fem_assembly, name)
+
+    N_list = (2, 3, 4, 5, 6)
+    cfg = StudyConfig(case="a", alphas=(0.5,), M=12, N_list=N_list, N_ref=24,
+                      scheme="galerkin-linearized")
+    (report,) = run_temporal_study(cfg)
+    assert sorted(calls) == [("assemble_mass", True), ("assemble_stiffness", True),
+                             ("build_symmetric_mesh", False), ("l2_project", False)]
+
+    # while a caller holds the mesh, a second study builds nothing new
+    mesh = build_mesh("symmetric", 12)
+    (first,) = run_temporal_study(cfg)
+    (again,) = run_temporal_study(cfg)
+    assert again.errors == first.errors == report.errors
+    assert len(calls) == 8
+    stiffness = fem_assembly.mesh_operator(mesh, "stiffness")
+    assert len(calls) == 8
+    with pytest.raises(ValueError, match="read-only"):
+        stiffness.data[0] = 0.0
+
+    # every field and error is bitwise that of fresh meshes and operators
+    fresh = build_symmetric_mesh(12)
+    problem = ProblemSpec(alpha=0.5, gamma=1.0, T=1.0, initial_data=CaseAInitialData())
+
+    def fresh_final(N):
+        config = SchemeConfig(variant="galerkin-linearized", N=N, snapshot_stride=N)
+        return step_linearized(config, problem, fresh, A=assemble_stiffness(fresh),
+                               W=assemble_mass(fresh)).final().values
+
+    mass = assemble_mass(fresh, full=True)
+    ref = fresh_final(24)
+    _, ref_again = solve_final("a", 0.5, 1.0, 1.0, "symmetric", 12, 24,
+                               scheme="galerkin-linearized")
+    assert np.array_equal(ref_again.values, ref)
+    for N, err in zip(N_list, report.errors):
+        diff = fresh_final(N) - ref
+        assert err == np.sqrt(max(diff.dot(mass.matvec(diff)), 0.0))
 
 
 def test_solve_final_cache_key_ignores_tol(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -157,3 +159,16 @@ def test_mesh_arrays_are_immutable():
     mesh = build_symmetric_mesh(2)
     with pytest.raises(ValueError):
         mesh.nodes[0, 0] = 7.0
+
+
+def test_mesh_pickles_without_its_memo():
+    from frstokes.fem_assembly import CaseAInitialData, mesh_operator
+
+    mesh = build_symmetric_mesh(4)
+    mass = mesh_operator(mesh, "mass")
+    CaseAInitialData().field(mesh)  # the memo now holds weak references
+    copy = pickle.loads(pickle.dumps(mesh))
+    assert np.array_equal(copy.nodes, mesh.nodes) and copy.family == mesh.family
+    assert copy._memo == {}
+    assert np.array_equal(mesh_operator(copy, "mass").toarray(), mass.toarray())
+    assert mesh_operator(mesh, "mass") is mass

@@ -179,6 +179,31 @@ def test_mode_response_many_checks_every_block():
         mode_response_many(lams, 1.0, 0.5, 1.0, spec)
 
 
+def test_mode_response_many_checks_every_block_of_distinct_values():
+    # the twin of the test above with no repeated eigenvalue, so the
+    # evaluation of distinct values still spans two blocks
+    spec = ContourSpec(delta=30.0, radius=200.0)
+    lams = 1e8 * (1.0 + np.arange(_LAM_BLOCK + 5) / 64.0)
+    mode_response_many(lams, 1.0, 0.5, 1.0, spec)
+    lams[-1] = 0.0
+    with pytest.raises(ContourResolutionError):
+        mode_response_many(lams, 1.0, 0.5, 1.0, spec)
+
+
+def test_mode_response_many_scatters_repeated_eigenvalues():
+    lams = grid_eigenvalues(32)  # lam_kl = lam_lk: 484 distinct of 961
+    vals = mode_response_many(lams, 1e-3, 0.5, 1.0)
+    once = {}
+    for lam in np.unique(lams)[::37]:
+        once[lam] = mode_response(float(lam), 1e-3, 0.5, 1.0)
+    for lam, want in once.items():
+        assert np.all(vals[lams == lam] == want)
+    grid = vals.reshape(31, 31)
+    assert np.array_equal(grid, grid.T)
+    with pytest.raises(ValueError, match="finite"):
+        mode_response_many([1.0, np.inf], 1e-3, 0.5, 1.0)
+
+
 def test_mode_response_many_memory_is_bounded_by_block():
     lams = grid_eigenvalues(128)
     tracemalloc.start()
