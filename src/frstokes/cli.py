@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import experiment_harness as harness
-from .cq_time_stepper import SchemeConfig, step_implicit, step_linearized
+from .cq_time_stepper import SchemeConfig, _require_count, step_implicit, step_linearized
 from .fem_assembly import l2_norm
 from .mesh import format_mesh_text
 from .spectral_oracle import mode_response
@@ -80,25 +80,19 @@ def study_config_from_dict(raw: dict) -> harness.StudyConfig:
     raw = dict(raw)
     if "alpha" in raw:
         kwargs["alphas"] = tuple(float(a) for a in _as_tuple(raw.pop("alpha")))
-    if "M" in raw:
-        m = raw.pop("M")
-        if isinstance(m, list):
-            kwargs["M_list"] = tuple(int(v) for v in m)
-        else:
-            kwargs["M"] = int(m)
-            kwargs["M_list"] = (int(m),)
-    if "N" in raw:
-        n = raw.pop("N")
-        if isinstance(n, list):
-            kwargs["N_list"] = tuple(int(v) for v in n)
-        else:
-            kwargs["N"] = int(n)
-            kwargs["N_list"] = (int(n),)
+    # counts pass through unconverted, so StudyConfig rejects 2.5 or "abc"
+    for key in ("M", "N"):
+        if key in raw:
+            value = raw.pop(key)
+            if isinstance(value, list):
+                kwargs[f"{key}_list"] = tuple(value)
+            else:
+                kwargs[key] = value
+                kwargs[f"{key}_list"] = (value,)
     if "t_list" in raw:
         kwargs["t_list"] = tuple(float(t) for t in _as_tuple(raw.pop("t_list")))
     for key in ("case", "gamma", "T", "family", "M_ref", "N_ref", "axis",
-                "scheme", "source_lumping", "tol", "snapshot_stride",
-                "cache_dir"):
+                "scheme", "source_lumping", "tol", "cache_dir"):
         if key in raw:
             kwargs[key] = raw.pop(key)
     raw.pop("out", None)
@@ -135,17 +129,19 @@ def _cmd_run(args) -> int:
     raw = parse_config(args.config)
     case = raw.get("case", "a")
     scheme = raw.get("scheme", "lumped-linearized")
-    mesh = harness.build_mesh(raw.get("family", "symmetric"), int(raw.get("M", 16)))
-    problem = harness._problem(case, float(raw.get("alpha", 0.5)),
-                               float(raw.get("gamma", 1.0)),
-                               float(raw.get("T", 1.0)))
+    M = raw.get("M", 16)
+    _require_count("M", M)
     config = SchemeConfig(
         variant=scheme,
-        N=int(raw.get("N", 100)),
+        N=raw.get("N", 100),
         source_lumping=raw.get("source_lumping", False),
         cg_tol=float(raw.get("tol", 1e-12)),
         snapshot_stride=raw.get("snapshot_stride"),
     )
+    mesh = harness.build_mesh(raw.get("family", "symmetric"), M)
+    problem = harness._problem(case, float(raw.get("alpha", 0.5)),
+                               float(raw.get("gamma", 1.0)),
+                               float(raw.get("T", 1.0)))
     stepper = step_implicit if scheme == "galerkin-implicit" else step_linearized
     trajectory = stepper(config, problem, mesh)
     final = trajectory.final()

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cq_time_stepper import SchemeConfig, _require_bool, step_implicit, step_linearized
+from .cq_time_stepper import (SchemeConfig, _require_bool, _require_count, step_implicit,
+                              step_linearized)
 from .fem_assembly import (
     NodalField,
     ProblemSpec,
@@ -76,7 +77,6 @@ class StudyConfig:
     scheme: str = "lumped-linearized"
     source_lumping: bool = False
     tol: float = 1e-12
-    snapshot_stride: int | None = None
     cache_dir: str | None = None
     mode_kl: tuple = (1, 1)
 
@@ -90,6 +90,11 @@ class StudyConfig:
         if not self.alphas:
             raise ValueError("need at least one alpha")
         _require_bool("source_lumping", self.source_lumping)
+        for name in ("M", "N", "M_ref", "N_ref"):
+            _require_count(name, getattr(self, name))
+        for name in ("M_list", "N_list"):
+            for value in getattr(self, name):
+                _require_count(f"every entry of {name}", value)
 
 
 @dataclass(frozen=True)

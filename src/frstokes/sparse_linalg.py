@@ -149,17 +149,26 @@ class CompositeOperator:
     def factorize(self):
         """SuperLU factorization of the materialized W + c*A.
 
-        Returns the ``scipy.sparse.linalg.SuperLU`` object; ``.solve(b)``
-        then costs two sparse triangular solves.  The matrix is symmetric,
-        so a minimum-degree ordering of A^T + A with symmetric pivoting
-        keeps the fill well below that of the default column ordering.
-        The import is deferred because ``scipy.sparse.linalg`` is heavy to
-        load and most entry points never factor.
+        Returns the ``scipy.sparse.linalg.SuperLU`` object; a solve then
+        costs two sparse triangular solves.  The matrix is symmetric, so a
+        minimum-degree ordering of A^T + A with symmetric pivoting keeps
+        the fill well below that of the default column ordering.
+
+        The factored matrix is (B + B^T)/2 for B = W + c*A, which is
+        symmetric bit for bit (and equal to B bit for bit when W and A
+        are, as assembled).  Callers may therefore solve with
+        ``.solve(b, trans="T")``: it gives the same solution as the
+        untransposed solve, to rounding, and SuperLU runs it faster (see
+        :mod:`frstokes.cq_time_stepper`).  The import is deferred because
+        ``scipy.sparse.linalg`` is heavy to load and most entry points
+        never factor.
         """
         from scipy.sparse.linalg import splu
 
-        B = (self.W.tocsr() + self.c * self.A.tocsr()).tocsc()
-        return splu(B, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
+        B = self.W.tocsr() + self.c * self.A.tocsr()
+        B = 0.5 * (B + B.T)
+        return splu(B.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                    options=dict(SymmetricMode=True))
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.matvec(x)

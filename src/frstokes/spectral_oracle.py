@@ -142,12 +142,18 @@ def mode_response_many(lams, t: float, alpha: float, gamma: float,
     ezt_w = w * np.exp(z * t)
     symbol = 1.0 + gamma * z**alpha
     vals = np.empty(distinct.shape, dtype=complex)
-    for start in range(0, distinct.size, _LAM_BLOCK):
-        block = distinct[start : start + _LAM_BLOCK]
-        denom = np.multiply.outer(block, symbol)
-        denom += z
-        np.divide(ezt_w, denom, out=denom)
-        vals[start : start + block.size] = denom.sum(axis=1)
+    # an eigenvalue near the float limit overflows lam * symbol; that is
+    # caught below as a non-finite value, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, distinct.size, _LAM_BLOCK):
+            block = distinct[start : start + _LAM_BLOCK]
+            denom = np.multiply.outer(block, symbol)
+            denom += z
+            np.divide(ezt_w, denom, out=denom)
+            vals[start : start + block.size] = denom.sum(axis=1)
+    if not np.isfinite(vals).all():
+        raise ValueError("eigenvalue too large for the contour quadrature: "
+                         f"the sum overflowed (largest eigenvalue {distinct[-1]:.3e})")
     residue = np.abs(vals.imag)
     bound = 1e-10 * (1.0 + np.abs(vals.real))
     if np.any(residue > bound):

@@ -138,6 +138,42 @@ def test_run_subcommand_rejects_bad_scheme_options(tmp_path, capsys, key, value)
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("key,value", [("N", "2.5"), ("N", "4.0"), ("N", "0"),
+                                       ("M", "2.5"), ("M", '"abc"'), ("M", "true")])
+def test_run_subcommand_rejects_non_integer_counts(tmp_path, capsys, key, value):
+    js = tmp_path / "run.json"
+    counts = {"M": "4", "N": "4", key: value}
+    js.write_text(f'{{"case": "a", "M": {counts["M"]}, "N": {counts["N"]}}}')
+    with pytest.raises(ValueError, match=f"{key} must be a positive integer"):
+        main(["run", "--config", str(js)])
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("raw", [{"N": [5, 7.5]}, {"N": 2.5}, {"M": [8, 0]},
+                                 {"M": "16"}, {"M_ref": "abc"}, {"N_ref": 640.0},
+                                 {"N_ref": True}])
+def test_study_config_rejects_non_integer_counts(raw):
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        study_config_from_dict(raw)
+
+
+def test_convergence_subcommand_rejects_non_integer_counts(tmp_path, capsys):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("case = mode\nalpha = 0.5\nM = 8\nN = 5,7.5\nN_ref = 40\n"
+                   f"cache_dir = {tmp_path / 'cache'}\n")
+    with pytest.raises(ValueError, match="N_list must be a positive integer"):
+        main(["convergence", "temporal", "--config", str(cfg)])
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "cache").exists()
+
+
+def test_study_config_has_no_snapshot_stride_key():
+    with pytest.raises(ValueError, match="unknown config keys: \\['snapshot_stride'\\]"):
+        study_config_from_dict({"snapshot_stride": -3})
+    with pytest.raises(ValueError, match="unknown config keys"):
+        study_config_from_dict({"M": 8, "snapshot_stride": 4})
+
+
 def test_study_config_rejects_string_source_lumping():
     with pytest.raises(ValueError, match="source_lumping"):
         study_config_from_dict({"source_lumping": "false"})

@@ -24,7 +24,7 @@ from frstokes.fem_assembly import (
     ProblemSpec,
     Nonlinearity,
     SingleModeInitialData,
-    _interior_block,
+    initial_data_for_case,
     assemble_lumped_mass,
     assemble_mass,
     assemble_stiffness,
@@ -32,7 +32,7 @@ from frstokes.fem_assembly import (
     sqrt_one_plus_u2,
     zero_source,
 )
-from frstokes.mesh import build_symmetric_mesh
+from frstokes.mesh import build_nonsymmetric_mesh, build_symmetric_mesh
 from frstokes.sparse_linalg import CompositeOperator, DiagMatrix, SparseSymMatrix
 
 
@@ -276,9 +276,9 @@ def test_implicit_factors_step_matrix_once_per_run(monkeypatch):
         def __init__(self, lu):
             self.lu = lu
 
-        def solve(self, b):
+        def solve(self, b, **kwargs):
             solves.append(1)
-            return self.lu.solve(b)
+            return self.lu.solve(b, **kwargs)
 
     def counting_factorize(op):
         factorizations.append(op.n)
@@ -472,10 +472,9 @@ def test_soe_tail_weights_match_exact_and_recursion(beta, N):
 
 def stepper_inputs(mesh, problem, variant):
     A = assemble_stiffness(mesh)
-    mass_full = assemble_mass(mesh, full=True)
     W = (assemble_lumped_mass(mesh) if variant == "lumped-linearized"
-         else _interior_block(mass_full, mesh))
-    source = _source_builder(mesh, problem, False, mass_full=mass_full)
+         else assemble_mass(mesh))
+    source = _source_builder(mesh, problem, False)
     u0 = problem.initial_data.field(mesh).interior()
     return A, W, u0, source
 
@@ -513,3 +512,88 @@ def test_history_memory_does_not_grow_with_steps():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0]
+
+
+FAMILIES = {"symmetric": build_symmetric_mesh, "nonsymmetric": build_nonsymmetric_mesh}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("mass", ["consistent", "lumped"])
+def test_step_matrix_is_exactly_symmetric(family, mass):
+    # the steppers solve B^T x = b in place of B x = b; factorize() makes B
+    # symmetric as (B + B^T)/2, which leaves the assembled B bitwise unchanged
+    # only if B is symmetric bit for bit already
+    mesh = FAMILIES[family](8)
+    A = assemble_stiffness(mesh).tocsr()
+    W = (assemble_mass(mesh) if mass == "consistent" else assemble_lumped_mass(mesh)).tocsr()
+    for B in (A, W, W + 0.37 * A):
+        assert abs(B - B.T).max() == 0.0
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("mass", ["consistent", "lumped"])
+def test_transposed_solve_matches_plain_solve(family, mass):
+    mesh = FAMILIES[family](16)
+    A = assemble_stiffness(mesh)
+    W = assemble_mass(mesh) if mass == "consistent" else assemble_lumped_mass(mesh)
+    # c = tau + gamma tau^(1-alpha) for tau = 0.01, gamma = 1, alpha = 0.5
+    lu = CompositeOperator(W, 0.01 + 0.1, A).factorize()
+    b = np.random.default_rng(7).standard_normal(mesh.n_interior)
+    plain = lu.solve(b)
+    transposed = lu.solve(b, trans="T")
+    assert np.linalg.norm(transposed - plain) <= 1e-14 * np.linalg.norm(plain)
+
+
+def full_vector_source(mesh, problem, lumped):
+    """The interior load computed on the full node vector, as
+    f(u_h) interpolated everywhere and the interior rows kept."""
+    f = problem.nonlinearity
+    interior = mesh.interior_nodes
+    if lumped:
+        diag = assemble_lumped_mass(mesh).values
+        return lambda v: diag * f(v)
+    M_full = assemble_mass(mesh, full=True)
+
+    def source(v):
+        full = np.zeros(mesh.n_nodes)
+        full[mesh.boundary_mask] = f(np.zeros(np.count_nonzero(mesh.boundary_mask)))
+        full[interior] = f(v)
+        return M_full.matvec(full)[interior]
+
+    return source
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("case", ["a", "b"])
+@pytest.mark.parametrize("lumped", [False, True])
+def test_interior_source_matches_full_vector_source(family, case, lumped):
+    mesh = FAMILIES[family](8)
+    problem = ProblemSpec(alpha=0.5, gamma=1.0, T=1.0,
+                          nonlinearity=sqrt_one_plus_u2(),
+                          initial_data=initial_data_for_case(case))
+    v = problem.initial_data.field(mesh).interior()
+    got = _source_builder(mesh, problem, lumped)(v)
+    want = full_vector_source(mesh, problem, lumped)(v)
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("lumped", [False, True])
+def test_source_evaluation_calls_f_once(monkeypatch, lumped):
+    calls = []
+    call = Nonlinearity.__call__
+
+    def counting_call(self, u):
+        calls.append(np.shape(u))
+        return call(self, u)
+
+    monkeypatch.setattr(Nonlinearity, "__call__", counting_call)
+    mesh = build_symmetric_mesh(6)
+    problem = ProblemSpec(alpha=0.5, gamma=1.0, T=1.0,
+                          nonlinearity=sqrt_one_plus_u2(),
+                          initial_data=CaseAInitialData())
+    source = _source_builder(mesh, problem, lumped)
+    v = problem.initial_data.field(mesh).interior()
+    calls.clear()
+    for _ in range(3):
+        source(v)
+    assert calls == [v.shape] * 3

@@ -204,6 +204,14 @@ def test_mode_response_many_scatters_repeated_eigenvalues():
         mode_response_many([1.0, np.inf], 1e-3, 0.5, 1.0)
 
 
+@pytest.mark.parametrize("t", [1.0, 1e-7])
+def test_mode_response_many_rejects_overflowing_eigenvalue(t):
+    # lam * (1 + gamma z^alpha) overflows; the sum must not come back as NaN
+    with pytest.raises(ValueError, match="too large"):
+        mode_response_many([1.0, 1e308], t, 0.5, 1.0)
+    assert np.isfinite(mode_response_many([1e300], t, 0.5, 1.0)).all()
+
+
 def test_mode_response_many_memory_is_bounded_by_block():
     lams = grid_eigenvalues(128)
     tracemalloc.start()
