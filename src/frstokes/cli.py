@@ -125,8 +125,15 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+_RUN_KEYS = ("case", "scheme", "M", "N", "source_lumping", "tol",
+             "snapshot_stride", "family", "alpha", "gamma", "T")
+
+
 def _cmd_run(args) -> int:
     raw = parse_config(args.config)
+    unknown = sorted(set(raw) - set(_RUN_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config keys: {unknown}")
     case = raw.get("case", "a")
     scheme = raw.get("scheme", "lumped-linearized")
     M = raw.get("M", 16)

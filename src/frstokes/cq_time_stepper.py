@@ -8,14 +8,18 @@ the semilinear problem
 using the expanded update (W is the consistent or lumped mass matrix, A the
 stiffness matrix, c = tau + gamma tau^(1-alpha)):
 
-    (W + c A) U^n = W U^0
-                    - A (tau * sum_{j<n} U^j
-                         + gamma tau^(1-alpha) * sum_{j<n} q_{n-j}^{(1-alpha)} U^j)
-                    + tau * (source sum),
+    (W + c A) U^n = W U^0 - A sum_{j<n} k_{n-j} U^j + tau * (source sum),
 
-where q_j^{(beta)} are the Taylor coefficients of (1-zeta)^(-beta).  The
-linearized scheme sums f over the previous iterates, the implicit scheme
-includes f(U^n) and resolves it by Picard iteration.
+    k_m = tau + gamma tau^(1-alpha) q_m^{(1-alpha)},
+
+where q_j^{(beta)} are the Taylor coefficients of (1-zeta)^(-beta): one
+kernel carries both the plain sum of the first-order term and the
+fractional sum.  The source sum is sum_{j<n} (S f(U^j) + b), with S the
+interior consistent mass (or the lumped diagonal) and b the fixed load of
+the boundary nodes, so the stepper carries the running sum g_n =
+sum_{j<n} f(U^j) of f values and f runs once per accepted state.  The
+linearized scheme uses this right-hand side as it is; the implicit scheme
+adds tau (S f(U^n) + b) and resolves it by Picard iteration.
 
 The step matrix W + c A is the same for every step of a run, so it is
 factored once (sparse LU, :meth:`CompositeOperator.factorize`) and each
@@ -26,20 +30,29 @@ the same solution; the steppers solve the transposed system
 solves are about 30 % faster on these factors (one right-hand side,
 M = 32 to 128, one BLAS thread), and the two solutions differ only by
 rounding (below 1e-15 relative).  Besides the solve, a step costs one
-product with the stiffness matrix and, when there is a source, one with
-the interior mass matrix, both on plain CSR matrices.
+CSR product: with K = [-A | tau S] built once per run,
 
-The fractional history sum_{j<n} q_{n-j} U^j is split in two.  The last
-n0 to n0 + B - 1 states (n0 = B = 32) form an exact near field over a
-rolling window of n0 + B states.  Older states enter through a sum of
-exponentials, q_j ~ sum_k w_k exp(-s_k j) for n0 <= j <= N (about 140
-terms at N = 5000, relative error near 1e-15), a quadrature of the
-integral representation of the weights.  Every B steps the B states that
-leave the window are folded into P accumulated vectors with one matrix
-product, and a second product gives the tail terms of the next B steps.
-A run costs O(N P ndof) time instead of O(N^2 ndof), and holds
-O((n0 + B + P) ndof) history plus the snapshots it returns.  Runs with
-N < n0 + B never fold and use the direct sum.
+    rhs = K [z_n; g_n] + W U^0 + n tau b,   z_n = sum_{j<n} k_{n-j} U^j
+
+(K = -A and the vector is z_n alone when there is no source).
+
+The history z_n is split in two.  Lags up to n0 = 32 to 63 are exact;
+older states enter through a sum of exponentials, k_j ~ sum_k w_k
+exp(-s_k j) for n0 < j <= N.  Its nodes are s = 0 with weight tau, which
+is exact for the constant part since e^0 = 1, and about 140 nodes at
+N = 5000 for the fractional part (relative error near 1e-15), a
+quadrature of the integral representation of the weights.  Steps run in
+blocks of n0 (block b holds U^(n0 b) .. U^(n0 b + n0 - 1)).  At each block
+start the stepper holds the previous block's n0 states and P accumulated
+vectors, one per node, and a single matrix product writes the history of
+all n0 steps of the block, from every state before it, into the block's
+own rows.  Each step then adds its in-block lags (16 on average) with one
+dot and overwrites its row with the new state; at the block boundary the
+n0 states that leave are folded into the accumulators with one more
+matrix product.  A run costs O(N P ndof) time instead of O(N^2 ndof), and
+holds O((2 n0 + P) ndof) history plus the snapshots it returns.  Runs
+with N < 2 n0 never fold and have no accumulators (P = 0), so they use
+the exact kernel throughout.
 """
 
 from __future__ import annotations
@@ -50,8 +63,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
+import scipy.sparse as sp
 
-from .fem_assembly import NodalField, ProblemSpec, mesh_operator
+from .fem_assembly import NodalField, Nonlinearity, ProblemSpec, mesh_operator
 from .mesh import TriMesh
 from .sparse_linalg import CompositeOperator
 
@@ -215,12 +229,11 @@ def _snapshot_steps(N: int, stride: int | None, store_full: bool) -> np.ndarray:
     return np.array(sorted(marks), dtype=np.int64)
 
 
-# Sum-of-exponentials history: exact near-field lags, fold block size, and
-# the quadrature order of every panel of the tail quadrature.  Panels reach
-# out to s = _SOE_CUTOFF / _SOE_NEAR, past which exp(-j s) < e^-40 for all
+# Sum-of-exponentials history: exact lags and block length, and the
+# quadrature order of every panel of the tail quadrature.  Panels reach out
+# to s = _SOE_CUTOFF / _SOE_NEAR, past which exp(-j s) < e^-40 for all
 # approximated lags j.
 _SOE_NEAR = 32
-_SOE_BLOCK = 32
 _SOE_ORDER = 10
 _SOE_CUTOFF = 40.0
 
@@ -266,10 +279,12 @@ def _advance(A, W, u0: np.ndarray, alpha: float, gamma: float, tau: float,
     """Run the update recursion; returns U^n for each n in ``steps``.
 
     ``steps`` is a sorted array of step indices in 0..N; the result has one
-    row per entry.  ``source_of_prev(V)`` maps an accepted iterate to its
-    load vector and feeds the running source sum (linearized scheme).  When
-    ``implicit_source`` is given it is evaluated at the current Picard
-    iterate and added on top of the running sum each inner solve.
+    row per entry.  ``source_of_prev`` (linearized scheme) or
+    ``implicit_source`` (implicit scheme) is the load object of
+    :func:`_source_builder`, or None for no source.  The running source sum
+    covers every accepted state before the step; the implicit scheme adds
+    the load at the current Picard iterate on top of it for each inner
+    solve.
     """
     ndof = u0.size
     out = np.zeros((steps.size, ndof))
@@ -279,61 +294,80 @@ def _advance(A, W, u0: np.ndarray, alpha: float, gamma: float, tau: float,
     if ndof == 0:
         return out
 
-    near, block = _SOE_NEAR, _SOE_BLOCK
+    near = _SOE_NEAR
     beta = 1.0 - alpha
-    q = cq_weights(beta, min(N, near + block)).q
-    frac_scale = gamma * tau ** (1.0 - alpha)
-    c = tau + frac_scale
-    lu = CompositeOperator(W, c, A).factorize()
-    w_u0 = W.matvec(u0)
-    A = A.tocsr()
+    frac_scale = gamma * tau ** beta
+    lu = CompositeOperator(W, tau + frac_scale, A).factorize()
+    load = source_of_prev if implicit_source is None else implicit_source
+    if load is None:
+        K = -A.tocsr()
+        zg = np.empty(ndof)
+    else:
+        K = sp.hstack([-A.tocsr(), tau * load.S], format="csr")
+        zg = np.zeros(2 * ndof)
+        g = zg[ndof:]
+        tau_b = tau * load.b
+    z = zg[:ndof]
+    base = W.matvec(u0)  # W U^0 + n tau b
 
-    # window[i] = U^(first + i); states before `first` live in `folded`,
-    # folded[k] = sum_{j < first} exp(-s_k (first - j)) U^j.
-    window = np.empty((min(N + 1, near + block), ndof))
-    window[0] = u0
-    first = 0
-    if N >= near + block:
+    # k[m] weighs U^(n-m) in the history z_n of step n; k[0] = 1 adds the
+    # block's own row i, which holds the history from before the block.
+    k = tau + frac_scale * cq_weights(beta, 2 * near).q
+    k[0] = 1.0
+    if N >= 2 * near:
+        # the sum of exponentials carries the constant tau as the node s = 0
+        s, w = _soe_tail(beta, N, near)
+        s = np.concatenate([[0.0], s])
+        w = np.concatenate([[tau], frac_scale * w])
+    else:
+        s = w = np.zeros(0)
+    P = s.size
+    m = near if N >= near else 0
+
+    # Block b holds U^(near b) .. U^(near b + near - 1).  buf = [P
+    # accumulators; the m states of the previous block; this block's
+    # states].  At block start n_b, acc[p] = sum_{j < n_b - near}
+    # exp(-s_p (n_b - near - j)) U^j, and one product writes coef @ [acc; old]
+    # into the block's rows: row i holds the history of step n_b + i from
+    # all states before the block (tail weights, then the exact k of lag
+    # near + i - r for old row r) until U^(n_b + i) replaces it.  In block 0
+    # those rows are zero.
+    buf = np.zeros((P + m + min(near, N + 1), ndof))
+    hist, acc = buf[: P + m], buf[:P]
+    old, new = buf[P : P + m], buf[P + m :]
+    new[0] = u0
+    lag = near + np.arange(m)
+    coef = np.hstack([w * np.exp(-np.outer(lag, s)), k[lag[:, None] - np.arange(m)]])
+    if P:
         from scipy.linalg.blas import dgemm
 
-        s, w = _soe_tail(beta, N, near)
-        decay = np.exp(-block * s)[:, None]
-        fold = np.exp(-np.outer(s, block - np.arange(block)))
-        tail_of = w * np.exp(-np.outer(near + np.arange(block), s))
-        folded = np.zeros((s.size, ndof))
-
-    sum_plain = np.zeros(ndof)
-    sum_source = np.zeros(ndof)
-    if implicit_source is not None:
-        # The implicit convolution starts at j = 0 with f(U^0).
-        sum_source += implicit_source(u0)
+        decay = np.exp(-near * s)[:, None]
+        fold = np.exp(-np.outer(s, near - np.arange(near)))
 
     for n in range(1, N + 1):
-        if n - first == near + block:
-            # folded = decay * folded + fold @ window[:block], accumulated in
-            # place by BLAS (on the transposes, which are Fortran-ordered).
-            folded *= decay
-            folded = dgemm(1.0, window[:block].T, fold.T, 1.0, folded.T,
-                           overwrite_c=True).T
-            window[:near] = window[block:]
-            first += block
-            tail = tail_of @ folded
-        lag = n - first
-        prev = window[lag - 1]
-        sum_plain += prev
-        if source_of_prev is not None:
-            sum_source += source_of_prev(prev)
-        weighted = q[1 : lag + 1][::-1].dot(window[:lag])
-        if first:
-            weighted += tail[lag - near]
-        rhs = w_u0 - A @ (tau * sum_plain + frac_scale * weighted) + tau * sum_source
+        i = n % near
+        if i == 0:
+            if n > near:
+                # acc = decay * acc + fold @ old, accumulated in place by
+                # BLAS (on the transposes, which are Fortran-ordered).
+                acc *= decay
+                dgemm(1.0, old.T, fold.T, 1.0, acc.T, overwrite_c=True)
+            old[...] = new
+            np.matmul(coef, hist, out=new)
+        prev = buf[P + m + i - 1]
+        np.dot(k[i::-1], new[: i + 1], out=z)
+        if load is not None:
+            g += load.f(prev)
+            base += tau_b
+        rhs = K @ zg
+        rhs += base
 
         if implicit_source is None:
             u = lu.solve(rhs, trans="T")
         else:
-            u = 2.0 * prev - window[lag - 2] if n >= 2 else prev
+            u = 2.0 * prev - buf[P + m + i - 2] if n >= 2 else prev
             for _ in range(picard_maxit):
-                u_next = lu.solve(rhs + tau * implicit_source(u), trans="T")
+                u_next = lu.solve(rhs + tau * load(u), trans="T")
                 increment = np.linalg.norm(u_next - u)
                 u = u_next
                 if not np.isfinite(u).all():
@@ -342,49 +376,56 @@ def _advance(A, W, u0: np.ndarray, alpha: float, gamma: float, tau: float,
                     break
             else:
                 raise PicardConvergenceError(n, picard_maxit, increment)
-            sum_source += implicit_source(u)
 
         if not np.isfinite(u).all():
             raise DivergedError(n)
-        window[lag] = u
+        new[i] = u
         if n in row:
             out[row[n]] = u
     return out
 
 
+@dataclass(frozen=True)
+class _Load:
+    """Interior load S f(v) + b of the interpolated source f(u_h).
+
+    The stepper reads ``S``, ``b`` and ``f`` to carry the source as a
+    running sum of f values; calling the object gives the load itself.
+    """
+
+    S: sp.csr_matrix
+    b: npt.NDArray[np.float64]
+    f: Nonlinearity
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        return self.S @ self.f(v) + self.b
+
+
 def _source_builder(mesh: TriMesh, problem: ProblemSpec, lumped: bool,
                     lumped_interior=None):
-    """Interior load of the interpolated source f(u_h).
+    """Interior load of the interpolated source f(u_h), or None for f = 0.
 
     The consistent reading is the interior rows of the full-node mass
     matrix applied to f at every node, so that boundary nodes, where
     u_h = 0 and hence f = f(0), still contribute to loads on adjacent
     interior basis functions.  Their part never changes and is computed
     once: the load is M_ii f(v) + (M f_boundary)_interior, with M_ii the
-    interior mass matrix.
+    interior mass matrix.  The lumped reading is D f(v), with D the
+    interior lumped mass as a sparse diagonal.
     """
     f = problem.nonlinearity
     if f.lipschitz == 0.0 and f.name == "zero":
         return None
     if lumped:
         diag = (lumped_interior if lumped_interior is not None
-                else mesh_operator(mesh, "lumped_mass")).values
-
-        def source(v: np.ndarray) -> np.ndarray:
-            return diag * np.asarray(f(v), dtype=float)
-
-        return source
+                else mesh_operator(mesh, "lumped_mass"))
+        return _Load(diag.tocsr(), np.zeros(diag.n), f)
 
     f_boundary = np.zeros(mesh.n_nodes)
     f_boundary[mesh.boundary_mask] = f(np.zeros(np.count_nonzero(mesh.boundary_mask)))
     load_boundary = (mesh_operator(mesh, "mass", full=True).tocsr()
                      @ f_boundary)[mesh.interior_nodes]
-    mass = mesh_operator(mesh, "mass").tocsr()
-
-    def source(v: np.ndarray) -> np.ndarray:
-        return mass @ f(v) + load_boundary
-
-    return source
+    return _Load(mesh_operator(mesh, "mass").tocsr(), load_boundary, f)
 
 
 def _package(mesh: TriMesh, rows: np.ndarray, steps: np.ndarray, tau: float,

@@ -1,4 +1,3 @@
-import os
 import shutil
 import subprocess
 import sys
@@ -6,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-import frstokes
+from conftest import tree_env
 from frstokes.cli import main, parse_config, study_config_from_dict
 from frstokes.cq_time_stepper import SchemeConfig, step_linearized
 from frstokes.experiment_harness import build_mesh, _problem
@@ -126,6 +125,25 @@ def test_run_subcommand_json_equivalent(tmp_path, capsys):
     assert out_kv == out_js
 
 
+def test_run_subcommand_rejects_unknown_config_keys(tmp_path, capsys):
+    # misspelled alpha and scheme must not fall back to the defaults
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("case = a\nM = 4\nN = 3\nalpah = 0.3\nschem = galerkin-implicit\n")
+    with pytest.raises(ValueError, match=r"unknown config keys: \['alpah', 'schem'\]"):
+        main(["run", "--config", str(cfg)])
+    assert capsys.readouterr().out == ""
+
+
+def test_run_subcommand_accepts_every_key_it_reads(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("case = a\nfamily = symmetric\nM = 4\nN = 3\nalpha = 0.3\n"
+                   "gamma = 1.0\nT = 1.0\nscheme = galerkin-implicit\n"
+                   "source_lumping = false\ntol = 1e-12\nsnapshot_stride = 2\n")
+    assert main(["run", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert "N=3 alpha=0.3 case=a scheme=galerkin-implicit" in out
+
+
 @pytest.mark.parametrize("key,value", [("source_lumping", '"false"'),
                                        ("snapshot_stride", "-3"),
                                        ("snapshot_stride", "2.5")])
@@ -228,19 +246,10 @@ def test_installed_entry_point():
     assert "convergence" in helper.stdout
 
 
-def _tree_env():
-    """Environment whose PYTHONPATH leads with the tree under test."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(frstokes.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    return env
-
-
 def test_module_entry_point():
     # The same frstokes.cli:main that [project.scripts] installs as frs,
     # run without an install from the tree under test.
-    env = _tree_env()
+    env = tree_env()
     frs = [sys.executable, "-m", "frstokes.cli"]
     proc = subprocess.run(
         frs + ["oracle", "--lambda", "0", "--alpha", "0.5", "--t", "2.0"],
@@ -260,7 +269,7 @@ def test_package_import_defers_heavy_scipy_modules():
              "print(sorted(m for m in ('scipy.sparse.linalg', 'scipy.special') "
              "if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, env=_tree_env())
+                          text=True, env=tree_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -270,6 +279,6 @@ def test_package_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "frstokes",
          "oracle", "--lambda", "0", "--alpha", "0.5", "--t", "2.0"],
-        capture_output=True, text=True, env=_tree_env())
+        capture_output=True, text=True, env=tree_env())
     assert proc.returncode == 0
     assert float(proc.stdout) == pytest.approx(1.0, abs=1e-13)

@@ -597,3 +597,53 @@ def test_source_evaluation_calls_f_once(monkeypatch, lumped):
     for _ in range(3):
         source(v)
     assert calls == [v.shape] * 3
+
+
+BLOCK_BOUNDARY_STEPS = [1, 31, 32, 33, 63, 64, 65, 97, 200]
+
+
+@pytest.mark.parametrize("N", BLOCK_BOUNDARY_STEPS)
+@pytest.mark.parametrize("source", ["consistent", "lumped", "zero", "implicit"])
+def test_block_boundaries_match_direct_history_sum(source, N):
+    # steps on either side of every block start, with and without a fold
+    mesh = build_symmetric_mesh(6)
+    problem = ProblemSpec(alpha=0.5, gamma=1.0, T=1.0,
+                          nonlinearity=sqrt_one_plus_u2(),
+                          initial_data=CaseAInitialData())
+    variant = "lumped-linearized" if source == "lumped" else "galerkin-linearized"
+    A, W, u0, load = stepper_inputs(mesh, problem, variant)
+    if source == "lumped":
+        load = _source_builder(mesh, problem, True, lumped_interior=W)
+    kw = {"consistent": dict(source_of_prev=load),
+          "lumped": dict(source_of_prev=load),
+          "zero": dict(source_of_prev=None),
+          "implicit": dict(source_of_prev=None, implicit_source=load)}[source]
+    args = (A, W, u0, problem.alpha, problem.gamma, 1.0 / N, N)
+    got = _advance(*args, steps=np.arange(N + 1), **kw)
+    ref = direct_sum_advance(*args, **kw)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("N", [5, 70])
+@pytest.mark.parametrize("variant,lumped", [("galerkin-linearized", False),
+                                            ("lumped-linearized", True)])
+def test_linearized_run_calls_f_once_per_accepted_state(monkeypatch, variant, lumped, N):
+    # U^0..U^(N-1) feed the source sum; the consistent load also evaluates f
+    # once at the boundary nodes when it is built
+    calls = []
+    call = Nonlinearity.__call__
+
+    def counting_call(self, u):
+        calls.append(np.shape(u))
+        return call(self, u)
+
+    monkeypatch.setattr(Nonlinearity, "__call__", counting_call)
+    mesh = build_symmetric_mesh(6)
+    problem = ProblemSpec(alpha=0.5, gamma=1.0, T=1.0,
+                          nonlinearity=sqrt_one_plus_u2(),
+                          initial_data=CaseAInitialData())
+    step_linearized(SchemeConfig(variant=variant, N=N, source_lumping=lumped),
+                    problem, mesh)
+    interior = [(mesh.n_interior,)] * N
+    boundary = [] if lumped else [(np.count_nonzero(mesh.boundary_mask),)]
+    assert calls == boundary + interior
