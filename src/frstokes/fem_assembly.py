@@ -142,10 +142,15 @@ def _scatter_symmetric(mesh: TriMesh, local: np.ndarray) -> SparseSymMatrix:
 
 
 def assemble_stiffness(mesh: TriMesh, full: bool = False) -> SparseSymMatrix:
-    """Stiffness matrix (grad v, grad w); interior DOFs unless ``full``."""
+    """Stiffness matrix (grad v, grad w); interior DOFs unless ``full``.
+
+    Entries that sum to exactly zero (the couplings across the diagonals of
+    the right triangles) are not stored, so products with A skip them.
+    """
     areas, grad = _triangle_geometry(mesh)
     local = areas[:, None, None] * np.einsum("tid,tjd->tij", grad, grad)
     mat = _scatter_symmetric(mesh, local)
+    mat.tocsr().eliminate_zeros()
     return mat if full else _interior_block(mat, mesh)
 
 

@@ -15,8 +15,10 @@ from frstokes.cq_time_stepper import (
     step_implicit,
     step_linearized,
     _advance,
+    _extrapolate,
     _soe_tail,
     _source_builder,
+    _PICARD_ORDER,
     _SOE_NEAR,
 )
 from frstokes.fem_assembly import (
@@ -268,7 +270,9 @@ def test_implicit_matches_double_sum_fixed_point():
     assert np.allclose(got, np.array(hist), atol=1e-11)
 
 
-def test_implicit_factors_step_matrix_once_per_run(monkeypatch):
+def count_lu_calls(monkeypatch):
+    """Lists that collect the size of every factorization and one entry per
+    solve made with it, while ``monkeypatch`` is active."""
     factorizations, solves = [], []
     factorize = CompositeOperator.factorize
 
@@ -285,6 +289,11 @@ def test_implicit_factors_step_matrix_once_per_run(monkeypatch):
         return CountingLU(factorize(op))
 
     monkeypatch.setattr(CompositeOperator, "factorize", counting_factorize)
+    return factorizations, solves
+
+
+def test_implicit_factors_step_matrix_once_per_run(monkeypatch):
+    factorizations, solves = count_lu_calls(monkeypatch)
     mesh = build_symmetric_mesh(6)
     problem = ProblemSpec(alpha=0.5, gamma=1.0, T=1.0,
                           nonlinearity=sqrt_one_plus_u2(),
@@ -292,8 +301,60 @@ def test_implicit_factors_step_matrix_once_per_run(monkeypatch):
     N = 8
     step_implicit(SchemeConfig(variant="galerkin-implicit", N=N), problem, mesh)
     assert factorizations == [mesh.n_interior]
-    # every step runs several Picard iterates against the one factorization
-    assert len(solves) > 2 * N
+    # every step runs several Picard iterates against the one factorization;
+    # 34 is the count with the linear start 2 U^(n-1) - U^(n-2)
+    assert 2 * N < len(solves) <= 34
+
+
+def test_extrapolated_start_saves_picard_solves(monkeypatch):
+    # the linear start needs about 3 solves per step (604 here), the
+    # backward-difference predictor fewer than 2
+    factorizations, solves = count_lu_calls(monkeypatch)
+    mesh = build_symmetric_mesh(16)
+    problem = ProblemSpec(alpha=0.5, gamma=1.0, T=1.0,
+                          nonlinearity=sqrt_one_plus_u2(),
+                          initial_data=CaseAInitialData())
+    N = 200
+    step_implicit(SchemeConfig(variant="galerkin-implicit", N=N), problem, mesh)
+    assert factorizations == [mesh.n_interior]
+    assert N <= len(solves) < 2 * N
+
+
+@pytest.mark.parametrize("p", range(1, _PICARD_ORDER + 3))
+def test_extrapolate_reproduces_polynomial_sequences(p):
+    # p states of a polynomial of degree <= p - 2 (<= p - 1 for p < 3)
+    # predict the next one to rounding, for every degree up to _PICARD_ORDER
+    rng = np.random.default_rng(p)
+    diff = np.empty((_PICARD_ORDER + 2, 5))
+    for degree in range(p if p < 3 else p - 1):
+        coef = rng.standard_normal((degree + 1, 5))
+        t = 0.3 + 0.05 * np.arange(p + 1)
+        seq = np.polynomial.polynomial.polyval(t, coef).T  # (p + 1, 5)
+        got = _extrapolate(seq[:p].copy(), diff)
+        assert np.allclose(got, seq[p], rtol=0, atol=1e-11 * np.abs(seq).max())
+
+
+def test_extrapolate_short_histories_give_the_linear_start():
+    rng = np.random.default_rng(3)
+    diff = np.empty((_PICARD_ORDER + 2, 7))
+    states = rng.standard_normal((3, 7))
+    assert np.array_equal(_extrapolate(states[:1], diff), states[0])
+    for p in (2, 3):
+        want = 2.0 * states[p - 1] - states[p - 2]
+        assert np.allclose(_extrapolate(states[:p], diff), want, rtol=0, atol=1e-15)
+
+
+def test_extrapolate_stops_below_the_smallest_difference():
+    # four states of a quadratic: the third difference vanishes, so the
+    # start is the quadratic's next value; a jump in the oldest state makes
+    # the third difference the larger, so the start drops to the linear one
+    t = np.arange(5.0)
+    seq = (1.0 + 0.1 * t + 0.01 * t ** 2)[:, None]
+    diff = np.empty((_PICARD_ORDER + 2, 1))
+    assert np.allclose(_extrapolate(seq[:4], diff), seq[4], rtol=0, atol=1e-15)
+    seq[0] += 1.0
+    assert np.allclose(_extrapolate(seq[:4], diff), 2.0 * seq[3] - seq[2],
+                       rtol=0, atol=1e-15)
 
 
 def test_lumped_single_mode_reduces_to_scalar_recursion():
@@ -354,6 +415,18 @@ def test_config_validation():
     with pytest.raises(ValueError):
         cfg.resolve_tau(1.0)
     assert SchemeConfig(variant="lumped-linearized", N=4).resolve_tau(2.0) == 0.5
+
+
+@pytest.mark.parametrize("maxit", [2.5, True, 0, -1])
+def test_config_rejects_bad_picard_maxit(maxit):
+    with pytest.raises(ValueError, match="picard_maxit"):
+        SchemeConfig(variant="galerkin-implicit", N=4, picard_maxit=maxit)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_config_rejects_bad_picard_tol(tol):
+    with pytest.raises(ValueError, match="picard_tol"):
+        SchemeConfig(variant="galerkin-implicit", N=4, picard_tol=tol)
 
 
 @pytest.mark.parametrize("N", [2.5, 4.0, True, "4"])

@@ -1,5 +1,6 @@
 """Each demo script runs to completion against the tree under test."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,8 @@ import pytest
 
 from conftest import tree_env
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("0*.py"))
+DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
+DEMOS = sorted(DEMO_DIR.glob("0*.py"))
 
 
 def test_demos_are_found():
@@ -20,3 +22,18 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
                           text=True, env=tree_env(), cwd=tmp_path, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_tour_runs(tmp_path):
+    # the tour calls `frs`; a shim on PATH runs the tree's package instead
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    shim = bin_dir / "frs"
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m frstokes "$@"\n')
+    shim.chmod(0o755)
+    env = tree_env()
+    env["PATH"] = os.pathsep.join([str(bin_dir), env.get("PATH", "")])
+    proc = subprocess.run(["sh", str(DEMO_DIR / "06_cli_tour.sh")], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "fitted_rate" in proc.stdout

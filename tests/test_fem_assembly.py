@@ -3,6 +3,7 @@ from math import factorial
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from frstokes.fem_assembly import (
     QUAD_RULES,
@@ -26,6 +27,7 @@ from frstokes.fem_assembly import (
     zero_source,
 )
 from frstokes.mesh import build_nonsymmetric_mesh, build_symmetric_mesh
+from frstokes.sparse_linalg import CompositeOperator, SparseSymMatrix
 
 
 def bary_moment(area, powers):
@@ -125,6 +127,29 @@ def test_symmetric_interior_stiffness_is_five_point_stencil():
     assert np.allclose(row[neighbors], -1.0, atol=1e-13)
     others = [i for i in range(k) if i != center and i not in neighbors]
     assert np.allclose(row[others], 0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("build", [build_symmetric_mesh, build_nonsymmetric_mesh])
+@pytest.mark.parametrize("full", [False, True])
+def test_stiffness_stores_no_zeros(build, full):
+    # the element pattern (that of the mass matrix) holds exact zeros for the
+    # diagonal couplings; dropping them changes no product and no LU fill
+    mesh = build(16)
+    A = assemble_stiffness(mesh, full=full)
+    M = assemble_mass(mesh, full=full)
+    assert A.data.size and np.count_nonzero(A.data == 0.0) == 0
+    pattern = M.tocsr().tocoo()
+    vals = np.asarray(A.tocsr()[pattern.row, pattern.col]).ravel()
+    old = SparseSymMatrix(sp.csr_matrix((vals, (pattern.row, pattern.col)),
+                                        shape=pattern.shape))
+    assert old.tocsr().nnz == M.tocsr().nnz > A.tocsr().nnz
+    x = np.random.default_rng(5).standard_normal(A.n)
+    assert np.array_equal(A @ x, old @ x)
+    if not full:
+        for W in (M, assemble_lumped_mass(mesh)):
+            new_lu = CompositeOperator(W, 0.05, A).factorize()
+            old_lu = CompositeOperator(W, 0.05, old).factorize()
+            assert new_lu.L.nnz + new_lu.U.nnz == old_lu.L.nnz + old_lu.U.nnz
 
 
 def test_quadrature_rule_tables():
