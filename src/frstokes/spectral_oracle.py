@@ -35,8 +35,9 @@ _GL_ORDER = 8
 # exp(z t) below 1e-18 in modulus is dropped when choosing the ray length.
 _TRUNC_LOG = 18.0 * np.log(10.0)
 # Eigenvalues per block in mode_response_many: bounds the working array to
-# _LAM_BLOCK x (contour nodes) complex values, about 8 MB at 480 nodes.
-_LAM_BLOCK = 1024
+# _LAM_BLOCK x (contour nodes) complex values, about 1 MB at 480 nodes, so a
+# block stays in cache.
+_LAM_BLOCK = 128
 
 
 class ContourResolutionError(RuntimeError):
@@ -66,13 +67,16 @@ class ContourSpec:
     def for_time(cls, t: float, nodes_per_ray: int = 160) -> "ContourSpec":
         """Contour adapted to the evaluation time.
 
-        delta = max(1/t, 1) keeps exp(z t) on the arc of modulus at most e;
-        the rays are truncated where |exp(z t)| drops below 1e-18.
+        delta = 1/t keeps exp(z t) on the arc of modulus at most e; the rays
+        are truncated where |exp(z t)| drops below 1e-18.  The arc may come
+        as close to the origin as it likes: for real lam > 0 the denominator
+        z + lam + lam gamma z^alpha has a positive imaginary part for
+        0 < arg z < pi, so it has no zeros in the cut plane.
         """
         if t <= 0:
             raise ValueError(f"time must be positive, got {t}")
         theta = 3.0 * np.pi / 4.0
-        delta = max(1.0 / t, 1.0)
+        delta = 1.0 / t
         radius = max(_TRUNC_LOG / (abs(np.cos(theta)) * t), 4.0 * delta)
         return cls(theta=theta, delta=delta, radius=radius,
                    nodes_per_ray=nodes_per_ray)
@@ -126,7 +130,10 @@ def mode_response_many(lams, t: float, alpha: float, gamma: float,
                        contour: ContourSpec | None = None) -> np.ndarray:
     """Vectorized e_lam(t) over an array of eigenvalues (one contour).
 
-    Each distinct eigenvalue is evaluated once (a grid spectrum repeats
+    The quadrature is taken in pole form: with sigma_k = 1 + gamma z_k^alpha,
+    residues r_k = w_k exp(z_k t) / sigma_k and poles p_k = -z_k / sigma_k,
+    computed once per contour, e_lam(t) = sum_k r_k / (lam - p_k).  Each
+    distinct eigenvalue is evaluated once (a grid spectrum repeats
     lam_kl = lam_lk) and the values are scattered back.  The distinct
     eigenvalues are taken in blocks of ``_LAM_BLOCK``, so the working array
     is at most ``_LAM_BLOCK`` x (number of nodes) whatever the length of
@@ -139,18 +146,22 @@ def mode_response_many(lams, t: float, alpha: float, gamma: float,
     distinct, where = np.unique(lams, return_inverse=True)
     spec = contour if contour is not None else ContourSpec.for_time(t)
     z, w = contour_nodes(spec)
-    ezt_w = w * np.exp(z * t)
-    symbol = 1.0 + gamma * z**alpha
+    sigma = 1.0 + gamma * z**alpha
+    # lam - p does not overflow where lam * sigma would; such an eigenvalue
+    # is still out of the quadrature's range
+    with np.errstate(over="ignore"):
+        in_range = np.isfinite(distinct.max(initial=0.0) * np.abs(sigma).max())
+    if not in_range:
+        raise ValueError("eigenvalue too large for the contour quadrature: "
+                         f"lam (1 + gamma z^alpha) overflows (largest eigenvalue "
+                         f"{distinct[-1]:.3e})")
+    residues = w * np.exp(z * t) / sigma
+    poles = -z / sigma
     vals = np.empty(distinct.shape, dtype=complex)
-    # an eigenvalue near the float limit overflows lam * symbol; that is
-    # caught below as a non-finite value, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, distinct.size, _LAM_BLOCK):
-            block = distinct[start : start + _LAM_BLOCK]
-            denom = np.multiply.outer(block, symbol)
-            denom += z
-            np.divide(ezt_w, denom, out=denom)
-            vals[start : start + block.size] = denom.sum(axis=1)
+    for start in range(0, distinct.size, _LAM_BLOCK):
+        block = np.subtract.outer(distinct[start : start + _LAM_BLOCK], poles)
+        np.divide(residues, block, out=block)
+        vals[start : start + block.shape[0]] = block.sum(axis=1)
     if not np.isfinite(vals).all():
         raise ValueError("eigenvalue too large for the contour quadrature: "
                          f"the sum overflowed (largest eigenvalue {distinct[-1]:.3e})")
@@ -211,11 +222,14 @@ def scalar_cq_response(lam: float, alpha: float, gamma: float, T: float,
         raise ValueError(f"N must be a positive integer, got {N!r}")
     tau = T / N
     beta = 1.0 - alpha
-    j = np.arange(N + 1)
-    q = (-1.0) ** j * binom(-beta, j)
     frac_scale = gamma * tau**beta
     c = tau + frac_scale
-    a = lam * (tau + frac_scale * q)
+    # a = lam (tau + frac_scale q), built in place from q
+    a = binom(-beta, np.arange(N + 1))
+    a[1::2] *= -1.0
+    a *= frac_scale
+    a += tau
+    a *= lam
     a[0] += 1.0
     b = _series_inverse(a)
     return u0 * (np.cumsum(b) + lam * c * b)
@@ -234,8 +248,12 @@ def _series_inverse(a: np.ndarray) -> np.ndarray:
     m = 1
     while m < n:
         fb = np.fft.rfft(b[:m], 2 * m)
-        residual = np.fft.irfft(np.fft.rfft(a[: 2 * m], 2 * m) * fb, 2 * m)[m:]
-        b[m : 2 * m] = -np.fft.irfft(np.fft.rfft(residual, 2 * m) * fb, 2 * m)[:m]
+        prod = np.fft.rfft(a[: 2 * m], 2 * m)
+        prod *= fb
+        residual = np.fft.irfft(prod, 2 * m)[m:]
+        prod = np.fft.rfft(residual, 2 * m)
+        prod *= fb
+        np.negative(np.fft.irfft(prod, 2 * m)[:m], out=b[m : 2 * m])
         m *= 2
     return b[:n]
 

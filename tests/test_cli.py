@@ -83,6 +83,10 @@ def test_oracle_subcommand(capsys):
     got = float(capsys.readouterr().out)
     assert got == pytest.approx(mode_response(lam, 1.0, 0.5, 1.0), rel=1e-14)
 
+    # t > 1: the heat kernel e^-30; an arc of radius 1, not 1/t, gives -877
+    main(["oracle", "--lambda", "1", "--alpha", "0.5", "--gamma", "0", "--t", "30"])
+    assert float(capsys.readouterr().out) == pytest.approx(np.exp(-30.0), rel=1e-9)
+
 
 def run_config_text():
     return ("case = a\nfamily = symmetric\nM = 4\nN = 4\n"

@@ -80,7 +80,7 @@ def test_contour_spec_validation():
 
 def test_contour_for_time_scaling():
     spec = ContourSpec.for_time(2.0)
-    assert spec.delta == 1.0  # max(1/t, 1)
+    assert spec.delta == 0.5  # 1/t
     small = ContourSpec.for_time(0.01)
     assert small.delta == 100.0
     want_radius = 18.0 * math.log(10.0) / (abs(math.cos(small.theta)) * 0.01)
@@ -111,7 +111,7 @@ def test_contour_inverts_simple_transforms(t):
 
 
 def test_mode_response_zero_eigenvalue_is_one():
-    for t in (0.01, 0.5, 1.0, 3.0):
+    for t in (0.01, 0.5, 1.0, 3.0, 30.0):
         assert mode_response(0.0, t, 0.5, 1.0) == pytest.approx(1.0, abs=1e-13)
 
 
@@ -120,6 +120,33 @@ def test_mode_response_gamma_zero_is_heat_kernel():
         for t in (0.1, 1.0):
             got = mode_response(lam, t, 0.5, 0.0)
             assert got == pytest.approx(math.exp(-lam * t), rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("t", [5.0, 10.0, 30.0])
+def test_mode_response_gamma_zero_is_heat_kernel_at_long_times(t):
+    # an arc of radius 1/t keeps |exp(z t)| <= e on it; a unit arc lets it
+    # grow like e^t, an error of 1e-11 at t = 10
+    for lam in (0.0, 1.0, 2.0 * np.pi**2, 100.0):
+        assert abs(mode_response(lam, t, 0.5, 0.0) - math.exp(-lam * t)) <= 1e-14
+
+
+def reference_mode_response(lams, t, alpha, gamma):
+    """sum_k w_k exp(z_k t) / (z_k + lam (1 + gamma z_k^alpha)), the
+    contour sum in its direct form, over chunks of eigenvalues."""
+    z, w = contour_nodes(ContourSpec.for_time(t))
+    ezt_w = w * np.exp(z * t)
+    symbol = 1.0 + gamma * z**alpha
+    vals = [(ezt_w / (z + np.multiply.outer(chunk, symbol))).sum(axis=1)
+            for chunk in np.array_split(lams, max(1, lams.size // 1024))]
+    return np.concatenate(vals).real
+
+
+@pytest.mark.parametrize("t", [1.0, 1e-3, 1e-5, 1e-7])
+def test_mode_response_many_matches_direct_contour_sum(t):
+    lams = grid_eigenvalues(128)
+    got = mode_response_many(lams, t, 0.5, 1.0)
+    want = reference_mode_response(lams, t, 0.5, 1.0)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
 
 
 def test_mode_response_self_convergence():
@@ -165,6 +192,27 @@ def test_mode_response_many_blocks_match_single_calls():
     lams = grid_eigenvalues(64)[: _LAM_BLOCK + 300]
     batch = mode_response_many(lams, 1e-3, 0.5, 1.0)
     single = np.array([mode_response(float(l), 1e-3, 0.5, 1.0) for l in lams])
+    assert np.array_equal(batch, single)
+
+
+@st.composite
+def eigenvalue_arrays(draw):
+    """Up to 3 blocks of eigenvalues with repeats and, maybe, zeros."""
+    n = draw(st.integers(1, 3 * _LAM_BLOCK))
+    distinct = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = 10.0 ** rng.uniform(-2.0, 6.0, distinct)
+    if draw(st.booleans()):
+        pool[0] = 0.0
+    picks = np.concatenate([np.arange(distinct), rng.integers(0, distinct, n - distinct)])
+    return pool[rng.permutation(picks)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(lams=eigenvalue_arrays(), t=st.sampled_from([2.0, 1.0, 1e-3, 1e-7]))
+def test_mode_response_many_is_bitwise_single_calls(lams, t):
+    batch = mode_response_many(lams, t, 0.5, 1.0)
+    single = np.array([mode_response(float(l), t, 0.5, 1.0) for l in lams])
     assert np.array_equal(batch, single)
 
 
@@ -222,6 +270,25 @@ def test_mode_response_many_memory_is_bounded_by_block():
         tracemalloc.stop()
     # one unblocked 16129 x 480 complex array alone is 124 MB
     assert peak <= 40e6
+
+
+def traced_peak(fn):
+    fn()  # first call pays one-off costs (imports, caches)
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_oracle_working_sets():
+    # a block of 128 eigenvalues x 480 nodes is 1 MB; the scalar run keeps
+    # a few series of 2^17 coefficients
+    lams = grid_eigenvalues(128)
+    assert traced_peak(lambda: mode_response_many(lams, 1e-3, 0.5, 1.0)) <= 4e6
+    lam = 2.0 * np.pi**2
+    assert traced_peak(lambda: scalar_cq_response(lam, 0.5, 1.0, 1.0, N=100_000)) <= 6.5e6
 
 
 def test_scalar_cq_converges_to_contour_value():
