@@ -19,7 +19,6 @@ import json
 import sys
 
 from . import experiment_harness as harness
-from .cq_time_stepper import SchemeConfig, _require_count, step_implicit, step_linearized
 from .fem_assembly import l2_norm
 from .mesh import format_mesh_text
 from .spectral_oracle import mode_response
@@ -92,7 +91,7 @@ def study_config_from_dict(raw: dict) -> harness.StudyConfig:
     if "t_list" in raw:
         kwargs["t_list"] = tuple(float(t) for t in _as_tuple(raw.pop("t_list")))
     for key in ("case", "gamma", "T", "family", "M_ref", "N_ref", "axis",
-                "scheme", "source_lumping", "tol", "cache_dir"):
+                "scheme", "source_lumping", "cache_dir"):
         if key in raw:
             kwargs[key] = raw.pop(key)
     raw.pop("out", None)
@@ -125,8 +124,8 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-_RUN_KEYS = ("case", "scheme", "M", "N", "source_lumping", "tol",
-             "snapshot_stride", "family", "alpha", "gamma", "T")
+_RUN_KEYS = ("case", "scheme", "family", "M", "N", "alpha", "gamma", "T",
+             "source_lumping")
 
 
 def _cmd_run(args) -> int:
@@ -134,26 +133,14 @@ def _cmd_run(args) -> int:
     unknown = sorted(set(raw) - set(_RUN_KEYS))
     if unknown:
         raise ValueError(f"unknown config keys: {unknown}")
-    case = raw.get("case", "a")
-    scheme = raw.get("scheme", "lumped-linearized")
-    M = raw.get("M", 16)
-    _require_count("M", M)
-    config = SchemeConfig(
-        variant=scheme,
-        N=raw.get("N", 100),
-        source_lumping=raw.get("source_lumping", False),
-        cg_tol=float(raw.get("tol", 1e-12)),
-        snapshot_stride=raw.get("snapshot_stride"),
-    )
-    mesh = harness.build_mesh(raw.get("family", "symmetric"), M)
-    problem = harness._problem(case, float(raw.get("alpha", 0.5)),
-                               float(raw.get("gamma", 1.0)),
-                               float(raw.get("T", 1.0)))
-    stepper = step_implicit if scheme == "galerkin-implicit" else step_linearized
-    trajectory = stepper(config, problem, mesh)
-    final = trajectory.final()
-    print(f"family={mesh.family} N={config.N} alpha={problem.alpha} "
-          f"case={case} scheme={scheme}")
+    for key, value in raw.items():
+        if isinstance(value, list):
+            raise ValueError(f"{key} takes one value in a run config, got {value!r}")
+    cfg = study_config_from_dict({"M": 16, "N": 100, **raw})
+    (alpha,) = cfg.alphas
+    mesh, final = harness._solve_cfg(cfg, alpha, M=cfg.M, N=cfg.N, T=cfg.T)
+    print(f"family={mesh.family} N={cfg.N} alpha={alpha} "
+          f"case={cfg.case} scheme={cfg.scheme}")
     print(f"final_l2_norm={l2_norm(mesh, final):.12e}")
     if args.out:
         lines = [f"{i} {v:.17g}" for i, v in enumerate(final.values)]

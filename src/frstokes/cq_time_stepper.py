@@ -178,17 +178,13 @@ class SchemeConfig:
     consistent reading M f(U) to the vertex-quadrature reading D f(U).
     Snapshots are kept every ``snapshot_stride`` steps (None, the default,
     means ceil(N/100); otherwise an integer >= 1) plus the final step;
-    ``store_full`` keeps every step.  The steppers solve each
-    step directly with a factorization of the step matrix, so ``cg_tol``
-    no longer affects the result; it is validated and kept for existing
-    callers.
+    ``store_full`` keeps every step.
     """
 
     variant: str
     N: int
     tau: float | None = None
     source_lumping: bool = False
-    cg_tol: float = 1e-12
     picard_tol: float = 1e-12
     picard_maxit: int = 50
     snapshot_stride: int | None = None
@@ -198,8 +194,6 @@ class SchemeConfig:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
         _require_count("N", self.N)
-        if self.cg_tol <= 0:
-            raise ValueError("solver tolerances must be positive")
         if not _is_positive_real(self.picard_tol):
             raise ValueError("picard_tol must be a finite number > 0, "
                              f"got {self.picard_tol!r}")
@@ -460,8 +454,7 @@ class _Load:
         return self.S @ self.f(v) + self.b
 
 
-def _source_builder(mesh: TriMesh, problem: ProblemSpec, lumped: bool,
-                    lumped_interior=None):
+def _source_builder(mesh: TriMesh, problem: ProblemSpec, lumped: bool):
     """Interior load of the interpolated source f(u_h), or None for f = 0.
 
     The consistent reading is the interior rows of the full-node mass
@@ -476,8 +469,7 @@ def _source_builder(mesh: TriMesh, problem: ProblemSpec, lumped: bool,
     if f.lipschitz == 0.0 and f.name == "zero":
         return None
     if lumped:
-        diag = (lumped_interior if lumped_interior is not None
-                else mesh_operator(mesh, "lumped_mass"))
+        diag = mesh_operator(mesh, "lumped_mass")
         return _Load(diag.tocsr(), np.zeros(diag.n), f)
 
     f_boundary = np.zeros(mesh.n_nodes)
@@ -487,38 +479,35 @@ def _source_builder(mesh: TriMesh, problem: ProblemSpec, lumped: bool,
     return _Load(mesh_operator(mesh, "mass").tocsr(), load_boundary, f)
 
 
-def _package(mesh: TriMesh, rows: np.ndarray, steps: np.ndarray, tau: float,
-             N: int) -> Trajectory:
-    values = np.zeros((steps.size, mesh.n_nodes))
-    values[:, mesh.interior_nodes] = rows
-    return Trajectory(mesh=mesh, times=steps * tau, steps=steps,
-                      values=values, N=N, tau=tau)
-
-
-def step_linearized(config: SchemeConfig, problem: ProblemSpec, mesh: TriMesh,
-                    A=None, W=None) -> Trajectory:
-    """Advance the linearized scheme; the source lags one step behind."""
-    if config.variant not in ("galerkin-linearized", "lumped-linearized"):
-        raise ValueError(f"step_linearized cannot run variant {config.variant!r}")
-    lumped_variant = config.variant == "lumped-linearized"
+def _solve(config: SchemeConfig, problem: ProblemSpec, mesh: TriMesh) -> Trajectory:
+    """Run ``config.variant`` on the mesh operators; the body of both steppers."""
     tau = config.resolve_tau(problem.T)
-
-    if A is None:
-        A = mesh_operator(mesh, "stiffness")
-    if W is None:
-        W = mesh_operator(mesh, "lumped_mass" if lumped_variant else "mass")
-    source = _source_builder(mesh, problem, config.source_lumping,
-                             lumped_interior=W if lumped_variant and config.source_lumping else None)
+    implicit = config.variant == "galerkin-implicit"
+    A = mesh_operator(mesh, "stiffness")
+    W = mesh_operator(mesh, "lumped_mass" if config.variant == "lumped-linearized"
+                      else "mass")
+    source = _source_builder(mesh, problem, config.source_lumping)
 
     u0 = problem.initial_data.field(mesh).interior()
     steps = _snapshot_steps(config.N, config.snapshot_stride, config.store_full)
-    rows = _advance(A, W, u0, problem.alpha, problem.gamma, tau, config.N,
-                    steps, source)
-    return _package(mesh, rows, steps, tau, config.N)
+    rows = _advance(A, W, u0, problem.alpha, problem.gamma, tau, config.N, steps,
+                    None if implicit else source,
+                    implicit_source=source if implicit else None,
+                    picard_tol=config.picard_tol, picard_maxit=config.picard_maxit)
+    values = np.zeros((steps.size, mesh.n_nodes))
+    values[:, mesh.interior_nodes] = rows
+    return Trajectory(mesh=mesh, times=steps * tau, steps=steps,
+                      values=values, N=config.N, tau=tau)
 
 
-def step_implicit(config: SchemeConfig, problem: ProblemSpec, mesh: TriMesh,
-                  A=None, W=None) -> Trajectory:
+def step_linearized(config: SchemeConfig, problem: ProblemSpec, mesh: TriMesh) -> Trajectory:
+    """Advance the linearized scheme; the source lags one step behind."""
+    if config.variant not in ("galerkin-linearized", "lumped-linearized"):
+        raise ValueError(f"step_linearized cannot run variant {config.variant!r}")
+    return _solve(config, problem, mesh)
+
+
+def step_implicit(config: SchemeConfig, problem: ProblemSpec, mesh: TriMesh) -> Trajectory:
     """Advance the implicit scheme, resolving f(U^n) by Picard iteration.
 
     Each step iterates U <- (W + c A)^-1 (rhs + tau (S f(U) + b)) from a
@@ -531,26 +520,11 @@ def step_implicit(config: SchemeConfig, problem: ProblemSpec, mesh: TriMesh,
     """
     if config.variant != "galerkin-implicit":
         raise ValueError(f"step_implicit cannot run variant {config.variant!r}")
-    tau = config.resolve_tau(problem.T)
-    if tau * problem.nonlinearity.lipschitz >= 1.0:
+    tau_L = config.resolve_tau(problem.T) * problem.nonlinearity.lipschitz
+    if tau_L >= 1.0:
         warnings.warn(
-            f"tau * L = {tau * problem.nonlinearity.lipschitz:.3g} >= 1: "
-            "the picard iteration may not contract",
+            f"tau * L = {tau_L:.3g} >= 1: the picard iteration may not contract",
             RuntimeWarning,
             stacklevel=2,
         )
-
-    if A is None:
-        A = mesh_operator(mesh, "stiffness")
-    if W is None:
-        W = mesh_operator(mesh, "mass")
-    source = _source_builder(mesh, problem, config.source_lumping)
-
-    u0 = problem.initial_data.field(mesh).interior()
-    steps = _snapshot_steps(config.N, config.snapshot_stride, config.store_full)
-    rows = _advance(A, W, u0, problem.alpha, problem.gamma, tau, config.N,
-                    steps, None, implicit_source=source,
-                    picard_tol=config.picard_tol,
-                    picard_maxit=config.picard_maxit)
-    return _package(mesh, rows, steps, tau, config.N)
-
+    return _solve(config, problem, mesh)

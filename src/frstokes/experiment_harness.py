@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cq_time_stepper import (SchemeConfig, _require_bool, _require_count, step_implicit,
-                              step_linearized)
+from .cq_time_stepper import SchemeConfig, _require_count, step_implicit, step_linearized
 from .fem_assembly import (
     NodalField,
     ProblemSpec,
@@ -57,8 +56,9 @@ class StudyConfig:
     ``M``; prefactor studies sweep the final time over ``t_list`` along the
     chosen ``axis``.  ``case`` selects the initial data: the smooth bump
     ("a"), the half-square indicator ("b"), or a single sine mode ("mode").
-    ``tol`` is passed on as ``SchemeConfig.cg_tol``; the steppers solve
-    directly, so it does not change a field and is not part of the cache key.
+    Construction checks ``scheme`` and ``source_lumping`` as
+    :class:`SchemeConfig` does, and ``alphas``, ``gamma``, ``T`` and every
+    entry of ``t_list`` by building the :class:`ProblemSpec` of each run.
     """
 
     case: str = "a"
@@ -76,7 +76,6 @@ class StudyConfig:
     axis: str = "temporal"
     scheme: str = "lumped-linearized"
     source_lumping: bool = False
-    tol: float = 1e-12
     cache_dir: str | None = None
     mode_kl: tuple = (1, 1)
 
@@ -89,12 +88,15 @@ class StudyConfig:
             raise ValueError(f"prefactor axis must be spatial or temporal")
         if not self.alphas:
             raise ValueError("need at least one alpha")
-        _require_bool("source_lumping", self.source_lumping)
-        for name in ("M", "N", "M_ref", "N_ref"):
+        SchemeConfig(variant=self.scheme, N=self.N, source_lumping=self.source_lumping)
+        for name in ("M", "M_ref", "N_ref"):
             _require_count(name, getattr(self, name))
         for name in ("M_list", "N_list"):
             for value in getattr(self, name):
                 _require_count(f"every entry of {name}", value)
+        for alpha in self.alphas:
+            for T in (self.T, *self.t_list):
+                _problem(self.case, alpha, self.gamma, T, self.mode_kl)
 
 
 @dataclass(frozen=True)
@@ -244,19 +246,19 @@ def _run_key(case, alpha, gamma, T, family, M, N, scheme, source_lumping, mode_k
 
 def solve_final(case: str, alpha: float, gamma: float, T: float, family: str,
                 M: int, N: int, scheme: str = "lumped-linearized",
-                source_lumping: bool = False, tol: float = 1e-12,
-                cache_dir: str | None = None, mode_kl=(1, 1)) -> tuple[TriMesh, NodalField]:
+                source_lumping: bool = False, cache_dir: str | None = None,
+                mode_kl=(1, 1)) -> tuple[TriMesh, NodalField]:
     """Final-time field of one fully discrete run, cached when possible.
 
     A cache file is served only when it reads back whole, the key stored
     in it equals the key of the request and its values fit the mesh; any
     other file at that path is recomputed and replaced.  Files are written
     to a temporary name and renamed into place, so an interrupted run
-    never leaves a partial file under the final name.  ``tol`` does not
-    change the field and is left out of the key.
+    never leaves a partial file under the final name.  This is the one
+    place that picks the stepper for a scheme.
     """
     config = SchemeConfig(variant=scheme, N=N, source_lumping=source_lumping,
-                          cg_tol=tol, snapshot_stride=N)
+                          snapshot_stride=N)
     mesh = build_mesh(family, M)
     key = _run_key(case, alpha, gamma, T, family, M, N, scheme,
                    source_lumping, mode_kl)
@@ -301,7 +303,7 @@ def _solve_cfg(cfg: StudyConfig, alpha: float, *, M: int, N: int, T: float,
     return solve_final(cfg.case, alpha, cfg.gamma, T,
                        family if family is not None else cfg.family, M, N,
                        scheme=cfg.scheme, source_lumping=cfg.source_lumping,
-                       tol=cfg.tol, cache_dir=cfg.cache_dir, mode_kl=cfg.mode_kl)
+                       cache_dir=cfg.cache_dir, mode_kl=cfg.mode_kl)
 
 
 def _mode_reference(cfg: StudyConfig, alpha: float, T: float):

@@ -13,6 +13,7 @@ descriptor.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
 
@@ -228,13 +229,13 @@ def load_vector(mesh: TriMesh, g, rule: str = "order4") -> FloatArray:
     return b
 
 
-def l2_project(mesh: TriMesh, g, rule: str = "order4", tol: float = 1e-12) -> NodalField:
+def l2_project(mesh: TriMesh, g, rule: str = "order4") -> NodalField:
     """L2 projection of g onto V_h (boundary values zero)."""
     if mesh.n_interior == 0:
         return NodalField.zeros(mesh)
     b = load_vector(mesh, g, rule=rule)[mesh.interior_nodes]
     M = mesh_operator(mesh, "mass")
-    return NodalField.from_interior(mesh, cg_solve(M, b, tol=tol))
+    return NodalField.from_interior(mesh, cg_solve(M, b))
 
 
 def l2_norm(mesh: TriMesh, fld) -> float:
@@ -309,11 +310,9 @@ class InitialData:
     """Initial condition descriptor: a sampler plus its V_h realization.
 
     An instance stands for one fixed function.  Its default realization is
-    memoized on each mesh under the instance itself, never under
-    ``cache_tag``, so two instances never share an entry.
+    memoized on each mesh under the instance itself, so two instances never
+    share an entry.
     """
-
-    cache_tag: str | None = None
 
     def sample(self, x, y):
         raise NotImplementedError
@@ -330,16 +329,12 @@ class InitialData:
 class CaseAInitialData(InitialData):
     """u0(x, y) = x y (1-x) (1-y), a smooth bump vanishing on the boundary."""
 
-    cache_tag = "a"
-
     def sample(self, x, y):
         return x * y * (1.0 - x) * (1.0 - y)
 
 
 class CaseBInitialData(InitialData):
     """u0 = indicator of (0, 1/2] x (0, 1); discontinuity along x = 1/2."""
-
-    cache_tag = "b"
 
     def sample(self, x, y):
         return np.where(np.asarray(x, dtype=float) <= 0.5, 1.0, 0.0)
@@ -356,7 +351,6 @@ class SingleModeInitialData(InitialData):
     def __init__(self, k: int = 1, l: int = 1):
         self.k = int(k)
         self.l = int(l)
-        self.cache_tag = f"mode-{self.k}-{self.l}"
 
     def sample(self, x, y):
         return np.sin(self.k * np.pi * x) * np.sin(self.l * np.pi * y)
@@ -369,9 +363,8 @@ class SingleModeInitialData(InitialData):
 
 
 class CustomInitialData(InitialData):
-    def __init__(self, fn, cache_tag: str | None = None):
+    def __init__(self, fn):
         self._fn = fn
-        self.cache_tag = cache_tag
 
     def sample(self, x, y):
         return self._fn(x, y)
@@ -400,9 +393,9 @@ class ProblemSpec:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.T <= 0:
-            raise ValueError(f"final time must be positive, got {self.T}")
+        for name in ("gamma", "T"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
         if self.nonlinearity.lipschitz < 0:
             raise ValueError("Lipschitz constant must be nonnegative")

@@ -23,12 +23,12 @@ def test_parse_config_key_value(tmp_path):
         "M = 8,16\n"
         "N = 200\n"
         "source_lumping = true\n"
-        "tol = 1e-10\n"
+        "T = 1e-10\n"
         "\n"
     )
     raw = parse_config(str(cfg))
     assert raw == {"case": "a", "alpha": [0.25, 0.5], "M": [8, 16],
-                   "N": 200, "source_lumping": True, "tol": 1e-10}
+                   "N": 200, "source_lumping": True, "T": 1e-10}
 
 
 def test_parse_config_json(tmp_path):
@@ -142,10 +142,44 @@ def test_run_subcommand_accepts_every_key_it_reads(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("case = a\nfamily = symmetric\nM = 4\nN = 3\nalpha = 0.3\n"
                    "gamma = 1.0\nT = 1.0\nscheme = galerkin-implicit\n"
-                   "source_lumping = false\ntol = 1e-12\nsnapshot_stride = 2\n")
+                   "source_lumping = false\n")
     assert main(["run", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out
     assert "N=3 alpha=0.3 case=a scheme=galerkin-implicit" in out
+
+
+def test_run_subcommand_defaults(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("case = b\n")
+    assert main(["run", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("family=symmetric(16) N=100 alpha=0.5 case=b "
+                          "scheme=lumped-linearized\n")
+
+
+@pytest.mark.parametrize("line,message", [
+    # one run takes one value per key
+    ("alpha = 0.25,0.5", "^alpha takes one value"), ("M = 4,8", "^M takes one value"),
+    ("N = 4,8", "^N takes one value"), ("gamma = 1,2", "^gamma takes one value"),
+    # study-only keys and the removed solver tolerance
+    ("N_ref = 8", r"unknown config keys: \['N_ref'\]"),
+    ("M_ref = 8", r"unknown config keys: \['M_ref'\]"),
+    ("t_list = 0.001", r"unknown config keys: \['t_list'\]"),
+    ("axis = spatial", r"unknown config keys: \['axis'\]"),
+    ("cache_dir = runs", r"unknown config keys: \['cache_dir'\]"),
+    ("tol = 1e-12", r"unknown config keys: \['tol'\]"),
+    # problem data is checked before the solve
+    ("gamma = nan", "gamma must be a finite number > 0"),
+    ("gamma = 0", "gamma must be a finite number > 0"),
+    ("T = inf", "T must be a finite number > 0"),
+    ("T = -1", "T must be a finite number > 0"),
+])
+def test_run_subcommand_rejects_bad_values(tmp_path, capsys, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"case = a\nM = 4\nN = 4\n{line}\n")
+    with pytest.raises(ValueError, match=message):
+        main(["run", "--config", str(cfg)])
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("key,value", [("source_lumping", '"false"'),

@@ -223,7 +223,7 @@ def test_linearized_matches_double_sum_on_mesh(variant, source_lumping):
                           nonlinearity=sqrt_one_plus_u2(),
                           initial_data=CaseAInitialData())
     cfg = SchemeConfig(variant=variant, N=6, source_lumping=source_lumping,
-                       store_full=True, cg_tol=1e-14)
+                       store_full=True)
     traj = step_linearized(cfg, problem, mesh)
 
     A, W, f_apply = variant_matrices(mesh, variant, source_lumping)
@@ -242,7 +242,7 @@ def test_implicit_matches_double_sum_fixed_point():
                           nonlinearity=sqrt_one_plus_u2(),
                           initial_data=CaseAInitialData())
     cfg = SchemeConfig(variant="galerkin-implicit", N=6, store_full=True,
-                       cg_tol=1e-14, picard_tol=1e-14)
+                       picard_tol=1e-14)
     traj = step_implicit(cfg, problem, mesh)
 
     A, W, f_apply = variant_matrices(mesh, "galerkin-implicit", False)
@@ -407,8 +407,6 @@ def test_config_validation():
         SchemeConfig(variant="crank-nicolson", N=4)
     with pytest.raises(ValueError):
         SchemeConfig(variant="lumped-linearized", N=0)
-    with pytest.raises(ValueError):
-        SchemeConfig(variant="lumped-linearized", N=4, cg_tol=0.0)
     with pytest.raises(ValueError):
         SchemeConfig(variant="galerkin-implicit", N=4, picard_maxit=0)
     cfg = SchemeConfig(variant="lumped-linearized", N=4, tau=0.3)
@@ -686,7 +684,7 @@ def test_block_boundaries_match_direct_history_sum(source, N):
     variant = "lumped-linearized" if source == "lumped" else "galerkin-linearized"
     A, W, u0, load = stepper_inputs(mesh, problem, variant)
     if source == "lumped":
-        load = _source_builder(mesh, problem, True, lumped_interior=W)
+        load = _source_builder(mesh, problem, True)
     kw = {"consistent": dict(source_of_prev=load),
           "lumped": dict(source_of_prev=load),
           "zero": dict(source_of_prev=None),
