@@ -73,12 +73,18 @@ def _as_tuple(value) -> tuple:
     return (value,)
 
 
+def _real(key: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def study_config_from_dict(raw: dict) -> harness.StudyConfig:
     """Translate CLI config keys into a StudyConfig."""
     kwargs: dict = {}
     raw = dict(raw)
     if "alpha" in raw:
-        kwargs["alphas"] = tuple(float(a) for a in _as_tuple(raw.pop("alpha")))
+        kwargs["alphas"] = tuple(_real("alpha", a) for a in _as_tuple(raw.pop("alpha")))
     # counts pass through unconverted, so StudyConfig rejects 2.5 or "abc"
     for key in ("M", "N"):
         if key in raw:
@@ -89,18 +95,19 @@ def study_config_from_dict(raw: dict) -> harness.StudyConfig:
                 kwargs[key] = value
                 kwargs[f"{key}_list"] = (value,)
     if "t_list" in raw:
-        kwargs["t_list"] = tuple(float(t) for t in _as_tuple(raw.pop("t_list")))
+        kwargs["t_list"] = tuple(_real("t_list", t) for t in _as_tuple(raw.pop("t_list")))
     for key in ("case", "gamma", "T", "family", "M_ref", "N_ref", "axis",
                 "scheme", "source_lumping", "cache_dir"):
         if key in raw:
-            kwargs[key] = raw.pop(key)
-    raw.pop("out", None)
+            value = raw.pop(key)
+            if isinstance(value, list):
+                raise ValueError(f"{key} takes one value, got {value!r}")
+            kwargs[key] = value
     if raw:
         raise ValueError(f"unknown config keys: {sorted(raw)}")
-    if "T" in kwargs:
-        kwargs["T"] = float(kwargs["T"])
-    if "gamma" in kwargs:
-        kwargs["gamma"] = float(kwargs["gamma"])
+    for key in ("gamma", "T"):
+        if key in kwargs:
+            kwargs[key] = _real(key, kwargs[key])
     return harness.StudyConfig(**kwargs)
 
 

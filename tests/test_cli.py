@@ -157,6 +157,27 @@ def test_run_subcommand_defaults(tmp_path, capsys):
                           "scheme=lumped-linearized\n")
 
 
+def test_run_fields_agree_across_blas_thread_counts(tmp_path):
+    # N = 128 >= 2 * 32 runs the block history products and the fold, whose
+    # BLAS calls change with the thread count; the README's contract is
+    # bitwise equality at a fixed thread count and 1e-12 relative across
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("case = a\nscheme = lumped-linearized\nM = 16\nN = 128\n")
+    fields = {}
+    for name, threads in (("one", "1"), ("two", "2"), ("two-again", "2")):
+        env = tree_env()
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = threads
+        out = tmp_path / f"{name}.txt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "frstokes", "run", "--config", str(cfg),
+             "--out", str(out)], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        fields[name] = np.loadtxt(out)[:, 1]
+    assert np.array_equal(fields["two"], fields["two-again"])
+    scale = np.max(np.abs(fields["one"]))
+    assert np.max(np.abs(fields["one"] - fields["two"])) <= 1e-12 * scale
+
+
 @pytest.mark.parametrize("line,message", [
     # one run takes one value per key
     ("alpha = 0.25,0.5", "^alpha takes one value"), ("M = 4,8", "^M takes one value"),
@@ -221,6 +242,35 @@ def test_convergence_subcommand_rejects_non_integer_counts(tmp_path, capsys):
         main(["convergence", "temporal", "--config", str(cfg)])
     assert capsys.readouterr().out == ""
     assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("line,message", [
+    # one value per scalar key; a list is not silently taken or cast
+    ("gamma = 1,2", r"^gamma takes one value, got \[1, 2\]"),
+    ("T = 1,2", r"^T takes one value, got \[1, 2\]"),
+    ("cache_dir = a,b", r"^cache_dir takes one value, got \['a', 'b'\]"),
+    ("gamma = abc", "^gamma must be a number, got 'abc'"),
+    ("T = true", "^T must be a number, got True"),
+    ("alpha = 0.5,abc", "^alpha must be a number, got 'abc'"),
+    ("t_list = 1e-3,abc", "^t_list must be a number, got 'abc'"),
+])
+def test_convergence_subcommand_rejects_bad_scalar_values(tmp_path, capsys, line, message):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(f"case = mode\nM = 4\nN = 4,8\nN_ref = 16\n{line}\n")
+    with pytest.raises(ValueError, match=message):
+        main(["convergence", "temporal", "--config", str(cfg)])
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", [["run"], ["convergence", "temporal"]])
+def test_config_out_key_is_rejected(tmp_path, capsys, command):
+    # the output path is the --out flag, never a config key
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(f"case = a\nM = 4\nN = 4\nout = {tmp_path / 'report'}\n")
+    with pytest.raises(ValueError, match=r"unknown config keys: \['out'\]"):
+        main(command + ["--config", str(cfg)])
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_study_config_has_no_snapshot_stride_key():
@@ -300,9 +350,9 @@ def test_module_entry_point():
 
 
 def test_package_import_defers_heavy_scipy_modules():
-    # scipy.sparse.linalg (the factorization) and scipy.special (the
-    # oracle's binomials) are imported where they are used, so starting
-    # any frs command does not pay for them.
+    # scipy.sparse.linalg (the factorization) is imported where it is used
+    # and scipy.special not at all, so starting any frs command does not
+    # pay for them.
     probe = ("import sys, frstokes; "
              "print(sorted(m for m in ('scipy.sparse.linalg', 'scipy.special') "
              "if m in sys.modules))")
@@ -310,6 +360,18 @@ def test_package_import_defers_heavy_scipy_modules():
                           text=True, env=tree_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_scalar_cq_oracle_does_not_import_scipy_special():
+    # the oracle's weights come from numpy alone; loading scipy.special
+    # costs about 0.06 s per process
+    probe = ("import sys; from frstokes.spectral_oracle import scalar_cq_response; "
+             "scalar_cq_response(20.0, 0.5, 1.0, 1.0, 10); "
+             "print('scipy.special' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=tree_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_package_entry_point():

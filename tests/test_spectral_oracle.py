@@ -11,6 +11,7 @@ from frstokes.cq_time_stepper import _advance
 from frstokes.sparse_linalg import DiagMatrix, SparseSymMatrix
 from frstokes.spectral_oracle import (
     _LAM_BLOCK,
+    _product_weights,
     ContourResolutionError,
     ContourSpec,
     contour_nodes,
@@ -26,11 +27,14 @@ from frstokes.spectral_oracle import (
 
 def direct_scalar_cq(lam, alpha, gamma, T, N, u0=1.0):
     """The scalar CQ recursion with the history sum evaluated directly over
-    every past step, O(N^2)."""
+    every past step, O(N^2), on weights from the plain product recursion
+    q_j = q_(j-1) (j - 1 + beta) / j."""
     tau = T / N
     beta = 1.0 - alpha
-    j = np.arange(N + 1)
-    q = (-1.0) ** j * binom(-beta, j)
+    q = np.empty(N + 1)
+    q[0] = 1.0
+    for j in range(1, N + 1):
+        q[j] = q[j - 1] * (j - 1 + beta) / j
     frac_scale = gamma * tau**beta
     c = tau + frac_scale
     u = np.empty(N + 1)
@@ -303,7 +307,8 @@ def test_scalar_cq_converges_to_contour_value():
 
 
 def test_scalar_cq_matches_matrix_stepper():
-    # same recursion through two implementations (binomial vs cumprod weights)
+    # same recursion through two implementations: a power-series solve here,
+    # a block/sum-of-exponentials history there, and separate weight code
     rng = np.random.default_rng(47)
     A1 = lambda lam: SparseSymMatrix.from_coo(
         np.array([0]), np.array([0]), np.array([lam]), 1)
@@ -329,6 +334,28 @@ def test_scalar_cq_matches_direct_sum(lam, alpha, gamma, T, N, u0):
     want = direct_scalar_cq(lam, alpha, gamma, T, N, u0)
     assert got.shape == (N + 1,)
     assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("beta", [0.25, 0.5, 0.75])
+def test_product_weights_match_binomials(beta):
+    # scipy's binomial is accurate for small j (1.9e-16 up to j = 20) and
+    # drifts to 8e-12 by j ~ 2500, so it is the reference only up to 50
+    j = np.arange(51)
+    want = (-1.0) ** j * binom(-beta, j)
+    assert np.allclose(_product_weights(beta, 50), want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("beta", [0.25, 0.5, 0.75])
+def test_product_weights_match_gamma_ratio_asymptotics(beta):
+    # q_j = Gamma(j + beta) / (Gamma(beta) Gamma(j + 1))
+    #     = j^(beta-1) / Gamma(beta) (1 + c1 / j + c2 / j^2 + O(j^-3)),
+    # the O(j^-3) term below 1e-15 relative at j >= 1e5
+    c1 = beta * (beta - 1.0) / 2.0
+    c2 = beta * (beta - 1.0) * (beta - 2.0) * (3.0 * beta - 1.0) / 24.0
+    q = _product_weights(beta, 200_000)
+    for j in (100_000, 200_000):
+        want = j ** (beta - 1.0) / math.gamma(beta) * (1.0 + c1 / j + c2 / j**2)
+        assert abs(q[j] - want) <= 1e-13 * want
 
 
 @pytest.mark.parametrize("args,match", [
