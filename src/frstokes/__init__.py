@@ -5,77 +5,67 @@ The package provides structured triangulations, P1 Galerkin and
 lumped-mass spatial discretizations, backward-Euler convolution-quadrature
 time stepping, a semi-analytic spectral oracle based on inverse-Laplace
 contour quadrature, and a harness for convergence studies.
+
+Importing the package loads none of its submodules, and so neither numpy
+nor scipy.  ``_EXPORTS`` maps each submodule to the public names it
+defines; the first use of a name (``frstokes.mode_response_many`` or
+``from frstokes import mode_response_many``) imports only its submodule
+and what that submodule imports, so the numpy-only oracle never pays for
+``scipy.sparse``.  The submodules themselves are public names too.  A
+name is looked up in its submodule on every access and never stored on
+the package, so a name rebound in its submodule (for instance by a
+tracer) is what the package hands out.
 """
 
-from .cq_time_stepper import (
-    CQWeights,
-    DivergedError,
-    PicardConvergenceError,
-    SchemeConfig,
-    Trajectory,
-    cq_fractional_integral,
-    cq_weights,
-    step_implicit,
-    step_linearized,
-)
-from .experiment_harness import (
-    ExperimentReport,
-    StudyConfig,
-    fit_rate,
-    run_nonsymmetric_study,
-    run_prefactor_study,
-    run_spatial_study,
-    run_temporal_study,
-    solve_final,
-)
-from .fem_assembly import (
-    CaseAInitialData,
-    CaseBInitialData,
-    CustomInitialData,
-    InitialData,
-    NodalField,
-    Nonlinearity,
-    ProblemSpec,
-    SingleModeInitialData,
-    assemble_lumped_mass,
-    assemble_mass,
-    assemble_stiffness,
-    initial_data_for_case,
-    l2_error_vs_function,
-    l2_error_vs_reference,
-    l2_norm,
-    l2_project,
-    load_vector,
-    mesh_operator,
-    sqrt_one_plus_u2,
-    zero_source,
-)
-from .mesh import (
-    TriMesh,
-    build_nonsymmetric_mesh,
-    build_symmetric_mesh,
-    evaluate_p1,
-    format_mesh_text,
-)
-from .sparse_linalg import (
-    CGConvergenceError,
-    CompositeOperator,
-    DiagMatrix,
-    SparseSymMatrix,
-    cg_solve,
-)
-from .spectral_oracle import (
-    ContourResolutionError,
-    ContourSpec,
-    laplacian_eigenvalue,
-    linear_exact_solution,
-    mode_response,
-    mode_response_many,
-    scalar_cq_response,
-    smoothing_probe,
-    symbol_g,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_EXPORTS = {
+    "cq_time_stepper": (
+        "CQWeights", "DivergedError", "PicardConvergenceError", "SchemeConfig",
+        "Trajectory", "cq_fractional_integral", "cq_weights", "step_implicit",
+        "step_linearized",
+    ),
+    "experiment_harness": (
+        "ExperimentReport", "StudyConfig", "fit_rate", "run_nonsymmetric_study",
+        "run_prefactor_study", "run_spatial_study", "run_temporal_study",
+        "solve_final",
+    ),
+    "fem_assembly": (
+        "CaseAInitialData", "CaseBInitialData", "CustomInitialData", "InitialData",
+        "NodalField", "Nonlinearity", "ProblemSpec", "SingleModeInitialData",
+        "assemble_lumped_mass", "assemble_mass", "assemble_stiffness",
+        "initial_data_for_case", "l2_error_vs_function", "l2_error_vs_reference",
+        "l2_norm", "l2_project", "load_vector", "mesh_operator",
+        "sqrt_one_plus_u2", "zero_source",
+    ),
+    "mesh": (
+        "TriMesh", "build_nonsymmetric_mesh", "build_symmetric_mesh",
+        "evaluate_p1", "format_mesh_text",
+    ),
+    "sparse_linalg": (
+        "CGConvergenceError", "CompositeOperator", "DiagMatrix",
+        "SparseSymMatrix", "cg_solve",
+    ),
+    "spectral_oracle": (
+        "ContourResolutionError", "ContourSpec", "laplacian_eigenvalue",
+        "linear_exact_solution", "mode_response", "mode_response_many",
+        "scalar_cq_response", "smoothing_probe", "symbol_g",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_EXPORTS, *_MODULE_OF])
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name in _MODULE_OF:
+        return getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -18,6 +18,10 @@ import argparse
 import json
 import sys
 
+# Imported eagerly even though `frs oracle` and `frs mesh` need no solver:
+# the harness pulls in scipy.sparse (about 0.2 s), and a caller that imports
+# this module before timing `main` should pay for it here, not in its first
+# study.
 from . import experiment_harness as harness
 from .fem_assembly import l2_norm
 from .mesh import format_mesh_text

@@ -244,6 +244,23 @@ def _run_key(case, alpha, gamma, T, family, M, N, scheme, source_lumping, mode_k
     return json.dumps(payload, sort_keys=True)
 
 
+@functools.cache
+def _blas_config() -> tuple[str, str]:
+    """The BLAS library and thread settings of this process, stored in each
+    cache file beside the key (not in it): fields agree across thread
+    counts only to 1e-12, so a file says what it was computed under."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_name = f"{blas.get('name')} {blas.get('version')}"
+    except (KeyError, TypeError, ValueError):
+        blas_name = "unknown"
+    threads = {var: os.environ.get(var)
+               for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    threads["affinity_cpus"] = (len(os.sched_getaffinity(0))
+                                if hasattr(os, "sched_getaffinity") else os.cpu_count())
+    return blas_name, json.dumps(threads, sort_keys=True)
+
+
 def solve_final(case: str, alpha: float, gamma: float, T: float, family: str,
                 M: int, N: int, scheme: str = "lumped-linearized",
                 source_lumping: bool = False, cache_dir: str | None = None,
@@ -254,8 +271,11 @@ def solve_final(case: str, alpha: float, gamma: float, T: float, family: str,
     in it equals the key of the request and its values fit the mesh; any
     other file at that path is recomputed and replaced.  Files are written
     to a temporary name and renamed into place, so an interrupted run
-    never leaves a partial file under the final name.  This is the one
-    place that picks the stepper for a scheme.
+    never leaves a partial file under the final name.  Each file also
+    records the BLAS library and thread settings it was computed under
+    (entries ``blas`` and ``threads``); reading ignores them, so they
+    neither split the cache nor stop files without them from being served.
+    This is the one place that picks the stepper for a scheme.
     """
     config = SchemeConfig(variant=scheme, N=N, source_lumping=source_lumping,
                           snapshot_stride=N)
@@ -277,8 +297,10 @@ def solve_final(case: str, alpha: float, gamma: float, T: float, family: str,
         os.makedirs(cache_dir, exist_ok=True)
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
+            blas, threads = _blas_config()
             with open(tmp, "wb") as fh:
-                np.savez(fh, values=final.values, key=np.array(key))
+                np.savez(fh, values=final.values, key=np.array(key),
+                         blas=blas, threads=threads)
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):

@@ -19,6 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads fft and polynomial on first attribute access; importing them
+# here keeps that cost in the import instead of the first oracle call.
+from numpy.fft import irfft, rfft
+from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "ContourSpec",
@@ -100,7 +104,7 @@ def symbol_g(z: complex, alpha: float, gamma: float) -> complex:
 
 def _panel_nodes(a: float, b: float, panels: int):
     """Gauss-Legendre nodes/weights on [a, b] split into equal panels."""
-    x, w = np.polynomial.legendre.leggauss(_GL_ORDER)
+    x, w = leggauss(_GL_ORDER)
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
@@ -262,13 +266,13 @@ def _series_inverse(a: np.ndarray) -> np.ndarray:
     b[0] = 1.0 / a[0]
     m = 1
     while m < n:
-        fb = np.fft.rfft(b[:m], 2 * m)
-        prod = np.fft.rfft(a[: 2 * m], 2 * m)
+        fb = rfft(b[:m], 2 * m)
+        prod = rfft(a[: 2 * m], 2 * m)
         prod *= fb
-        residual = np.fft.irfft(prod, 2 * m)[m:]
-        prod = np.fft.rfft(residual, 2 * m)
+        residual = irfft(prod, 2 * m)[m:]
+        prod = rfft(residual, 2 * m)
         prod *= fb
-        np.negative(np.fft.irfft(prod, 2 * m)[:m], out=b[m : 2 * m])
+        np.negative(irfft(prod, 2 * m)[:m], out=b[m : 2 * m])
         m *= 2
     return b[:n]
 

@@ -349,29 +349,43 @@ def test_module_entry_point():
     assert "convergence" in helper.stdout
 
 
-def test_package_import_defers_heavy_scipy_modules():
-    # scipy.sparse.linalg (the factorization) is imported where it is used
-    # and scipy.special not at all, so starting any frs command does not
-    # pay for them.
-    probe = ("import sys, frstokes; "
-             "print(sorted(m for m in ('scipy.sparse.linalg', 'scipy.special') "
-             "if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+def _probe(code: str) -> str:
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=tree_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_package_import_defers_heavy_scipy_modules():
+    # `import frstokes` loads no submodule, so neither numpy nor scipy; a
+    # name loads only its own submodule.  The oracle and the mesh need
+    # numpy alone and never pay for scipy.sparse (0.15-0.2 s to import).
+    # The steppers import scipy.sparse at module level, but the
+    # factorization (scipy.sparse.linalg) only where it is used, and
+    # scipy.special is not imported at all.
+    assert _probe("import sys, frstokes; "
+                  "print(sorted(m for m in sys.modules "
+                  "if m.startswith(('numpy', 'scipy'))))") == "[]"
+    assert _probe(
+        "import sys, numpy as np\n"
+        "from frstokes import (build_symmetric_mesh, laplacian_eigenvalue,\n"
+        "                      mode_response_many, scalar_cq_response)\n"
+        "mode_response_many(np.array([laplacian_eigenvalue(1, 1), 50.0]), 1.0, 0.5, 1.0)\n"
+        "scalar_cq_response(20.0, 0.5, 1.0, 1.0, 10)\n"
+        "build_symmetric_mesh(4)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))") == "[]"
+    assert _probe("import sys; from frstokes import step_linearized; "
+                  "print([m in sys.modules for m in "
+                  "('scipy.sparse', 'scipy.sparse.linalg', 'scipy.special')])"
+                  ) == "[True, False, False]"
 
 
 def test_scalar_cq_oracle_does_not_import_scipy_special():
     # the oracle's weights come from numpy alone; loading scipy.special
     # costs about 0.06 s per process
-    probe = ("import sys; from frstokes.spectral_oracle import scalar_cq_response; "
-             "scalar_cq_response(20.0, 0.5, 1.0, 1.0, 10); "
-             "print('scipy.special' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, env=tree_env())
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert _probe("import sys; from frstokes.spectral_oracle import scalar_cq_response; "
+                  "scalar_cq_response(20.0, 0.5, 1.0, 1.0, 10); "
+                  "print('scipy.special' in sys.modules)") == "False"
 
 
 def test_package_entry_point():

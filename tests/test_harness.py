@@ -1,10 +1,13 @@
 import gc
+import json
 import math
+import os
 import weakref
 
 import numpy as np
 import pytest
 
+from frstokes import experiment_harness as harness
 from frstokes.experiment_harness import (
     ExperimentReport,
     StudyConfig,
@@ -177,6 +180,43 @@ def test_solve_final_interrupted_write_leaves_no_file(tmp_path, monkeypatch):
         solve_final(case="a", alpha=0.5, gamma=1.0, T=1.0, family="symmetric",
                     M=4, N=4, cache_dir=str(cache))
     assert list(cache.iterdir()) == []
+
+
+def test_cache_file_records_blas_configuration(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    harness._blas_config.cache_clear()  # read once per process
+    try:
+        _, _, _, path = _one_run_file(tmp_path)
+    finally:
+        harness._blas_config.cache_clear()
+    with np.load(path) as data:
+        assert sorted(data.files) == ["blas", "key", "threads", "values"]
+        blas, key = str(data["blas"]), json.loads(str(data["key"]))
+        threads = json.loads(str(data["threads"]))
+    info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert blas == f"{info['name']} {info['version']}"
+    assert threads["OPENBLAS_NUM_THREADS"] == "3"
+    assert threads["MKL_NUM_THREADS"] is None
+    assert threads["OMP_NUM_THREADS"] == os.environ.get("OMP_NUM_THREADS")
+    assert threads["affinity_cpus"] >= 1
+    # recorded beside the key, not in it
+    assert not {"blas", "threads"} & set(key)
+
+
+def test_cache_file_without_blas_entries_is_served(tmp_path, monkeypatch):
+    # the layout written before the BLAS entries: values and key only
+    kw, mesh, fresh, path = _one_run_file(tmp_path)
+    with np.load(path) as data:
+        key = data["key"]
+    np.savez(path, values=fresh.values, key=key)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a cached field was solved again")
+
+    monkeypatch.setattr(harness, "step_linearized", no_solve)
+    _, served = solve_final(**kw)
+    assert np.array_equal(served.values, fresh.values)
 
 
 def test_build_mesh_shared_while_held():

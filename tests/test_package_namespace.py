@@ -1,0 +1,95 @@
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+from conftest import tree_env
+import frstokes
+from frstokes import cq_time_stepper
+
+# The public names of the package, by the submodule that defines them.
+PUBLIC = {
+    "cq_time_stepper": (
+        "CQWeights", "DivergedError", "PicardConvergenceError", "SchemeConfig",
+        "Trajectory", "cq_fractional_integral", "cq_weights", "step_implicit",
+        "step_linearized",
+    ),
+    "experiment_harness": (
+        "ExperimentReport", "StudyConfig", "fit_rate", "run_nonsymmetric_study",
+        "run_prefactor_study", "run_spatial_study", "run_temporal_study",
+        "solve_final",
+    ),
+    "fem_assembly": (
+        "CaseAInitialData", "CaseBInitialData", "CustomInitialData", "InitialData",
+        "NodalField", "Nonlinearity", "ProblemSpec", "SingleModeInitialData",
+        "assemble_lumped_mass", "assemble_mass", "assemble_stiffness",
+        "initial_data_for_case", "l2_error_vs_function", "l2_error_vs_reference",
+        "l2_norm", "l2_project", "load_vector", "mesh_operator",
+        "sqrt_one_plus_u2", "zero_source",
+    ),
+    "mesh": (
+        "TriMesh", "build_nonsymmetric_mesh", "build_symmetric_mesh",
+        "evaluate_p1", "format_mesh_text",
+    ),
+    "sparse_linalg": (
+        "CGConvergenceError", "CompositeOperator", "DiagMatrix",
+        "SparseSymMatrix", "cg_solve",
+    ),
+    "spectral_oracle": (
+        "ContourResolutionError", "ContourSpec", "laplacian_eigenvalue",
+        "linear_exact_solution", "mode_response", "mode_response_many",
+        "scalar_cq_response", "smoothing_probe", "symbol_g",
+    ),
+}
+NAMES = sorted([*PUBLIC, *(n for names in PUBLIC.values() for n in names)])
+
+
+def test_all_lists_the_public_names():
+    assert len(NAMES) == 62
+    assert frstokes.__all__ == NAMES
+
+
+@pytest.mark.parametrize("module_name", sorted(PUBLIC))
+def test_names_are_the_defining_modules_objects(module_name):
+    module = importlib.import_module(f"frstokes.{module_name}")
+    assert getattr(frstokes, module_name) is module
+    for name in PUBLIC[module_name]:
+        assert getattr(frstokes, name) is getattr(module, name), name
+
+
+def test_dir_lists_every_public_name():
+    listed = dir(frstokes)
+    assert set(NAMES) <= set(listed)
+    assert "__version__" in listed and frstokes.__version__ == "0.1.0"
+
+
+def test_star_import_binds_every_public_name():
+    probe = ("import frstokes; ns = {}; exec('from frstokes import *', ns); "
+             "print(sorted(n for n in ns if n != '__builtins__') == frstokes.__all__)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=tree_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'frstokes' has no attribute 'step_galerkin'"):
+        frstokes.step_galerkin
+    with pytest.raises(ImportError, match="step_galerkin"):
+        from frstokes import step_galerkin  # noqa: F401
+
+
+def test_names_are_looked_up_on_every_access(monkeypatch):
+    # a tracer rebinds the name in its defining module and restores it; the
+    # package must hand out whatever is bound there now
+    original = cq_time_stepper.step_linearized
+
+    def wrapper(*args, **kwargs):
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cq_time_stepper, "step_linearized", wrapper)
+    assert frstokes.step_linearized is wrapper
+    monkeypatch.undo()
+    assert frstokes.step_linearized is original
+    assert "step_linearized" not in vars(frstokes)
