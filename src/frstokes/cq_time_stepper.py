@@ -194,6 +194,8 @@ class SchemeConfig:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
         _require_count("N", self.N)
+        if self.tau is not None and not _is_positive_real(self.tau):
+            raise ValueError(f"tau must be None or a finite number > 0, got {self.tau!r}")
         if not _is_positive_real(self.picard_tol):
             raise ValueError("picard_tol must be a finite number > 0, "
                              f"got {self.picard_tol!r}")
@@ -205,7 +207,7 @@ class SchemeConfig:
 
     def resolve_tau(self, T: float) -> float:
         tau = T / self.N if self.tau is None else self.tau
-        if abs(tau * self.N - T) > 1e-14 * max(1.0, T):
+        if not abs(tau * self.N - T) <= 1e-14 * max(1.0, T):
             raise ValueError(f"tau * N = {tau * self.N} inconsistent with T = {T}")
         return tau
 

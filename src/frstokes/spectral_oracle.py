@@ -12,10 +12,22 @@ origin, oriented by increasing imaginary part.  The quadrature uses
 Gauss-Legendre panels, geometrically spaced along the rays, which keeps
 the corner joints of the contour on panel boundaries and converges to
 machine precision at the default node counts.
+
+The lower half of the contour is the mirror image of the upper half, node
+for node and weight for weight, and for real lam, gamma and t the
+integrand takes conjugate values at conjugate points.  So the sum over the
+lower half is the conjugate of the sum over the upper half, and e_lam(t)
+is twice the real part of the upper half's sum (Weideman & Trefethen,
+"Parabolic and hyperbolic contours for computing the Bromwich integral",
+Math. Comp. 76 (2007)).  The imaginary part of the full sum is zero up to
+rounding, so it is not computed; the rounding of the sum is bounded
+instead (see ``ContourResolutionError``).
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,13 +51,29 @@ _GL_ORDER = 8
 # exp(z t) below 1e-18 in modulus is dropped when choosing the ray length.
 _TRUNC_LOG = 18.0 * np.log(10.0)
 # Eigenvalues per block in mode_response_many: bounds the working array to
-# _LAM_BLOCK x (contour nodes) complex values, about 1 MB at 480 nodes, so a
-# block stays in cache.
+# _LAM_BLOCK x (contour nodes / 2) complex values, about 0.5 MB at 480
+# nodes, so a block stays in cache.
 _LAM_BLOCK = 128
+# The rounding of a contour sum may reach this fraction of 1 + |e_lam(t)|.
+_ROUNDING_TOL = 1e-10
+_EPS = float(np.finfo(float).eps)
 
 
 class ContourResolutionError(RuntimeError):
-    """The quadrature left a non-negligible imaginary residue."""
+    """The contour sum may have lost more than 1e-10 (1 + |e_lam(t)|) to
+    rounding: eps * sum_k |r_k / (lam - p_k)| over the full contour exceeds
+    it.  This happens when |exp(z t)| is large on the contour and its terms
+    cancel, as on an arc much larger than 1/t.  It is a cancellation bound,
+    not a test of quadrature resolution: it does not see a sum that is
+    computed accurately but has too few nodes.
+    """
+
+
+def _require_finite(name: str, value) -> None:
+    """Reject anything but a finite real number, such as nan, inf or "1"."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -58,14 +86,19 @@ class ContourSpec:
     nodes_per_ray: int = 160
 
     def __post_init__(self):
+        for name in ("theta", "delta", "radius"):
+            _require_finite(name, getattr(self, name))
         if not np.pi / 2 < self.theta < np.pi:
             raise ValueError(f"theta must lie in (pi/2, pi), got {self.theta}")
         if self.delta <= 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
         if self.radius <= self.delta:
             raise ValueError("truncation radius must exceed delta")
-        if self.nodes_per_ray < _GL_ORDER:
-            raise ValueError(f"need at least {_GL_ORDER} nodes per ray")
+        if (not isinstance(self.nodes_per_ray, numbers.Integral)
+                or isinstance(self.nodes_per_ray, bool)
+                or self.nodes_per_ray < _GL_ORDER):
+            raise ValueError(f"nodes_per_ray must be an integer >= {_GL_ORDER}, "
+                             f"got {self.nodes_per_ray!r}")
 
     @classmethod
     def for_time(cls, t: float, nodes_per_ray: int = 160) -> "ContourSpec":
@@ -77,8 +110,7 @@ class ContourSpec:
         z + lam + lam gamma z^alpha has a positive imaginary part for
         0 < arg z < pi, so it has no zeros in the cut plane.
         """
-        if t <= 0:
-            raise ValueError(f"time must be positive, got {t}")
+        _require_positive_time(t)
         theta = 3.0 * np.pi / 4.0
         delta = 1.0 / t
         radius = max(_TRUNC_LOG / (abs(np.cos(theta)) * t), 4.0 * delta)
@@ -86,9 +118,16 @@ class ContourSpec:
                    nodes_per_ray=nodes_per_ray)
 
 
+def _require_positive_time(t) -> None:
+    _require_finite("t", t)
+    if t <= 0:
+        raise ValueError(f"t must be positive, got {t}")
+
+
 def _check_alpha_gamma(alpha: float, gamma: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    _require_finite("gamma", gamma)
     if not gamma >= 0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
 
@@ -121,6 +160,11 @@ def contour_nodes(spec: ContourSpec):
     w_up = ws * up  # dz = e^{i theta} e^s ds
 
     psi, wpsi = _panel_nodes(-spec.theta, spec.theta, max(2, panels))
+    # the panel edges are symmetric about 0 only up to rounding: average
+    # each node with its mirror image so that the lower arc is exactly the
+    # conjugate of the upper one, as mode_response_many assumes
+    psi = 0.5 * (psi - psi[::-1])
+    wpsi = 0.5 * (wpsi + wpsi[::-1])
     arc = spec.delta * np.exp(1j * psi)
     w_arc = wpsi * 1j * arc  # dz = i delta e^{i psi} dpsi
 
@@ -136,16 +180,24 @@ def mode_response_many(lams, t: float, alpha: float, gamma: float,
 
     The quadrature is taken in pole form: with sigma_k = 1 + gamma z_k^alpha,
     residues r_k = w_k exp(z_k t) / sigma_k and poles p_k = -z_k / sigma_k,
-    computed once per contour, e_lam(t) = sum_k r_k / (lam - p_k).  Each
-    distinct eigenvalue is evaluated once (a grid spectrum repeats
-    lam_kl = lam_lk) and the values are scattered back.  The distinct
-    eigenvalues are taken in blocks of ``_LAM_BLOCK``, so the working array
-    is at most ``_LAM_BLOCK`` x (number of nodes) whatever the length of
-    ``lams``; each value is the same as a single-eigenvalue call.
+    computed once per contour, e_lam(t) = sum_k r_k / (lam - p_k).  The
+    terms of the lower half of the contour are the conjugates of those of
+    the upper half, so only the nodes with Im z_k > 0 are kept and
+    e_lam(t) = 2 Re sum_{Im z_k > 0} r_k / (lam - p_k).  Each distinct
+    eigenvalue is evaluated once (a grid spectrum repeats lam_kl = lam_lk)
+    and the values are scattered back.  The distinct eigenvalues are taken
+    in blocks of ``_LAM_BLOCK``, so the working array is at most
+    ``_LAM_BLOCK`` x (number of nodes / 2) whatever the length of ``lams``;
+    each value is the same as a single-eigenvalue call.
+
+    Raises ``ContourResolutionError`` when the rounding bound
+    eps * sum_k |r_k / (lam - p_k)| over the full contour exceeds
+    1e-10 (1 + |e_lam(t)|) for some eigenvalue.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     if not np.all((lams >= 0) & (lams < np.inf)):
         raise ValueError("eigenvalues must be finite and nonnegative")
+    _require_positive_time(t)
     _check_alpha_gamma(alpha, gamma)
     distinct, where = np.unique(lams, return_inverse=True)
     spec = contour if contour is not None else ContourSpec.for_time(t)
@@ -159,24 +211,39 @@ def mode_response_many(lams, t: float, alpha: float, gamma: float,
         raise ValueError("eigenvalue too large for the contour quadrature: "
                          f"lam (1 + gamma z^alpha) overflows (largest eigenvalue "
                          f"{distinct[-1]:.3e})")
-    residues = w * np.exp(z * t) / sigma
-    poles = -z / sigma
-    vals = np.empty(distinct.shape, dtype=complex)
+    upper = z.imag > 0
+    residues = (w * np.exp(z * t) / sigma)[upper]
+    poles = (-z / sigma)[upper]
+    # For real lam, |lam - p_k| >= |Im p_k| > 0, so this bounds the sum of
+    # |terms| for every eigenvalue at once; the terms are bounded one
+    # eigenvalue at a time only when it does not pass.
+    bound_each = (_EPS * 2.0 * np.sum(np.abs(residues) / np.abs(poles.imag))
+                  > _ROUNDING_TOL)
+    vals = np.empty(distinct.shape)
+    magnitude = np.empty(distinct.shape) if bound_each else None
     for start in range(0, distinct.size, _LAM_BLOCK):
         block = np.subtract.outer(distinct[start : start + _LAM_BLOCK], poles)
         np.divide(residues, block, out=block)
-        vals[start : start + block.shape[0]] = block.sum(axis=1)
+        stop = start + block.shape[0]
+        vals[start:stop] = 2.0 * block.sum(axis=1).real
+        if bound_each:
+            # |Re| + |Im| of each term bounds its modulus
+            parts = block.view(float)
+            np.abs(parts, out=parts)
+            magnitude[start:stop] = 2.0 * parts.sum(axis=1)
     if not np.isfinite(vals).all():
         raise ValueError("eigenvalue too large for the contour quadrature: "
                          f"the sum overflowed (largest eigenvalue {distinct[-1]:.3e})")
-    residue = np.abs(vals.imag)
-    bound = 1e-10 * (1.0 + np.abs(vals.real))
-    if np.any(residue > bound):
-        raise ContourResolutionError(
-            f"imaginary residue {residue.max():.3e} exceeds tolerance; "
-            "increase the contour resolution"
-        )
-    return vals.real[where.reshape(lams.shape)]
+    if bound_each:
+        relative = _EPS * magnitude / (1.0 + np.abs(vals))
+        worst = int(np.argmax(relative))
+        if relative[worst] > _ROUNDING_TOL:
+            raise ContourResolutionError(
+                f"rounding bound {relative[worst]:.3e} (1 + |e_lam|) of the contour "
+                f"sum exceeds {_ROUNDING_TOL:.0e} at lam = {distinct[worst]:.6g}: "
+                "exp(z t) is large on the contour and its terms cancel; "
+                "use a smaller arc (ContourSpec.for_time)")
+    return vals[where.reshape(lams.shape)]
 
 
 def mode_response(lam: float, t: float, alpha: float, gamma: float,
@@ -219,13 +286,15 @@ def scalar_cq_response(lam: float, alpha: float, gamma: float, T: float,
     sum-of-exponentials history there) and the weights have their own
     code, so this path is an independent check of it.
     """
-    if not lam >= 0:
-        raise ValueError(f"eigenvalue must be nonnegative, got {lam}")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"eigenvalue must be finite and nonnegative, got {lam}")
     _check_alpha_gamma(alpha, gamma)
+    _require_finite("T", T)
     if not T > 0:
         raise ValueError(f"T must be positive, got {T}")
     if not isinstance(N, (int, np.integer)) or N < 1:
         raise ValueError(f"N must be a positive integer, got {N!r}")
+    _require_finite("u0", u0)
     tau = T / N
     beta = 1.0 - alpha
     frac_scale = gamma * tau**beta

@@ -415,6 +415,17 @@ def test_config_validation():
     assert SchemeConfig(variant="lumped-linearized", N=4).resolve_tau(2.0) == 0.5
 
 
+@pytest.mark.parametrize("tau", [math.nan, math.inf, 0.0, -0.25, True, "0.25"])
+def test_config_rejects_bad_tau(tau):
+    with pytest.raises(ValueError, match="tau must be None or a finite number"):
+        SchemeConfig(variant="lumped-linearized", N=4, tau=tau)
+
+
+def test_resolve_tau_rejects_nan_time():
+    with pytest.raises(ValueError, match="inconsistent"):
+        SchemeConfig(variant="lumped-linearized", N=4).resolve_tau(math.nan)
+
+
 @pytest.mark.parametrize("maxit", [2.5, True, 0, -1])
 def test_config_rejects_bad_picard_maxit(maxit):
     with pytest.raises(ValueError, match="picard_maxit"):

@@ -69,6 +69,41 @@ def test_symbol_values():
         symbol_g(1.0, 0.5, -1.0)
 
 
+@pytest.mark.parametrize("kwargs,match", [
+    ({"theta": math.nan}, "theta"),
+    ({"theta": math.inf}, "theta"),
+    ({"delta": math.nan}, "delta"),
+    ({"delta": math.inf}, "delta"),
+    ({"radius": math.inf}, "radius"),
+    ({"radius": math.nan}, "radius"),
+    ({"nodes_per_ray": 16.5}, "nodes_per_ray"),
+    ({"nodes_per_ray": True}, "nodes_per_ray"),
+    ({"nodes_per_ray": "160"}, "nodes_per_ray"),
+])
+def test_contour_spec_rejects_bad_values(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        ContourSpec(**kwargs)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_contour_for_time_rejects_non_finite_time(t):
+    with pytest.raises(ValueError, match="t must be a finite number"):
+        ContourSpec.for_time(t)
+
+
+@pytest.mark.parametrize("args,match", [
+    ((1.0, math.nan, 0.5, 1.0), "t must be a finite number"),
+    ((1.0, math.inf, 0.5, 1.0), "t must be a finite number"),
+    ((1.0, 0.5, 0.5, math.inf), "gamma must be a finite number"),
+    ((1.0, 0.5, 0.5, math.nan), "gamma must be a finite number"),
+    ((1.0, 0.5, math.nan, 1.0), "alpha"),
+    ((1.0, -0.5, 0.5, 1.0, ContourSpec()), "t must be positive"),
+])
+def test_mode_response_rejects_bad_arguments(args, match):
+    with pytest.raises(ValueError, match=match):
+        mode_response(*args)
+
+
 def test_contour_spec_validation():
     with pytest.raises(ValueError):
         ContourSpec(theta=np.pi / 2)
@@ -92,15 +127,27 @@ def test_contour_for_time_scaling():
     assert small.radius > 4.0 * small.delta
 
 
-def test_contour_nodes_conjugate_symmetric():
-    # conjugating a node must map it to another node with conjugated weight,
-    # so real transforms produce real values without explicit symmetrization
-    z, w = contour_nodes(ContourSpec.for_time(1.0))
-    dist = np.abs(z[:, None] - np.conj(z)[None, :])
-    partner = dist.argmin(axis=1)
-    scale = np.abs(z) + 1.0
-    assert np.all(dist[np.arange(z.size), partner] < 1e-13 * scale)
-    assert np.allclose(w, np.conj(w)[partner], atol=1e-15)
+@pytest.mark.parametrize("spec", [
+    pytest.param(ContourSpec(), id="default"),
+    *(pytest.param(ContourSpec.for_time(t), id=f"for_time({t:g})")
+      for t in (1e-7, 1e-3, 1.0, 30.0)),
+    # 1, 3 and 20 panels per ray, 2, 3 and 20 on the arc
+    *(pytest.param(ContourSpec(nodes_per_ray=n), id=f"nodes_per_ray={n}")
+      for n in (8, 24, 160)),
+])
+def test_contour_nodes_are_conjugate_symmetric(spec):
+    # mode_response_many sums the upper half alone: each lower node must be
+    # the conjugate of an upper node, with the conjugate weight
+    z, w = contour_nodes(spec)
+    upper = z.imag > 0
+    assert 2 * upper.sum() == z.size
+    assert np.all(z.imag != 0.0)
+    zu, wu = z[upper], w[upper]
+    zl, wl = np.conj(z[~upper]), np.conj(w[~upper])
+    partner = np.abs(zu[:, None] - zl[None, :]).argmin(axis=1)
+    assert np.array_equal(np.sort(partner), np.arange(zu.size))
+    assert np.all(np.abs(zl[partner] - zu) <= 1e-15 * np.abs(zu))
+    assert np.all(np.abs(wl[partner] - wu) <= 1e-15 * np.abs(wu))
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
@@ -242,6 +289,35 @@ def test_mode_response_many_checks_every_block_of_distinct_values():
         mode_response_many(lams, 1.0, 0.5, 1.0, spec)
 
 
+def full_contour_sum(lam, t, alpha, gamma, spec):
+    """sum_k w_k exp(z_k t) / (z_k + lam (1 + gamma z_k^alpha)) over every
+    node of the contour, lower half included, as a complex number."""
+    z, w = contour_nodes(spec)
+    return (w * np.exp(z * t) / (z + lam * (1.0 + gamma * z**alpha))).sum()
+
+
+def test_rounding_check_is_no_looser_than_imaginary_residue():
+    # the full sum's imaginary part is pure rounding; wherever it exceeds
+    # the tolerance the half-contour kernel must refuse the value
+    flagged = 0
+    for delta in (5.0, 10.0, 20.0, 30.0, 40.0):
+        spec = ContourSpec(delta=delta, radius=200.0)
+        for lam in (0.0, 1.0, 1e2, 1e4, 1e6, 1e8):
+            full = full_contour_sum(lam, 1.0, 0.5, 1.0, spec)
+            if abs(full.imag) > 1e-10 * (1.0 + abs(full.real)):
+                flagged += 1
+                with pytest.raises(ContourResolutionError, match="smaller arc"):
+                    mode_response_many([lam], 1.0, 0.5, 1.0, spec)
+    assert flagged > 0
+
+
+def test_default_contours_pass_rounding_check():
+    lams = np.concatenate([[0.0], np.logspace(-2.0, 8.0, 41)])
+    for t in np.logspace(-7.0, 2.0, 10):
+        vals = mode_response_many(lams, float(t), 0.5, 1.0)
+        assert np.all(np.isfinite(vals))
+
+
 def test_mode_response_many_scatters_repeated_eigenvalues():
     lams = grid_eigenvalues(32)  # lam_kl = lam_lk: 484 distinct of 961
     vals = mode_response_many(lams, 1e-3, 0.5, 1.0)
@@ -368,6 +444,12 @@ def test_product_weights_match_gamma_ratio_asymptotics(beta):
     ((20.0, 0.5, 1.0, 0.0, 4), "T must be positive"),
     ((20.0, 0.5, 1.0, 1.0, 0), "N must be a positive integer"),
     ((20.0, 0.5, 1.0, 1.0, 4.0), "N must be a positive integer"),
+    ((math.inf, 0.5, 1.0, 1.0, 4), "eigenvalue must be finite"),
+    ((20.0, 0.5, math.inf, 1.0, 4), "gamma must be a finite number"),
+    ((20.0, 0.5, 1.0, math.inf, 4), "T must be a finite number"),
+    ((20.0, 0.5, 1.0, math.nan, 4), "T must be a finite number"),
+    ((20.0, 0.5, 1.0, 1.0, 4, math.nan), "u0 must be a finite number"),
+    ((20.0, 0.5, 1.0, 1.0, 4, math.inf), "u0 must be a finite number"),
 ])
 def test_scalar_cq_rejects_bad_input(args, match):
     with pytest.raises(ValueError, match=match):
