@@ -44,10 +44,7 @@ _EXPORTS = {
         "TriMesh", "build_nonsymmetric_mesh", "build_symmetric_mesh",
         "evaluate_p1", "format_mesh_text",
     ),
-    "sparse_linalg": (
-        "CGConvergenceError", "CompositeOperator", "DiagMatrix",
-        "SparseSymMatrix", "cg_solve",
-    ),
+    "sparse_linalg": ("CGConvergenceError", "CompositeOperator", "cg_solve"),
     "spectral_oracle": (
         "ContourResolutionError", "ContourSpec", "laplacian_eigenvalue",
         "linear_exact_solution", "mode_response", "mode_response_many",

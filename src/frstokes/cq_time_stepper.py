@@ -122,10 +122,10 @@ class CQWeights:
 
 def cq_weights(beta: float, N: int) -> CQWeights:
     """Weights via the stable recursion q_0 = 1, q_j = q_{j-1} (j-1+beta)/j."""
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if N < 0:
-        raise ValueError(f"N must be nonnegative, got {N}")
+    if not _is_positive_real(beta):
+        raise ValueError(f"beta must be a finite number > 0, got {beta!r}")
+    if not _is_count(N, least=0):
+        raise ValueError(f"N must be an integer >= 0, got {N!r}")
     j = np.arange(1, N + 1)
     q = np.cumprod(np.concatenate([[1.0], (j - 1 + beta) / j]))
     q.setflags(write=False)
@@ -141,8 +141,8 @@ def cq_fractional_integral(samples, beta: float, tau: float) -> float:
     phi = np.asarray(samples, dtype=float)
     if phi.ndim != 1 or phi.size == 0:
         raise ValueError("samples must be a nonempty 1-d array")
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not _is_positive_real(tau):
+        raise ValueError(f"tau must be a finite number > 0, got {tau!r}")
     q = cq_weights(beta, phi.size - 1).q
     return float(tau**beta * q[::-1].dot(phi))
 
@@ -153,9 +153,10 @@ def _require_bool(name: str, value) -> None:
         raise ValueError(f"{name} must be a bool, got {value!r}")
 
 
-def _is_count(value) -> bool:
-    """True for an integer >= 1 that is not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+def _is_count(value, least: int = 1) -> bool:
+    """True for an integer >= ``least`` that is not a bool."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= least)
 
 
 def _is_positive_real(value) -> bool:
@@ -350,15 +351,15 @@ def _advance(A, W, u0: np.ndarray, alpha: float, gamma: float, tau: float,
     lu = CompositeOperator(W, tau + frac_scale, A).factorize()
     load = source_of_prev if implicit_source is None else implicit_source
     if load is None:
-        K = -A.tocsr()
+        K = -A
         zg = np.empty(ndof)
     else:
-        K = sp.hstack([-A.tocsr(), tau * load.S], format="csr")
+        K = sp.hstack([-A, tau * load.S], format="csr")
         zg = np.zeros(2 * ndof)
         g = zg[ndof:]
         tau_b = tau * load.b
     z = zg[:ndof]
-    base = W.matvec(u0)  # W U^0 + n tau b
+    base = W @ u0  # W U^0 + n tau b
 
     # k[m] weighs U^(n-m) in the history z_n of step n; k[0] = 1 adds the
     # block's own row i, which holds the history from before the block.
@@ -472,13 +473,13 @@ def _source_builder(mesh: TriMesh, problem: ProblemSpec, lumped: bool):
         return None
     if lumped:
         diag = mesh_operator(mesh, "lumped_mass")
-        return _Load(diag.tocsr(), np.zeros(diag.n), f)
+        return _Load(diag, np.zeros(diag.shape[0]), f)
 
     f_boundary = np.zeros(mesh.n_nodes)
     f_boundary[mesh.boundary_mask] = f(np.zeros(np.count_nonzero(mesh.boundary_mask)))
-    load_boundary = (mesh_operator(mesh, "mass", full=True).tocsr()
+    load_boundary = (mesh_operator(mesh, "mass", full=True)
                      @ f_boundary)[mesh.interior_nodes]
-    return _Load(mesh_operator(mesh, "mass").tocsr(), load_boundary, f)
+    return _Load(mesh_operator(mesh, "mass"), load_boundary, f)
 
 
 def _solve(config: SchemeConfig, problem: ProblemSpec, mesh: TriMesh) -> Trajectory:

@@ -1,7 +1,8 @@
 """P1 finite element assembly on the unit square.
 
 Assembles stiffness, consistent mass and lumped (vertex-quadrature) mass
-matrices, load vectors for several triangle quadrature rules, and the L2
+matrices as ``scipy.sparse`` CSR matrices (the lumped mass is a diagonal
+one), load vectors for several triangle quadrature rules, and the L2
 projection onto the space V_h of continuous piecewise linears vanishing on
 the boundary.  :func:`mesh_operator` memoizes the assembled operators on
 the mesh, and the default realization of initial data is memoized there
@@ -19,9 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.typing as npt
+import scipy.sparse as sp
 
 from .mesh import TriMesh, evaluate_p1
-from .sparse_linalg import DiagMatrix, SparseSymMatrix, cg_solve
+from .sparse_linalg import cg_solve
 
 __all__ = [
     "NodalField",
@@ -130,19 +132,21 @@ def _triangle_geometry(mesh: TriMesh):
     return 0.5 * area2, grad
 
 
-def _interior_block(full, mesh: TriMesh) -> SparseSymMatrix:
+def _interior_block(full: sp.csr_matrix, mesh: TriMesh) -> sp.csr_matrix:
     idx = mesh.interior_nodes
-    return SparseSymMatrix(full._csr[idx][:, idx])
+    return full[idx][:, idx]
 
 
-def _scatter_symmetric(mesh: TriMesh, local: np.ndarray) -> SparseSymMatrix:
+def _scatter_symmetric(mesh: TriMesh, local: np.ndarray) -> sp.csr_matrix:
+    """Sum the (m, 3, 3) element matrices into one CSR matrix over all nodes."""
     tris = mesh.triangles
     rows = np.repeat(tris, 3, axis=1).ravel()
     cols = np.tile(tris, (1, 3)).ravel()
-    return SparseSymMatrix.from_coo(rows, cols, local.ravel(), mesh.n_nodes)
+    n = mesh.n_nodes
+    return sp.csr_matrix((local.ravel(), (rows, cols)), shape=(n, n))
 
 
-def assemble_stiffness(mesh: TriMesh, full: bool = False) -> SparseSymMatrix:
+def assemble_stiffness(mesh: TriMesh, full: bool = False) -> sp.csr_matrix:
     """Stiffness matrix (grad v, grad w); interior DOFs unless ``full``.
 
     Entries that sum to exactly zero (the couplings across the diagonals of
@@ -151,11 +155,11 @@ def assemble_stiffness(mesh: TriMesh, full: bool = False) -> SparseSymMatrix:
     areas, grad = _triangle_geometry(mesh)
     local = areas[:, None, None] * np.einsum("tid,tjd->tij", grad, grad)
     mat = _scatter_symmetric(mesh, local)
-    mat.tocsr().eliminate_zeros()
+    mat.eliminate_zeros()
     return mat if full else _interior_block(mat, mesh)
 
 
-def assemble_mass(mesh: TriMesh, full: bool = False) -> SparseSymMatrix:
+def assemble_mass(mesh: TriMesh, full: bool = False) -> sp.csr_matrix:
     """Consistent mass matrix (v, w); interior DOFs unless ``full``."""
     areas = mesh.triangle_areas()
     local = areas[:, None, None] * _LOCAL_MASS[None, :, :]
@@ -163,7 +167,7 @@ def assemble_mass(mesh: TriMesh, full: bool = False) -> SparseSymMatrix:
     return mat if full else _interior_block(mat, mesh)
 
 
-def assemble_lumped_mass(mesh: TriMesh, full: bool = False) -> DiagMatrix:
+def assemble_lumped_mass(mesh: TriMesh, full: bool = False) -> sp.csr_matrix:
     """Diagonal mass from vertex quadrature: D_ii = sum of |K|/3 over K at i.
 
     Row-for-row this equals the row sums of the consistent mass matrix.
@@ -171,16 +175,13 @@ def assemble_lumped_mass(mesh: TriMesh, full: bool = False) -> DiagMatrix:
     areas = mesh.triangle_areas()
     diag = np.zeros(mesh.n_nodes)
     np.add.at(diag, mesh.triangles.ravel(), np.repeat(areas / 3.0, 3))
-    if full:
-        return DiagMatrix(diag)
-    return DiagMatrix(diag[mesh.interior_nodes])
+    return sp.diags(diag if full else diag[mesh.interior_nodes], format="csr")
 
 
-def _read_only(op):
-    if isinstance(op, SparseSymMatrix):
-        for arr in (op.data, op.indices, op.indptr):
-            arr.setflags(write=False)
-    return op  # a DiagMatrix is read-only already
+def _read_only(op: sp.csr_matrix) -> sp.csr_matrix:
+    for arr in (op.data, op.indices, op.indptr):
+        arr.setflags(write=False)
+    return op
 
 
 def mesh_operator(mesh: TriMesh, kind: str, full: bool = False):
@@ -207,6 +208,13 @@ def mesh_operator(mesh: TriMesh, kind: str, full: bool = False):
     return memo[key]
 
 
+def _quad_rule(rule: str) -> tuple[np.ndarray, np.ndarray]:
+    try:
+        return QUAD_RULES[rule]
+    except KeyError:
+        raise ValueError(f"unknown quadrature rule {rule!r}") from None
+
+
 def load_vector(mesh: TriMesh, g, rule: str = "order4") -> FloatArray:
     """Full-node load b_i ~ integral of g * phi_i, by triangle quadrature.
 
@@ -214,10 +222,7 @@ def load_vector(mesh: TriMesh, g, rule: str = "order4") -> FloatArray:
     (degree 1), ``midpoint`` (edge midpoints, degree 2), ``order4``
     (6 interior points, degree 4).
     """
-    try:
-        bary, weights = QUAD_RULES[rule]
-    except KeyError:
-        raise ValueError(f"unknown quadrature rule {rule!r}") from None
+    bary, weights = _quad_rule(rule)
     areas = mesh.triangle_areas()
     p = mesh.nodes[mesh.triangles]  # (m, 3, 2)
     b = np.zeros(mesh.n_nodes)
@@ -242,7 +247,7 @@ def l2_norm(mesh: TriMesh, fld) -> float:
     """L2(Omega) norm of a P1 field, via the full-node consistent mass."""
     vals = np.asarray(getattr(fld, "values", fld), dtype=float)
     M = mesh_operator(mesh, "mass", full=True)
-    return float(np.sqrt(max(vals.dot(M.matvec(vals)), 0.0)))
+    return float(np.sqrt(max(vals.dot(M @ vals), 0.0)))
 
 
 def l2_error_vs_reference(coarse: tuple[TriMesh, NodalField],
@@ -269,7 +274,7 @@ def l2_error_vs_reference(coarse: tuple[TriMesh, NodalField],
 def l2_error_vs_function(mesh: TriMesh, fld, fn, rule: str = "order4") -> float:
     """L2 distance between a P1 field and a smooth function, by quadrature."""
     vals = np.asarray(getattr(fld, "values", fld), dtype=float)
-    bary, weights = QUAD_RULES[rule]
+    bary, weights = _quad_rule(rule)
     areas = mesh.triangle_areas()
     p = mesh.nodes[mesh.triangles]
     v = vals[mesh.triangles]  # (m, 3)
@@ -397,5 +402,7 @@ class ProblemSpec:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
-        if self.nonlinearity.lipschitz < 0:
-            raise ValueError("Lipschitz constant must be nonnegative")
+        lipschitz = self.nonlinearity.lipschitz
+        if not (math.isfinite(lipschitz) and lipschitz >= 0):
+            raise ValueError("Lipschitz constant must be a finite number >= 0, "
+                             f"got {lipschitz!r}")

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.special import binom
 
@@ -35,7 +36,7 @@ from frstokes.fem_assembly import (
     zero_source,
 )
 from frstokes.mesh import build_nonsymmetric_mesh, build_symmetric_mesh
-from frstokes.sparse_linalg import CompositeOperator, DiagMatrix, SparseSymMatrix
+from frstokes.sparse_linalg import CompositeOperator
 
 
 def brute_force_history(A, W, u0, alpha, gamma, tau, N, f=None, f_apply=None):
@@ -67,7 +68,7 @@ def direct_sum_advance(A, W, u0, alpha, gamma, tau, N, source_of_prev,
     q = cq_weights(1.0 - alpha, N).q
     frac_scale = gamma * tau ** (1.0 - alpha)
     lu = CompositeOperator(W, tau + frac_scale, A).factorize()
-    w_u0 = W.matvec(u0)
+    w_u0 = W @ u0
     sum_plain = np.zeros(ndof)
     sum_source = np.zeros(ndof)
     if implicit_source is not None:
@@ -78,7 +79,7 @@ def direct_sum_advance(A, W, u0, alpha, gamma, tau, N, source_of_prev,
         if source_of_prev is not None:
             sum_source += source_of_prev(prev)
         weighted = q[1 : n + 1][::-1].dot(history[:n])
-        rhs = w_u0 - A.matvec(tau * sum_plain + frac_scale * weighted) + tau * sum_source
+        rhs = w_u0 - A @ (tau * sum_plain + frac_scale * weighted) + tau * sum_source
         if implicit_source is None:
             u = lu.solve(rhs)
         else:
@@ -95,8 +96,7 @@ def direct_sum_advance(A, W, u0, alpha, gamma, tau, N, source_of_prev,
 
 
 def one_by_one(value):
-    return SparseSymMatrix.from_coo(np.array([0]), np.array([0]),
-                                    np.array([float(value)]), 1)
+    return sp.csr_matrix([[float(value)]])
 
 
 def test_weights_match_binomial_series():
@@ -119,6 +119,15 @@ def test_weights_unit_beta_and_edge_cases():
         cq_weights(0.5, -1)
     with pytest.raises(ValueError):
         cq_weights(0.5, 4).q[0] = 2.0
+    # beta must be a finite real > 0 and N an integer >= 0 that is no bool:
+    # 2.5 used to give 4 weights, True 2, and beta = inf [1, inf, inf]
+    for beta in (float("nan"), float("inf"), -0.5, True, "0.5"):
+        with pytest.raises(ValueError, match="beta must be a finite number > 0"):
+            cq_weights(beta, 2)
+    for N in (2.5, 2.0, True, False, "2"):
+        with pytest.raises(ValueError, match="N must be an integer >= 0"):
+            cq_weights(0.5, N)
+    assert cq_weights(0.5, np.int64(3)).q.size == 4
 
 
 def test_weights_partial_sum_identity():
@@ -159,12 +168,19 @@ def test_fractional_integral_validation():
         cq_fractional_integral(np.ones((2, 2)), 0.5, 0.1)
     with pytest.raises(ValueError):
         cq_fractional_integral([1.0], 0.5, 0.0)
+    # nan and inf used to return nan and inf
+    for tau in (float("nan"), float("inf"), -0.1, True):
+        with pytest.raises(ValueError, match="tau must be a finite number > 0"):
+            cq_fractional_integral([1.0, 2.0], 0.5, tau)
+    for beta in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(ValueError, match="beta must be a finite number > 0"):
+            cq_fractional_integral([1.0, 2.0], beta, 0.1)
 
 
 def test_scalar_first_step_closed_form():
     # 1x1 system, lam = 1, alpha = 1/2, gamma = 1, tau = 1/2, no source:
     # (1 + tau + sqrt(tau)) U1 = 1 - (tau + sqrt(tau) * q_1), q_1 = 1/2
-    hist = _advance(one_by_one(1.0), DiagMatrix([1.0]), np.array([1.0]),
+    hist = _advance(one_by_one(1.0), sp.diags([1.0], format="csr"), np.array([1.0]),
                     alpha=0.5, gamma=1.0, tau=0.5, N=2,
                     steps=np.arange(3), source_of_prev=None)
     expect = (0.5 - math.sqrt(2.0) / 4.0) / (1.5 + math.sqrt(2.0) / 2.0)
@@ -179,7 +195,7 @@ def test_scalar_trajectory_matches_double_sum():
         alpha = rng.uniform(0.1, 0.9)
         gamma = rng.uniform(0.2, 3.0)
         lam = rng.uniform(0.5, 40.0)
-        hist = _advance(one_by_one(lam), DiagMatrix([1.0]), np.array([1.0]),
+        hist = _advance(one_by_one(lam), sp.diags([1.0], format="csr"), np.array([1.0]),
                         alpha=alpha, gamma=gamma, tau=0.1, N=8,
                         steps=np.arange(9), source_of_prev=None)
         ref = brute_force_history(lam, 1.0, 1.0, alpha, gamma, 0.1, 8)
@@ -189,12 +205,12 @@ def test_scalar_trajectory_matches_double_sum():
 def variant_matrices(mesh, variant, source_lumping):
     A = assemble_stiffness(mesh).toarray()
     if variant == "lumped-linearized":
-        W = np.diag(assemble_lumped_mass(mesh).values)
+        W = np.diag(assemble_lumped_mass(mesh).diagonal())
     else:
         idx = mesh.interior_nodes
         W = assemble_mass(mesh, full=True).toarray()[np.ix_(idx, idx)]
     if source_lumping:
-        diag = assemble_lumped_mass(mesh).values
+        diag = assemble_lumped_mass(mesh).diagonal()
 
         def f_apply(fv):
             return diag * fv
@@ -285,7 +301,7 @@ def count_lu_calls(monkeypatch):
             return self.lu.solve(b, **kwargs)
 
     def counting_factorize(op):
-        factorizations.append(op.n)
+        factorizations.append(op.A.shape[0])
         return CountingLU(factorize(op))
 
     monkeypatch.setattr(CompositeOperator, "factorize", counting_factorize)
@@ -366,7 +382,7 @@ def test_lumped_single_mode_reduces_to_scalar_recursion():
     phi = SingleModeInitialData(k, l).field(mesh).interior()
     A = assemble_stiffness(mesh)
     D = assemble_lumped_mass(mesh)
-    assert np.allclose(A.matvec(phi), lam_h * D.matvec(phi), atol=1e-11)
+    assert np.allclose(A @ phi, lam_h * (D @ phi), atol=1e-11)
 
     problem = ProblemSpec(alpha=0.5, gamma=1.0, T=1.0,
                           nonlinearity=zero_source(),
@@ -606,8 +622,8 @@ def test_step_matrix_is_exactly_symmetric(family, mass):
     # symmetric as (B + B^T)/2, which leaves the assembled B bitwise unchanged
     # only if B is symmetric bit for bit already
     mesh = FAMILIES[family](8)
-    A = assemble_stiffness(mesh).tocsr()
-    W = (assemble_mass(mesh) if mass == "consistent" else assemble_lumped_mass(mesh)).tocsr()
+    A = assemble_stiffness(mesh)
+    W = assemble_mass(mesh) if mass == "consistent" else assemble_lumped_mass(mesh)
     for B in (A, W, W + 0.37 * A):
         assert abs(B - B.T).max() == 0.0
 
@@ -632,7 +648,7 @@ def full_vector_source(mesh, problem, lumped):
     f = problem.nonlinearity
     interior = mesh.interior_nodes
     if lumped:
-        diag = assemble_lumped_mass(mesh).values
+        diag = assemble_lumped_mass(mesh).diagonal()
         return lambda v: diag * f(v)
     M_full = assemble_mass(mesh, full=True)
 
@@ -640,7 +656,7 @@ def full_vector_source(mesh, problem, lumped):
         full = np.zeros(mesh.n_nodes)
         full[mesh.boundary_mask] = f(np.zeros(np.count_nonzero(mesh.boundary_mask)))
         full[interior] = f(v)
-        return M_full.matvec(full)[interior]
+        return (M_full @ full)[interior]
 
     return source
 

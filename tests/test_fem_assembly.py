@@ -11,6 +11,7 @@ from frstokes.fem_assembly import (
     CaseBInitialData,
     CustomInitialData,
     NodalField,
+    Nonlinearity,
     ProblemSpec,
     SingleModeInitialData,
     assemble_lumped_mass,
@@ -27,7 +28,7 @@ from frstokes.fem_assembly import (
     zero_source,
 )
 from frstokes.mesh import build_nonsymmetric_mesh, build_symmetric_mesh
-from frstokes.sparse_linalg import CompositeOperator, SparseSymMatrix
+from frstokes.sparse_linalg import CompositeOperator
 
 
 def bary_moment(area, powers):
@@ -70,13 +71,24 @@ def test_assembly_matches_dense_reference(mesh):
     assert np.allclose(assemble_stiffness(mesh).toarray(), Ad[np.ix_(idx, idx)], atol=1e-12)
 
 
+def test_assembled_operators_are_symmetric_and_positive():
+    # what the SPD step matrix W + cA needs: symmetric A and M, positive D
+    for mesh in (build_symmetric_mesh(8), build_nonsymmetric_mesh(8)):
+        for full in (False, True):
+            for op in (assemble_stiffness(mesh, full=full), assemble_mass(mesh, full=full)):
+                assert abs(op - op.T).max() <= 1e-14 * abs(op.data).max()
+            D = assemble_lumped_mass(mesh, full=full).tocoo()
+            assert D.nnz == D.shape[0] and np.array_equal(D.row, D.col)
+            assert D.data.min() > 0
+
+
 def test_mass_total_and_constant_kernel():
     mesh = build_nonsymmetric_mesh(8)
     M = assemble_mass(mesh, full=True)
     ones = np.ones(mesh.n_nodes)
-    assert ones.dot(M.matvec(ones)) == pytest.approx(1.0, abs=1e-13)
+    assert ones.dot(M @ ones) == pytest.approx(1.0, abs=1e-13)
     A = assemble_stiffness(mesh, full=True)
-    assert np.allclose(A.matvec(ones), 0.0, atol=1e-12)
+    assert np.allclose(A @ ones, 0.0, atol=1e-12)
 
 
 def test_stiffness_energy_of_linear_field():
@@ -84,7 +96,7 @@ def test_stiffness_energy_of_linear_field():
     mesh = build_nonsymmetric_mesh(8)
     v = mesh.nodes[:, 0] + 2.0 * mesh.nodes[:, 1]
     A = assemble_stiffness(mesh, full=True)
-    assert v.dot(A.matvec(v)) == pytest.approx(5.0, rel=1e-13)
+    assert v.dot(A @ v) == pytest.approx(5.0, rel=1e-13)
 
 
 def test_mass_bilinear_of_coordinates():
@@ -93,14 +105,14 @@ def test_mass_bilinear_of_coordinates():
     vx = mesh.nodes[:, 0].copy()
     vy = mesh.nodes[:, 1].copy()
     M = assemble_mass(mesh, full=True)
-    assert vx.dot(M.matvec(vy)) == pytest.approx(0.25, rel=1e-13)
+    assert vx.dot(M @ vy) == pytest.approx(0.25, rel=1e-13)
 
 
 def test_lumped_mass_equals_consistent_row_sums():
     for mesh in (build_symmetric_mesh(6), build_nonsymmetric_mesh(8)):
         M = assemble_mass(mesh, full=True)
         D = assemble_lumped_mass(mesh, full=True)
-        rowsums = M.matvec(np.ones(mesh.n_nodes))
+        rowsums = M @ np.ones(mesh.n_nodes)
         assert np.allclose(D.diagonal(), rowsums, atol=1e-15)
         Di = assemble_lumped_mass(mesh)
         assert np.allclose(Di.diagonal(), rowsums[mesh.interior_nodes], atol=1e-15)
@@ -138,12 +150,11 @@ def test_stiffness_stores_no_zeros(build, full):
     A = assemble_stiffness(mesh, full=full)
     M = assemble_mass(mesh, full=full)
     assert A.data.size and np.count_nonzero(A.data == 0.0) == 0
-    pattern = M.tocsr().tocoo()
-    vals = np.asarray(A.tocsr()[pattern.row, pattern.col]).ravel()
-    old = SparseSymMatrix(sp.csr_matrix((vals, (pattern.row, pattern.col)),
-                                        shape=pattern.shape))
-    assert old.tocsr().nnz == M.tocsr().nnz > A.tocsr().nnz
-    x = np.random.default_rng(5).standard_normal(A.n)
+    pattern = M.tocoo()
+    vals = np.asarray(A[pattern.row, pattern.col]).ravel()
+    old = sp.csr_matrix((vals, (pattern.row, pattern.col)), shape=pattern.shape)
+    assert old.nnz == M.nnz > A.nnz
+    x = np.random.default_rng(5).standard_normal(A.shape[0])
     assert np.array_equal(A @ x, old @ x)
     if not full:
         for W in (M, assemble_lumped_mass(mesh)):
@@ -181,6 +192,9 @@ def test_load_unknown_rule_rejected():
     mesh = build_symmetric_mesh(2)
     with pytest.raises(ValueError):
         load_vector(mesh, lambda x, y: x, rule="order99")
+    # the error measure looks its rule up the same way (it raised KeyError)
+    with pytest.raises(ValueError, match="unknown quadrature rule 'bogus'"):
+        l2_error_vs_function(mesh, np.zeros(mesh.n_nodes), lambda x, y: x, rule="bogus")
 
 
 def test_indicator_load_center_node_exact():
@@ -320,11 +334,8 @@ def test_mesh_operator_is_memoized_fresh_assembly(kind, full):
     assert mesh_operator(mesh, kind, full=full) is op
     fresh = {"stiffness": assemble_stiffness, "mass": assemble_mass,
              "lumped_mass": assemble_lumped_mass}[kind](mesh, full=full)
-    if kind == "lumped_mass":
-        arrays, want = [op.values], [fresh.values]
-    else:
-        arrays = [op.data, op.indices, op.indptr]
-        want = [fresh.data, fresh.indices, fresh.indptr]
+    arrays = [op.data, op.indices, op.indptr]
+    want = [fresh.data, fresh.indices, fresh.indptr]
     for got, expected in zip(arrays, want):
         assert np.array_equal(got, expected) and got.dtype == expected.dtype
         with pytest.raises(ValueError, match="read-only"):
@@ -380,6 +391,11 @@ def test_problem_spec_validation():
         kw.update(bad)
         with pytest.raises(ValueError):
             ProblemSpec(**kw)
+    # a nan constant also silenced the implicit stepper's tau * L >= 1 warning
+    for lipschitz in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="Lipschitz constant must be a finite number >= 0"):
+            ProblemSpec(alpha=0.5, gamma=1.0, T=1.0,
+                        nonlinearity=Nonlinearity(lambda u: u, lipschitz))
 
 
 @pytest.mark.parametrize("name", ["gamma", "T"])

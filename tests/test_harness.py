@@ -283,7 +283,7 @@ def test_temporal_study_builds_mesh_and_operators_once(monkeypatch):
     assert np.array_equal(ref_again.values, ref)
     for N, err in zip(N_list, report.errors):
         diff = fresh_final(N) - ref
-        assert err == np.sqrt(max(diff.dot(mass.matvec(diff)), 0.0))
+        assert err == np.sqrt(max(diff.dot(mass @ diff), 0.0))
 
 
 def test_solve_final_deterministic_without_cache():

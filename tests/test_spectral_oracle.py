@@ -4,11 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.special import binom
 
 from frstokes.cq_time_stepper import _advance
-from frstokes.sparse_linalg import DiagMatrix, SparseSymMatrix
 from frstokes.spectral_oracle import (
     _LAM_BLOCK,
     _product_weights,
@@ -386,15 +386,14 @@ def test_scalar_cq_matches_matrix_stepper():
     # same recursion through two implementations: a power-series solve here,
     # a block/sum-of-exponentials history there, and separate weight code
     rng = np.random.default_rng(47)
-    A1 = lambda lam: SparseSymMatrix.from_coo(
-        np.array([0]), np.array([0]), np.array([lam]), 1)
+    A1 = lambda lam: sp.csr_matrix([[lam]])
     for _ in range(5):
         lam = rng.uniform(0.5, 50.0)
         alpha = rng.uniform(0.1, 0.9)
         gamma = rng.uniform(0.1, 3.0)
         N = int(rng.integers(5, 40))
         u = scalar_cq_response(lam, alpha, gamma, 1.0, N)
-        hist = _advance(A1(lam), DiagMatrix([1.0]), np.array([1.0]),
+        hist = _advance(A1(lam), sp.diags([1.0], format="csr"), np.array([1.0]),
                         alpha=alpha, gamma=gamma, tau=1.0 / N, N=N,
                         steps=np.arange(N + 1), source_of_prev=None)
         assert np.allclose(u, hist[:, 0], atol=1e-13)
