@@ -274,6 +274,9 @@ def l2_error_vs_reference(coarse: tuple[TriMesh, NodalField],
 def l2_error_vs_function(mesh: TriMesh, fld, fn, rule: str = "order4") -> float:
     """L2 distance between a P1 field and a smooth function, by quadrature."""
     vals = np.asarray(getattr(fld, "values", fld), dtype=float)
+    if vals.shape != (mesh.n_nodes,):
+        raise ValueError(f"{vals.shape[0] if vals.ndim else 0} values for "
+                         f"{mesh.n_nodes} nodes")
     bary, weights = _quad_rule(rule)
     areas = mesh.triangle_areas()
     p = mesh.nodes[mesh.triangles]

@@ -21,11 +21,16 @@ is twice the real part of the upper half's sum (Weideman & Trefethen,
 "Parabolic and hyperbolic contours for computing the Bromwich integral",
 Math. Comp. 76 (2007)).  The imaginary part of the full sum is zero up to
 rounding, so it is not computed; the rounding of the sum is bounded
-instead (see ``ContourResolutionError``).
+instead (see ``ContourResolutionError``).  The real part is summed in
+real arithmetic: with p = a + i b and d = lam - a, each term is
+Re(2 r / (lam - p)) = (2 Re r d - 2 Im r b) / (d^2 + b^2).  So that d^2
+and b^2 neither overflow nor underflow, the poles and residues are first
+divided by a power of two near the largest |p|, which is exact.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -50,10 +55,14 @@ __all__ = [
 _GL_ORDER = 8
 # exp(z t) below 1e-18 in modulus is dropped when choosing the ray length.
 _TRUNC_LOG = 18.0 * np.log(10.0)
-# Eigenvalues per block in mode_response_many: bounds the working array to
-# _LAM_BLOCK x (contour nodes / 2) complex values, about 0.5 MB at 480
-# nodes, so a block stays in cache.
+# Eigenvalues per block in mode_response_many: bounds the two working
+# arrays to _LAM_BLOCK x (contour nodes / 2) floats each, about 0.5 MB
+# together at 480 nodes, so a block stays in cache.
 _LAM_BLOCK = 128
+# Once the poles are scaled to |p| < 2, an eigenvalue above 2^500 has
+# 1/(lam - p) = 1/lam to 2^-499 relative, far below rounding, and its d^2
+# would overflow near 2^512.
+_LAM_ASYMPTOTIC = 2.0**500
 # The rounding of a contour sum may reach this fraction of 1 + |e_lam(t)|.
 _ROUNDING_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
@@ -141,9 +150,19 @@ def symbol_g(z: complex, alpha: float, gamma: float) -> complex:
     return z / (1.0 + gamma * z**alpha)
 
 
+@functools.cache
+def _gauss_legendre():
+    """The _GL_ORDER-point Gauss-Legendre rule on [-1, 1], built on first
+    use and read-only, since every caller shares the arrays."""
+    x, w = leggauss(_GL_ORDER)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _panel_nodes(a: float, b: float, panels: int):
     """Gauss-Legendre nodes/weights on [a, b] split into equal panels."""
-    x, w = leggauss(_GL_ORDER)
+    x, w = _gauss_legendre()
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
@@ -183,12 +202,24 @@ def mode_response_many(lams, t: float, alpha: float, gamma: float,
     computed once per contour, e_lam(t) = sum_k r_k / (lam - p_k).  The
     terms of the lower half of the contour are the conjugates of those of
     the upper half, so only the nodes with Im z_k > 0 are kept and
-    e_lam(t) = 2 Re sum_{Im z_k > 0} r_k / (lam - p_k).  Each distinct
-    eigenvalue is evaluated once (a grid spectrum repeats lam_kl = lam_lk)
-    and the values are scattered back.  The distinct eigenvalues are taken
-    in blocks of ``_LAM_BLOCK``, so the working array is at most
-    ``_LAM_BLOCK`` x (number of nodes / 2) whatever the length of ``lams``;
-    each value is the same as a single-eigenvalue call.
+    e_lam(t) = 2 Re sum_{Im z_k > 0} r_k / (lam - p_k).
+
+    The sum is taken in real arithmetic.  The residues, poles and
+    eigenvalues are divided by c = 2^e, where 1 <= max_k |p_k| / c < 2,
+    which changes no bits but keeps the squares below in range when t or
+    gamma is extreme.  With p_k / c = a_k + i b_k, d = lam / c - a_k,
+    rho_k = 2 Re r_k / c and kappa_k = -2 Im r_k b_k / c,
+
+        e_lam(t) = sum_k (rho_k d + kappa_k) / (d^2 + b_k^2).
+
+    For lam / c >= 2^500, where d^2 would overflow, 1 / (lam - p_k) is
+    1 / lam to 2^-499 relative and e_lam(t) = sum_k rho_k / (lam / c).
+
+    Each distinct eigenvalue is evaluated once (a grid spectrum repeats
+    lam_kl = lam_lk) and the values are scattered back.  The distinct
+    eigenvalues are taken in blocks of ``_LAM_BLOCK``, so the working
+    arrays are at most ``_LAM_BLOCK`` x (number of nodes / 2) whatever the
+    length of ``lams``; each value is the same as a single-eigenvalue call.
 
     Raises ``ContourResolutionError`` when the rounding bound
     eps * sum_k |r_k / (lam - p_k)| over the full contour exceeds
@@ -202,35 +233,56 @@ def mode_response_many(lams, t: float, alpha: float, gamma: float,
     distinct, where = np.unique(lams, return_inverse=True)
     spec = contour if contour is not None else ContourSpec.for_time(t)
     z, w = contour_nodes(spec)
-    sigma = 1.0 + gamma * z**alpha
     # lam - p does not overflow where lam * sigma would; such an eigenvalue
-    # is still out of the quadrature's range
-    with np.errstate(over="ignore"):
-        in_range = np.isfinite(distinct.max(initial=0.0) * np.abs(sigma).max())
+    # is still out of the quadrature's range, and so is a gamma for which
+    # sigma itself overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = 1.0 + gamma * z**alpha
+        in_range = (np.isfinite(sigma).all() and
+                    np.isfinite(distinct.max(initial=0.0) * np.abs(sigma).max()))
     if not in_range:
-        raise ValueError("eigenvalue too large for the contour quadrature: "
-                         f"lam (1 + gamma z^alpha) overflows (largest eigenvalue "
-                         f"{distinct[-1]:.3e})")
+        raise ValueError("eigenvalue or gamma too large for the contour quadrature: "
+                         "lam (1 + gamma z^alpha) overflows (largest eigenvalue "
+                         f"{distinct.max(initial=0.0):.3e}, gamma {gamma:.3e})")
     upper = z.imag > 0
-    residues = (w * np.exp(z * t) / sigma)[upper]
     poles = (-z / sigma)[upper]
-    # For real lam, |lam - p_k| >= |Im p_k| > 0, so this bounds the sum of
-    # |terms| for every eigenvalue at once; the terms are bounded one
-    # eigenvalue at a time only when it does not pass.
-    bound_each = (_EPS * 2.0 * np.sum(np.abs(residues) / np.abs(poles.imag))
-                  > _ROUNDING_TOL)
+    c = math.ldexp(1.0, math.frexp(np.abs(poles).max())[1] - 1)
+    residues = (w * np.exp(z * t) / sigma)[upper] / c
+    poles /= c
+    a = np.ascontiguousarray(poles.real)
+    b = np.ascontiguousarray(poles.imag)
+    rho = 2.0 * residues.real
+    kappa = -2.0 * residues.imag * b
+    b2 = b * b
+    abs_r = np.abs(residues)
+    # For lam >= 0, |lam - p_k| >= |p_k| where Re p_k <= 0 and >= |Im p_k|
+    # elsewhere, neither of them zero, so this bounds the sum of |terms|
+    # for every eigenvalue at once; the terms are bounded one eigenvalue at
+    # a time only when it does not pass.
+    nearest = np.where(a <= 0, np.abs(poles), np.abs(b))
+    bound_each = _EPS * 2.0 * np.sum(abs_r / nearest) > _ROUNDING_TOL
+    with np.errstate(over="ignore"):  # inf takes the asymptotic form
+        scaled = distinct / c
+    n_near = int(np.searchsorted(scaled, _LAM_ASYMPTOTIC))
     vals = np.empty(distinct.shape)
     magnitude = np.empty(distinct.shape) if bound_each else None
-    for start in range(0, distinct.size, _LAM_BLOCK):
-        block = np.subtract.outer(distinct[start : start + _LAM_BLOCK], poles)
-        np.divide(residues, block, out=block)
-        stop = start + block.shape[0]
-        vals[start:stop] = 2.0 * block.sum(axis=1).real
+    for start in range(0, n_near, _LAM_BLOCK):
+        stop = min(start + _LAM_BLOCK, n_near)
+        d = np.subtract.outer(scaled[start:stop], a)
+        num = rho * d
+        num += kappa
+        d *= d
+        d += b2  # |lam - p|^2 / c^2
+        np.divide(num, d, out=num)
+        vals[start:stop] = num.sum(axis=1)
         if bound_each:
-            # |Re| + |Im| of each term bounds its modulus
-            parts = block.view(float)
-            np.abs(parts, out=parts)
-            magnitude[start:stop] = 2.0 * parts.sum(axis=1)
+            np.sqrt(d, out=d)
+            np.divide(abs_r, d, out=d)
+            magnitude[start:stop] = 2.0 * d.sum(axis=1)
+    far = scaled[n_near:]
+    vals[n_near:] = rho.sum() / far
+    if bound_each:
+        magnitude[n_near:] = 2.0 * abs_r.sum() / far
     if not np.isfinite(vals).all():
         raise ValueError("eigenvalue too large for the contour quadrature: "
                          f"the sum overflowed (largest eigenvalue {distinct[-1]:.3e})")
@@ -286,13 +338,14 @@ def scalar_cq_response(lam: float, alpha: float, gamma: float, T: float,
     sum-of-exponentials history there) and the weights have their own
     code, so this path is an independent check of it.
     """
-    if not 0 <= lam < math.inf:
-        raise ValueError(f"eigenvalue must be finite and nonnegative, got {lam}")
+    if not (isinstance(lam, numbers.Real) and not isinstance(lam, bool)
+            and 0 <= lam < math.inf):
+        raise ValueError(f"eigenvalue must be finite and nonnegative, got lam={lam!r}")
     _check_alpha_gamma(alpha, gamma)
     _require_finite("T", T)
     if not T > 0:
         raise ValueError(f"T must be positive, got {T}")
-    if not isinstance(N, (int, np.integer)) or N < 1:
+    if not isinstance(N, numbers.Integral) or isinstance(N, bool) or N < 1:
         raise ValueError(f"N must be a positive integer, got {N!r}")
     _require_finite("u0", u0)
     tau = T / N

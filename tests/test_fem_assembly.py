@@ -268,6 +268,14 @@ def test_l2_error_vs_function_linear_exact():
     )
 
 
+@pytest.mark.parametrize("vals", [np.zeros(32), np.zeros(24), np.zeros((25, 1)), 0.0])
+def test_l2_error_vs_function_rejects_wrong_length(vals):
+    # it read vals[mesh.triangles], so 32 values on 25 nodes measured 1.0
+    mesh = build_symmetric_mesh(4)
+    with pytest.raises(ValueError, match="for 25 nodes"):
+        l2_error_vs_function(mesh, vals, lambda x, y: x * 0 + 1.0)
+
+
 def test_nodal_field_roundtrip_and_validation():
     mesh = build_symmetric_mesh(3)
     inter = np.arange(float(mesh.n_interior))

@@ -1,16 +1,23 @@
 import cmath
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from numpy.polynomial.legendre import leggauss
 from scipy.special import binom
 
+from conftest import tree_env
+from frstokes import spectral_oracle
 from frstokes.cq_time_stepper import _advance
 from frstokes.spectral_oracle import (
+    _GL_ORDER,
     _LAM_BLOCK,
+    _gauss_legendre,
     _product_weights,
     ContourResolutionError,
     ContourSpec,
@@ -200,6 +207,102 @@ def test_mode_response_many_matches_direct_contour_sum(t):
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
 
 
+def complex_pole_sum(lams, t, alpha, gamma):
+    """2 Re sum_k r_k / (lam - p_k) over the upper half of the default
+    contour, with the division in complex arithmetic, over chunks of
+    eigenvalues; raises ValueError("too large") where the kernel must."""
+    lams = np.asarray(lams, dtype=float)
+    z, w = contour_nodes(ContourSpec.for_time(t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = 1.0 + gamma * z**alpha
+        if not np.isfinite(lams.max() * np.abs(sigma).max()):
+            raise ValueError("too large")
+    upper = z.imag > 0
+    residues = (w * np.exp(z * t) / sigma)[upper]
+    poles = (-z / sigma)[upper]
+    vals = np.concatenate([
+        2.0 * (residues / np.subtract.outer(chunk, poles)).sum(axis=1).real
+        for chunk in np.array_split(lams, max(1, lams.size // 1024))])
+    if not np.isfinite(vals).all():
+        raise ValueError("too large")
+    return vals
+
+
+@pytest.mark.parametrize("t", [1.0, 1e-3, 1e-5, 1e-7])
+def test_real_kernel_matches_complex_pole_sum(t):
+    lams = grid_eigenvalues(128)
+    got = mode_response_many(lams, t, 0.5, 1.0)
+    want = complex_pole_sum(lams, t, 0.5, 1.0)
+    assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 5e-16
+
+
+def kernel_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as err:
+        if "too large" not in str(err):
+            raise
+        return "too large"
+
+
+@settings(max_examples=300)
+@example(lam=0.0, t=1e200, alpha=0.5, gamma=1.0)  # |p| ~ 1e-200: p^2 underflows
+@example(lam=1e-200, t=1e150, alpha=0.5, gamma=1.0)
+@example(lam=1.0, t=1.0, alpha=0.5, gamma=1e200)
+@example(lam=1e10, t=1e-300, alpha=0.5, gamma=0.0)  # |p| ~ 1e301: p^2 overflows
+@example(lam=1e300, t=1.0, alpha=0.5, gamma=1.0)  # lam^2 overflows
+@given(lam=st.floats(0.0, 1e300),
+       t=st.floats(1e-7, 30.0),
+       alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       gamma=st.floats(0.0, 1e300))
+def test_real_kernel_matches_complex_pole_sum_everywhere(lam, t, alpha, gamma):
+    got = kernel_or_error(mode_response_many, [lam], t, alpha, gamma)
+    want = kernel_or_error(complex_pole_sum, [lam], t, alpha, gamma)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+    else:
+        assert abs(got[0] - want[0]) <= 1e-14 * (1.0 + abs(want[0]))
+
+
+@pytest.mark.parametrize("t", [1e-7, 1.0, 30.0])
+@pytest.mark.parametrize("gamma", [1.0, 1e3])
+def test_real_kernel_keeps_relative_accuracy_at_large_eigenvalues(t, gamma):
+    # e_lam ~ 1 / lam here, below any absolute tolerance; the values on both
+    # sides of the switch to 1 / lam at 2^500 |p| must still be right
+    lams = np.array([1e140, 1e150, 1e151, 1e152, 1e200, 1e300])
+    got = mode_response_many(lams, t, 0.5, gamma)
+    want = complex_pole_sum(lams, t, 0.5, gamma)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+
+
+def test_gauss_legendre_rule_is_cached_and_read_only(monkeypatch):
+    x, w = _gauss_legendre()
+    assert _gauss_legendre()[0] is x and _gauss_legendre()[1] is w
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        x[0] = 0.0
+    fresh = leggauss(_GL_ORDER)
+    assert np.array_equal(x, fresh[0]) and np.array_equal(w, fresh[1])
+    specs = [ContourSpec.for_time(t) for t in (1e-7, 1e-5, 1e-3, 1.0, 30.0)]
+    cached = [contour_nodes(spec) for spec in specs]
+    # the nodes as built before the cache, on a fresh rule per panel set
+    monkeypatch.setattr(spectral_oracle, "_gauss_legendre", lambda: leggauss(_GL_ORDER))
+    for spec, (z, w) in zip(specs, cached):
+        z0, w0 = contour_nodes(spec)
+        assert z.tobytes() == z0.tobytes() and w.tobytes() == w0.tobytes()
+
+
+def test_gauss_legendre_rule_is_built_on_first_contour():
+    probe = ("from frstokes import spectral_oracle as so\n"
+             "before = so._gauss_legendre.cache_info().currsize\n"
+             "so.mode_response(1.0, 1.0, 0.5, 1.0)\n"
+             "print(before, so._gauss_legendre.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=tree_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1"]
+
+
 def test_mode_response_self_convergence():
     lam = 2.0 * np.pi**2
     base = mode_response(lam, 1.0, 0.5, 1.0,
@@ -260,6 +363,9 @@ def eigenvalue_arrays(draw):
 
 
 @settings(max_examples=20, deadline=None)
+# eigenvalues on both sides of the switch to 1 / lam at 2^500 |p|
+@example(lams=np.array([0.0, 1e-300, 1.0, 1e150, 1e151, 1e152, 1e300]), t=1e-7)
+@example(lams=np.array([0.0, 1e-300, 1.0, 1e150, 1e151, 1e152, 1e300]), t=30.0)
 @given(lams=eigenvalue_arrays(), t=st.sampled_from([2.0, 1.0, 1e-3, 1e-7]))
 def test_mode_response_many_is_bitwise_single_calls(lams, t):
     batch = mode_response_many(lams, t, 0.5, 1.0)
@@ -449,6 +555,11 @@ def test_product_weights_match_gamma_ratio_asymptotics(beta):
     ((20.0, 0.5, 1.0, math.nan, 4), "T must be a finite number"),
     ((20.0, 0.5, 1.0, 1.0, 4, math.nan), "u0 must be a finite number"),
     ((20.0, 0.5, 1.0, 1.0, 4, math.inf), "u0 must be a finite number"),
+    ((True, 0.5, 1.0, 1.0, 4), "got lam=True"),
+    (("1", 0.5, 1.0, 1.0, 4), "got lam='1'"),
+    ((1 + 0j, 0.5, 1.0, 1.0, 4), "got lam=\\(1\\+0j\\)"),
+    ((20.0, 0.5, 1.0, 1.0, True), "N must be a positive integer, got True"),
+    ((20.0, 0.5, 1.0, 1.0, np.True_), "N must be a positive integer"),
 ])
 def test_scalar_cq_rejects_bad_input(args, match):
     with pytest.raises(ValueError, match=match):
