@@ -10,12 +10,12 @@ import numpy as np
 
 from frstokes.cq_time_stepper import cq_fractional_integral, cq_weights
 
-w = cq_weights(0.5, 8)
-print("q^(1/2), j = 0..8:", np.round(w.q, 6))
+q = cq_weights(0.5, 8)
+print("q^(1/2), j = 0..8:", np.round(q, 6))
 
 # partial sums of order-beta weights are exactly the order-(beta+1) weights
-q1 = cq_weights(0.3, 40).q
-q2 = cq_weights(1.3, 40).q
+q1 = cq_weights(0.3, 40)
+q2 = cq_weights(1.3, 40)
 print("partial-sum identity residual:", np.max(np.abs(np.cumsum(q1) - q2)))
 
 # I^(1/2) t = t^(3/2) / Gamma(5/2); watch the error halve with the step

@@ -23,9 +23,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "cq_time_stepper": (
-        "CQWeights", "DivergedError", "PicardConvergenceError", "SchemeConfig",
-        "Trajectory", "cq_fractional_integral", "cq_weights", "step_implicit",
-        "step_linearized",
+        "DivergedError", "PicardConvergenceError", "SchemeConfig", "Trajectory",
+        "cq_fractional_integral", "cq_weights", "step_implicit", "step_linearized",
     ),
     "experiment_harness": (
         "ExperimentReport", "StudyConfig", "fit_rate", "run_nonsymmetric_study",

@@ -10,6 +10,10 @@ Subcommands:
 Config files are either JSON objects or flat ``key=value`` lines (``#``
 comments allowed).  List-valued keys take comma-separated values, e.g.
 ``alpha=0.25,0.5,0.75`` or ``M=8,16,32,64``.
+
+Errors are one line on stderr, ``frs: <message>``: bad input, including a
+config file that cannot be read, exits with 2, and a solve that diverges,
+a Picard iteration that stalls or an unresolved contour exits with 1.
 """
 
 from __future__ import annotations
@@ -23,9 +27,10 @@ import sys
 # this module before timing `main` should pay for it here, not in its first
 # study.
 from . import experiment_harness as harness
+from .cq_time_stepper import DivergedError, PicardConvergenceError
 from .fem_assembly import l2_norm
 from .mesh import format_mesh_text
-from .spectral_oracle import mode_response
+from .spectral_oracle import ContourResolutionError, mode_response
 
 _STUDY_RUNNERS = {
     "spatial": harness.run_spatial_study,
@@ -55,8 +60,11 @@ def _coerce(text: str):
 
 def parse_config(path: str) -> dict:
     """Read a JSON or flat key=value configuration file."""
-    with open(path) as fh:
-        content = fh.read()
+    try:
+        with open(path) as fh:
+            content = fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read config {path}: {exc.strerror or exc}") from exc
     if content.lstrip().startswith("{"):
         return json.loads(content)
     out: dict = {}
@@ -214,7 +222,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:
+        print(f"frs: {exc}", file=sys.stderr)
+        return 2
+    except (DivergedError, PicardConvergenceError, ContourResolutionError) as exc:
+        print(f"frs: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -72,12 +71,13 @@ import numpy as np
 import numpy.typing as npt
 import scipy.sparse as sp
 
-from .fem_assembly import NodalField, Nonlinearity, ProblemSpec, mesh_operator
+from .fem_assembly import (NodalField, Nonlinearity, ProblemSpec, _is_count,
+                           _is_positive_real, _require_bool, _require_count,
+                           mesh_operator)
 from .mesh import TriMesh
 from .sparse_linalg import CompositeOperator
 
 __all__ = [
-    "CQWeights",
     "cq_weights",
     "cq_fractional_integral",
     "SchemeConfig",
@@ -112,16 +112,9 @@ class PicardConvergenceError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class CQWeights:
-    """Coefficients q_j^{(beta)} of (1-zeta)^(-beta), j = 0..N."""
-
-    beta: float
-    q: npt.NDArray[np.float64]
-
-
-def cq_weights(beta: float, N: int) -> CQWeights:
-    """Weights via the stable recursion q_0 = 1, q_j = q_{j-1} (j-1+beta)/j."""
+def cq_weights(beta: float, N: int) -> npt.NDArray[np.float64]:
+    """Coefficients q_j^{(beta)} of (1-zeta)^(-beta), j = 0..N, as a read-only
+    array, via the stable recursion q_0 = 1, q_j = q_{j-1} (j-1+beta)/j."""
     if not _is_positive_real(beta):
         raise ValueError(f"beta must be a finite number > 0, got {beta!r}")
     if not _is_count(N, least=0):
@@ -129,7 +122,7 @@ def cq_weights(beta: float, N: int) -> CQWeights:
     j = np.arange(1, N + 1)
     q = np.cumprod(np.concatenate([[1.0], (j - 1 + beta) / j]))
     q.setflags(write=False)
-    return CQWeights(beta, q)
+    return q
 
 
 def cq_fractional_integral(samples, beta: float, tau: float) -> float:
@@ -143,60 +136,33 @@ def cq_fractional_integral(samples, beta: float, tau: float) -> float:
         raise ValueError("samples must be a nonempty 1-d array")
     if not _is_positive_real(tau):
         raise ValueError(f"tau must be a finite number > 0, got {tau!r}")
-    q = cq_weights(beta, phi.size - 1).q
+    q = cq_weights(beta, phi.size - 1)
     return float(tau**beta * q[::-1].dot(phi))
-
-
-def _require_bool(name: str, value) -> None:
-    """Reject anything but a bool, such as the string "false"."""
-    if not isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must be a bool, got {value!r}")
-
-
-def _is_count(value, least: int = 1) -> bool:
-    """True for an integer >= ``least`` that is not a bool."""
-    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= least)
-
-
-def _is_positive_real(value) -> bool:
-    """True for a finite real number > 0 that is not a bool."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value) and value > 0)
-
-
-def _require_count(name: str, value) -> None:
-    """Reject anything but an integer >= 1, such as 2.5, 4.0, True or "4"."""
-    if not _is_count(value):
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
 class SchemeConfig:
     """Discretization choices for one run.
 
-    ``source_lumping`` (a bool) switches the nonlinear load from the
-    consistent reading M f(U) to the vertex-quadrature reading D f(U).
-    Snapshots are kept every ``snapshot_stride`` steps (None, the default,
-    means ceil(N/100); otherwise an integer >= 1) plus the final step;
-    ``store_full`` keeps every step.
+    The run takes ``N`` uniform steps of tau = T / N up to the problem's
+    final time T.  ``source_lumping`` (a bool) switches the nonlinear load
+    from the consistent reading M f(U) to the vertex-quadrature reading
+    D f(U).  Snapshots are kept every ``snapshot_stride`` steps (None, the
+    default, means ceil(N/100); otherwise an integer >= 1, and 1 keeps
+    every step) plus the final step.
     """
 
     variant: str
     N: int
-    tau: float | None = None
     source_lumping: bool = False
     picard_tol: float = 1e-12
     picard_maxit: int = 50
     snapshot_stride: int | None = None
-    store_full: bool = False
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
         _require_count("N", self.N)
-        if self.tau is not None and not _is_positive_real(self.tau):
-            raise ValueError(f"tau must be None or a finite number > 0, got {self.tau!r}")
         if not _is_positive_real(self.picard_tol):
             raise ValueError("picard_tol must be a finite number > 0, "
                              f"got {self.picard_tol!r}")
@@ -205,12 +171,6 @@ class SchemeConfig:
         if self.snapshot_stride is not None and not _is_count(self.snapshot_stride):
             raise ValueError("snapshot_stride must be None or an integer >= 1, "
                              f"got {self.snapshot_stride!r}")
-
-    def resolve_tau(self, T: float) -> float:
-        tau = T / self.N if self.tau is None else self.tau
-        if not abs(tau * self.N - T) <= 1e-14 * max(1.0, T):
-            raise ValueError(f"tau * N = {tau * self.N} inconsistent with T = {T}")
-        return tau
 
 
 @dataclass(frozen=True)
@@ -231,9 +191,7 @@ class Trajectory:
         return NodalField(self.mesh, self.values[i].copy())
 
 
-def _snapshot_steps(N: int, stride: int | None, store_full: bool) -> np.ndarray:
-    if store_full:
-        return np.arange(N + 1)
+def _snapshot_steps(N: int, stride: int | None) -> np.ndarray:
     if stride is None:
         stride = max(1, -(-N // 100))
     marks = set(range(0, N + 1, stride))
@@ -363,7 +321,7 @@ def _advance(A, W, u0: np.ndarray, alpha: float, gamma: float, tau: float,
 
     # k[m] weighs U^(n-m) in the history z_n of step n; k[0] = 1 adds the
     # block's own row i, which holds the history from before the block.
-    k = tau + frac_scale * cq_weights(beta, 2 * near).q
+    k = tau + frac_scale * cq_weights(beta, 2 * near)
     k[0] = 1.0
     if N >= 2 * near:
         # the sum of exponentials carries the constant tau as the node s = 0
@@ -484,7 +442,7 @@ def _source_builder(mesh: TriMesh, problem: ProblemSpec, lumped: bool):
 
 def _solve(config: SchemeConfig, problem: ProblemSpec, mesh: TriMesh) -> Trajectory:
     """Run ``config.variant`` on the mesh operators; the body of both steppers."""
-    tau = config.resolve_tau(problem.T)
+    tau = problem.T / config.N
     implicit = config.variant == "galerkin-implicit"
     A = mesh_operator(mesh, "stiffness")
     W = mesh_operator(mesh, "lumped_mass" if config.variant == "lumped-linearized"
@@ -492,7 +450,7 @@ def _solve(config: SchemeConfig, problem: ProblemSpec, mesh: TriMesh) -> Traject
     source = _source_builder(mesh, problem, config.source_lumping)
 
     u0 = problem.initial_data.field(mesh).interior()
-    steps = _snapshot_steps(config.N, config.snapshot_stride, config.store_full)
+    steps = _snapshot_steps(config.N, config.snapshot_stride)
     rows = _advance(A, W, u0, problem.alpha, problem.gamma, tau, config.N, steps,
                     None if implicit else source,
                     implicit_source=source if implicit else None,
@@ -523,7 +481,7 @@ def step_implicit(config: SchemeConfig, problem: ProblemSpec, mesh: TriMesh) -> 
     """
     if config.variant != "galerkin-implicit":
         raise ValueError(f"step_implicit cannot run variant {config.variant!r}")
-    tau_L = config.resolve_tau(problem.T) * problem.nonlinearity.lipschitz
+    tau_L = problem.T / config.N * problem.nonlinearity.lipschitz
     if tau_L >= 1.0:
         warnings.warn(
             f"tau * L = {tau_L:.3g} >= 1: the picard iteration may not contract",

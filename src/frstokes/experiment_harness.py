@@ -23,17 +23,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cq_time_stepper import SchemeConfig, _require_count, step_implicit, step_linearized
+from .cq_time_stepper import SchemeConfig, step_implicit, step_linearized
 from .fem_assembly import (
     NodalField,
     ProblemSpec,
+    _require_count,
     initial_data_for_case,
     l2_error_vs_function,
     l2_error_vs_reference,
     sqrt_one_plus_u2,
+    zero_source,
 )
 from .mesh import TriMesh, build_nonsymmetric_mesh, build_symmetric_mesh
-from .spectral_oracle import laplacian_eigenvalue, linear_exact_solution
+from .spectral_oracle import linear_exact_solution
 
 __all__ = [
     "StudyConfig",
@@ -55,9 +57,11 @@ class StudyConfig:
     temporal studies sweep ``N_list`` against ``N_ref`` on the fixed mesh
     ``M``; prefactor studies sweep the final time over ``t_list`` along the
     chosen ``axis``.  ``case`` selects the initial data: the smooth bump
-    ("a"), the half-square indicator ("b"), or a single sine mode ("mode").
-    Construction checks ``scheme`` and ``source_lumping`` as
-    :class:`SchemeConfig` does, and ``alphas``, ``gamma``, ``T`` and every
+    ("a"), the half-square indicator ("b"), or the sine mode
+    sin(pi x) sin(pi y) ("mode", with no source).  Construction rejects an
+    empty ``alphas``, ``M_list``, ``N_list`` or ``t_list``, checks
+    ``scheme`` and ``source_lumping`` as :class:`SchemeConfig` does, every
+    count as an integer >= 1, and ``alphas``, ``gamma``, ``T`` and every
     entry of ``t_list`` by building the :class:`ProblemSpec` of each run.
     """
 
@@ -77,7 +81,6 @@ class StudyConfig:
     scheme: str = "lumped-linearized"
     source_lumping: bool = False
     cache_dir: str | None = None
-    mode_kl: tuple = (1, 1)
 
     def __post_init__(self):
         if self.case not in ("a", "b", "mode"):
@@ -86,8 +89,9 @@ class StudyConfig:
             raise ValueError(f"unknown family {self.family!r}")
         if self.axis not in ("spatial", "temporal"):
             raise ValueError(f"prefactor axis must be spatial or temporal")
-        if not self.alphas:
-            raise ValueError("need at least one alpha")
+        for name in ("alphas", "M_list", "N_list", "t_list"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
         SchemeConfig(variant=self.scheme, N=self.N, source_lumping=self.source_lumping)
         for name in ("M", "M_ref", "N_ref"):
             _require_count(name, getattr(self, name))
@@ -96,7 +100,7 @@ class StudyConfig:
                 _require_count(f"every entry of {name}", value)
         for alpha in self.alphas:
             for T in (self.T, *self.t_list):
-                _problem(self.case, alpha, self.gamma, T, self.mode_kl)
+                _problem(self.case, alpha, self.gamma, T)
 
 
 @dataclass(frozen=True)
@@ -210,15 +214,9 @@ def build_mesh(family: str, M: int) -> TriMesh:
 _case_data = functools.cache(initial_data_for_case)
 
 
-def _problem(case: str, alpha: float, gamma: float, T: float, mode_kl=(1, 1)) -> ProblemSpec:
-    if case == "mode":
-        from .fem_assembly import SingleModeInitialData, zero_source
-
-        data = SingleModeInitialData(*mode_kl)
-        return ProblemSpec(alpha=alpha, gamma=gamma, T=T,
-                           nonlinearity=zero_source(), initial_data=data)
-    return ProblemSpec(alpha=alpha, gamma=gamma, T=T,
-                       nonlinearity=sqrt_one_plus_u2(),
+def _problem(case: str, alpha: float, gamma: float, T: float) -> ProblemSpec:
+    source = zero_source() if case == "mode" else sqrt_one_plus_u2()
+    return ProblemSpec(alpha=alpha, gamma=gamma, T=T, nonlinearity=source,
                        initial_data=_case_data(case))
 
 
@@ -227,11 +225,10 @@ def _problem(case: str, alpha: float, gamma: float, T: float, mode_kl=(1, 1)) ->
 CACHE_FORMAT = "splu-soe-3"
 
 
-def _run_key(case, alpha, gamma, T, family, M, N, scheme, source_lumping, mode_kl):
+def _run_key(case, alpha, gamma, T, family, M, N, scheme, source_lumping):
     payload = {
         "format": CACHE_FORMAT,
         "case": case,
-        "mode_kl": list(mode_kl) if case == "mode" else None,
         "alpha": repr(float(alpha)),
         "gamma": repr(float(gamma)),
         "T": repr(float(T)),
@@ -263,9 +260,13 @@ def _blas_config() -> tuple[str, str]:
 
 def solve_final(case: str, alpha: float, gamma: float, T: float, family: str,
                 M: int, N: int, scheme: str = "lumped-linearized",
-                source_lumping: bool = False, cache_dir: str | None = None,
-                mode_kl=(1, 1)) -> tuple[TriMesh, NodalField]:
+                source_lumping: bool = False,
+                cache_dir: str | None = None) -> tuple[TriMesh, NodalField]:
     """Final-time field of one fully discrete run, cached when possible.
+
+    ``case`` names the initial data and source as in :class:`StudyConfig`
+    ("a", "b" or "mode"); the run takes N steps of T / N on the mesh of
+    ``family`` at resolution M.
 
     A cache file is served only when it reads back whole, the key stored
     in it equals the key of the request and its values fit the mesh; any
@@ -280,8 +281,7 @@ def solve_final(case: str, alpha: float, gamma: float, T: float, family: str,
     config = SchemeConfig(variant=scheme, N=N, source_lumping=source_lumping,
                           snapshot_stride=N)
     mesh = build_mesh(family, M)
-    key = _run_key(case, alpha, gamma, T, family, M, N, scheme,
-                   source_lumping, mode_kl)
+    key = _run_key(case, alpha, gamma, T, family, M, N, scheme, source_lumping)
     path = None
     if cache_dir is not None:
         digest = hashlib.sha256(key.encode()).hexdigest()
@@ -290,7 +290,7 @@ def solve_final(case: str, alpha: float, gamma: float, T: float, family: str,
         if values is not None and values.shape == (mesh.n_nodes,):
             return mesh, NodalField(mesh, values)
 
-    problem = _problem(case, alpha, gamma, T, mode_kl)
+    problem = _problem(case, alpha, gamma, T)
     stepper = step_implicit if scheme == "galerkin-implicit" else step_linearized
     final = stepper(config, problem, mesh).final()
     if path is not None:
@@ -325,13 +325,12 @@ def _solve_cfg(cfg: StudyConfig, alpha: float, *, M: int, N: int, T: float,
     return solve_final(cfg.case, alpha, cfg.gamma, T,
                        family if family is not None else cfg.family, M, N,
                        scheme=cfg.scheme, source_lumping=cfg.source_lumping,
-                       cache_dir=cfg.cache_dir, mode_kl=cfg.mode_kl)
+                       cache_dir=cfg.cache_dir)
 
 
 def _mode_reference(cfg: StudyConfig, alpha: float, T: float):
-    k, l = cfg.mode_kl
-    # u0 = sin sin = (1/2) phi_kl against the orthonormal eigenfunctions.
-    return linear_exact_solution([(k, l, 0.5)], T, alpha, cfg.gamma)
+    # u0 = sin sin = (1/2) phi_11 against the orthonormal eigenfunctions.
+    return linear_exact_solution([(1, 1, 0.5)], T, alpha, cfg.gamma)
 
 
 # ---------------------------------------------------------------------------

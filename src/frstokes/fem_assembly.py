@@ -15,6 +15,7 @@ descriptor.
 from __future__ import annotations
 
 import math
+import numbers
 import weakref
 from dataclasses import dataclass, field
 
@@ -378,6 +379,30 @@ class CustomInitialData(InitialData):
         return self._fn(x, y)
 
 
+def _require_bool(name: str, value) -> None:
+    """Reject anything but a bool, such as the string "false"."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+
+
+def _is_count(value, least: int = 1) -> bool:
+    """True for an integer >= ``least`` that is not a bool."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= least)
+
+
+def _is_positive_real(value) -> bool:
+    """True for a finite real number > 0 that is not a bool."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0)
+
+
+def _require_count(name: str, value) -> None:
+    """Reject anything but an integer >= 1, such as 2.5, 4.0, True or "4"."""
+    if not _is_count(value):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 def initial_data_for_case(case: str) -> InitialData:
     if case == "a":
         return CaseAInitialData()
@@ -399,11 +424,11 @@ class ProblemSpec:
     initial_data: InitialData = field(default_factory=CaseAInitialData)
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if not (_is_positive_real(self.alpha) and self.alpha < 1.0):
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         for name in ("gamma", "T"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if not _is_positive_real(value):
                 raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
         lipschitz = self.nonlinearity.lipschitz
         if not (math.isfinite(lipschitz) and lipschitz >= 0):

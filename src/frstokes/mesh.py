@@ -50,8 +50,6 @@ class TriMesh:
     nodes : (n_nodes, 2) float array of vertex coordinates.
     triangles : (n_tris, 3) int array of CCW vertex indices.
     boundary_mask : (n_nodes,) bool array, True on the boundary.
-    interior_index : (n_nodes,) int array mapping a node to its ordinal
-        among interior nodes, or -1 for boundary nodes.
     family : human-readable family tag, e.g. ``"symmetric(8)"``.
     h : maximum triangle diameter.
     x_breaks, y_breaks : grid lines of the underlying tensor layout.
@@ -63,7 +61,6 @@ class TriMesh:
     nodes: FloatArray
     triangles: IntArray
     boundary_mask: npt.NDArray[np.bool_]
-    interior_index: IntArray
     family: str
     h: float
     x_breaks: FloatArray
@@ -130,9 +127,6 @@ def _build_tensor_mesh(x_breaks: FloatArray, y_breaks: FloatArray, family: str) 
     gx, gy = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1))
     boundary = (gx == 0) | (gx == nx) | (gy == 0) | (gy == ny)
     boundary_mask = boundary.ravel()
-    interior_index = np.full(nodes.shape[0], -1, dtype=np.int64)
-    interior = np.flatnonzero(~boundary_mask)
-    interior_index[interior] = np.arange(interior.size)
 
     dx = np.diff(x_breaks)
     dy = np.diff(y_breaks)
@@ -142,7 +136,6 @@ def _build_tensor_mesh(x_breaks: FloatArray, y_breaks: FloatArray, family: str) 
         nodes=_freeze(nodes),
         triangles=_freeze(triangles),
         boundary_mask=_freeze(boundary_mask),
-        interior_index=_freeze(interior_index),
         family=family,
         h=h,
         x_breaks=_freeze(np.asarray(x_breaks, dtype=float)),

@@ -260,7 +260,7 @@ def test_6_single_mode_oracle_equivalence():
     prob = ProblemSpec(alpha=0.5, gamma=1.0, T=1.0, nonlinearity=zero_source(),
                        initial_data=SingleModeInitialData(1, 1))
     traj = step_linearized(SchemeConfig(variant="lumped-linearized", N=N,
-                                        store_full=True), prob, mesh)
+                                        snapshot_stride=1), prob, mesh)
     lam_h = 8.0 * M * M * np.sin(np.pi / (2 * M)) ** 2
     scal = scalar_cq_response(lam_h, prob.alpha, prob.gamma, prob.T, N)
     phi = prob.initial_data.field(mesh).values
@@ -282,7 +282,7 @@ def test_7_running_sums_match_double_sum():
     N = 8
     tau = prob.T / N
     traj = step_linearized(SchemeConfig(variant="galerkin-linearized", N=N,
-                                        store_full=True), prob, mesh)
+                                        snapshot_stride=1), prob, mesh)
 
     # Direct evaluation: dense solves, history retained in full, both
     # convolution sums written out literally over j = 0..n-1.
@@ -297,7 +297,7 @@ def test_7_running_sums_match_double_sum():
         full[idx] = u_int
         return (M_full @ fn(full))[idx]
 
-    q = cq_weights(1.0 - prob.alpha, N).q
+    q = cq_weights(1.0 - prob.alpha, N)
     ta = tau ** (1.0 - prob.alpha)
     hist = [prob.initial_data.field(mesh).values[idx]]
     lhs = W + (tau + prob.gamma * ta) * A
@@ -324,8 +324,8 @@ def test_8_structural_invariants():
         checks[f"lump=rowsum {mesh.family}"] = np.max(np.abs(rows - lump)) <= 1e-13
 
     for beta in (0.3, 0.7, 1.2):
-        q1 = cq_weights(beta, 256).q
-        q2 = cq_weights(beta + 1.0, 256).q
+        q1 = cq_weights(beta, 256)
+        q2 = cq_weights(beta + 1.0, 256)
         rel = np.max(np.abs(np.cumsum(q1) - q2) / np.maximum(1.0, np.abs(q2)))
         checks[f"partial-sum beta={beta}"] = rel <= 1e-13
 

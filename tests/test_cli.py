@@ -1,3 +1,4 @@
+import re
 import shutil
 import subprocess
 import sys
@@ -6,12 +7,26 @@ import numpy as np
 import pytest
 
 from conftest import tree_env
+from frstokes import cli
 from frstokes.cli import main, parse_config, study_config_from_dict
-from frstokes.cq_time_stepper import SchemeConfig, step_linearized
+from frstokes.cq_time_stepper import (DivergedError, PicardConvergenceError,
+                                      SchemeConfig, step_linearized)
 from frstokes.experiment_harness import build_mesh, _problem
 from frstokes.fem_assembly import l2_norm
 from frstokes.mesh import format_mesh_text
-from frstokes.spectral_oracle import mode_response
+from frstokes.spectral_oracle import ContourResolutionError, mode_response
+
+
+def assert_rejected(capsys, argv, message):
+    """``main(argv)`` returns 2 and prints nothing but one stderr line,
+    ``frs: <text>``, with ``message`` searched in the text as
+    ``pytest.raises(match=)`` searches an exception message."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("frs: ")
+    assert re.search(message, line[len("frs: "):]), line
 
 
 def test_parse_config_key_value(tmp_path):
@@ -133,9 +148,8 @@ def test_run_subcommand_rejects_unknown_config_keys(tmp_path, capsys):
     # misspelled alpha and scheme must not fall back to the defaults
     cfg = tmp_path / "run.cfg"
     cfg.write_text("case = a\nM = 4\nN = 3\nalpah = 0.3\nschem = galerkin-implicit\n")
-    with pytest.raises(ValueError, match=r"unknown config keys: \['alpah', 'schem'\]"):
-        main(["run", "--config", str(cfg)])
-    assert capsys.readouterr().out == ""
+    assert_rejected(capsys, ["run", "--config", str(cfg)],
+                    r"unknown config keys: \['alpah', 'schem'\]")
 
 
 def test_run_subcommand_accepts_every_key_it_reads(tmp_path, capsys):
@@ -198,9 +212,7 @@ def test_run_fields_agree_across_blas_thread_counts(tmp_path):
 def test_run_subcommand_rejects_bad_values(tmp_path, capsys, line, message):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"case = a\nM = 4\nN = 4\n{line}\n")
-    with pytest.raises(ValueError, match=message):
-        main(["run", "--config", str(cfg)])
-    assert capsys.readouterr().out == ""
+    assert_rejected(capsys, ["run", "--config", str(cfg)], message)
 
 
 @pytest.mark.parametrize("key,value", [("source_lumping", '"false"'),
@@ -210,9 +222,7 @@ def test_run_subcommand_rejects_bad_scheme_options(tmp_path, capsys, key, value)
     js = tmp_path / "run.json"
     js.write_text('{"case": "a", "family": "symmetric", "M": 4, "N": 4,'
                   f' "alpha": 0.5, "{key}": {value}}}')
-    with pytest.raises(ValueError, match=key):
-        main(["run", "--config", str(js)])
-    assert capsys.readouterr().out == ""
+    assert_rejected(capsys, ["run", "--config", str(js)], key)
 
 
 @pytest.mark.parametrize("key,value", [("N", "2.5"), ("N", "4.0"), ("N", "0"),
@@ -221,9 +231,8 @@ def test_run_subcommand_rejects_non_integer_counts(tmp_path, capsys, key, value)
     js = tmp_path / "run.json"
     counts = {"M": "4", "N": "4", key: value}
     js.write_text(f'{{"case": "a", "M": {counts["M"]}, "N": {counts["N"]}}}')
-    with pytest.raises(ValueError, match=f"{key} must be a positive integer"):
-        main(["run", "--config", str(js)])
-    assert capsys.readouterr().out == ""
+    assert_rejected(capsys, ["run", "--config", str(js)],
+                    f"{key} must be a positive integer")
 
 
 @pytest.mark.parametrize("raw", [{"N": [5, 7.5]}, {"N": 2.5}, {"M": [8, 0]},
@@ -238,9 +247,8 @@ def test_convergence_subcommand_rejects_non_integer_counts(tmp_path, capsys):
     cfg = tmp_path / "study.cfg"
     cfg.write_text("case = mode\nalpha = 0.5\nM = 8\nN = 5,7.5\nN_ref = 40\n"
                    f"cache_dir = {tmp_path / 'cache'}\n")
-    with pytest.raises(ValueError, match="N_list must be a positive integer"):
-        main(["convergence", "temporal", "--config", str(cfg)])
-    assert capsys.readouterr().out == ""
+    assert_rejected(capsys, ["convergence", "temporal", "--config", str(cfg)],
+                    "N_list must be a positive integer")
     assert not (tmp_path / "cache").exists()
 
 
@@ -257,9 +265,8 @@ def test_convergence_subcommand_rejects_non_integer_counts(tmp_path, capsys):
 def test_convergence_subcommand_rejects_bad_scalar_values(tmp_path, capsys, line, message):
     cfg = tmp_path / "study.cfg"
     cfg.write_text(f"case = mode\nM = 4\nN = 4,8\nN_ref = 16\n{line}\n")
-    with pytest.raises(ValueError, match=message):
-        main(["convergence", "temporal", "--config", str(cfg)])
-    assert capsys.readouterr().out == ""
+    assert_rejected(capsys, ["convergence", "temporal", "--config", str(cfg)],
+                    message)
 
 
 @pytest.mark.parametrize("command", [["run"], ["convergence", "temporal"]])
@@ -267,10 +274,62 @@ def test_config_out_key_is_rejected(tmp_path, capsys, command):
     # the output path is the --out flag, never a config key
     cfg = tmp_path / "case.cfg"
     cfg.write_text(f"case = a\nM = 4\nN = 4\nout = {tmp_path / 'report'}\n")
-    with pytest.raises(ValueError, match=r"unknown config keys: \['out'\]"):
-        main(command + ["--config", str(cfg)])
-    assert capsys.readouterr().out == ""
+    assert_rejected(capsys, command + ["--config", str(cfg)],
+                    r"unknown config keys: \['out'\]")
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("raw,name", [({"M": []}, "M_list"), ({"N": []}, "N_list"),
+                                      ({"t_list": []}, "t_list")])
+def test_study_config_rejects_empty_ladders(raw, name):
+    with pytest.raises(ValueError, match=f"^{name} must not be empty"):
+        study_config_from_dict(raw)
+
+
+@pytest.mark.parametrize("line,name", [("M = ,", "M_list"), ("N = ,", "N_list"),
+                                       ("t_list = ,", "t_list")])
+def test_convergence_subcommand_rejects_empty_ladders(tmp_path, capsys, line, name):
+    # "N = ," used to reach the study and fail in max() of an empty sequence
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(f"case = a\nM = 4\nN = 4\nN_ref = 8\n{line}\n"
+                   f"cache_dir = {tmp_path / 'cache'}\n")
+    assert_rejected(capsys, ["convergence", "temporal", "--config", str(cfg)],
+                    f"^{name} must not be empty$")
+    assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["convergence", "spatial"]])
+def test_unreadable_config_is_one_line(tmp_path, capsys, command):
+    missing = tmp_path / "missing.cfg"
+    assert_rejected(capsys, command + ["--config", str(missing)],
+                    f"^cannot read config {re.escape(str(missing))}: ")
+    assert_rejected(capsys, command + ["--config", str(tmp_path)],
+                    "^cannot read config ")
+
+
+@pytest.mark.parametrize("error", [DivergedError(3), PicardConvergenceError(3, 50, 1e-3),
+                                   ContourResolutionError("contour too coarse")])
+def test_solver_failures_exit_1_with_one_line(tmp_path, capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli.harness, "_solve_cfg", fail)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(run_config_text())
+    assert main(["run", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"frs: {error}\n"
+
+
+def test_bad_oracle_argument_is_one_line_in_a_subprocess():
+    # used to print a full traceback ending in the ValueError
+    proc = subprocess.run(
+        [sys.executable, "-m", "frstokes", "oracle", "--lambda", "1", "--t", "nan",
+         "--alpha", "0.5"], capture_output=True, text=True, env=tree_env())
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "frs: t must be a finite number, got nan\n"
 
 
 def test_study_config_has_no_snapshot_stride_key():

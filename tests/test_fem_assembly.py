@@ -414,3 +414,13 @@ def test_problem_spec_rejects_non_finite_or_non_positive(name, value):
     kw[name] = value
     with pytest.raises(ValueError, match=f"{name} must be a finite number > 0"):
         ProblemSpec(**kw)
+
+
+@pytest.mark.parametrize("name", ["alpha", "gamma", "T"])
+@pytest.mark.parametrize("value", [True, False, "0.5", [0.5]])
+def test_problem_spec_rejects_non_numbers(name, value):
+    # gamma=True and T=True were accepted as 1, and alpha="0.5" was a TypeError
+    kw = dict(alpha=0.5, gamma=1.0, T=1.0)
+    kw[name] = value
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        ProblemSpec(**kw)

@@ -62,10 +62,8 @@ def test_boundary_flags_match_geometry():
         x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
         on_edge = (x == 0) | (x == 1) | (y == 0) | (y == 1)
         assert np.array_equal(mesh.boundary_mask, on_edge)
-        inter = mesh.interior_index
-        assert np.all(inter[mesh.boundary_mask] == -1)
-        ordinals = inter[~mesh.boundary_mask]
-        assert np.array_equal(np.sort(ordinals), np.arange(mesh.n_interior))
+        assert np.array_equal(mesh.interior_nodes, np.flatnonzero(~on_edge))
+        assert mesh.interior_nodes.size == mesh.n_interior
 
 
 def test_symmetric_nested_refinement():

@@ -1,6 +1,8 @@
+import ast
 import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,9 +13,8 @@ from frstokes import cq_time_stepper
 # The public names of the package, by the submodule that defines them.
 PUBLIC = {
     "cq_time_stepper": (
-        "CQWeights", "DivergedError", "PicardConvergenceError", "SchemeConfig",
-        "Trajectory", "cq_fractional_integral", "cq_weights", "step_implicit",
-        "step_linearized",
+        "DivergedError", "PicardConvergenceError", "SchemeConfig", "Trajectory",
+        "cq_fractional_integral", "cq_weights", "step_implicit", "step_linearized",
     ),
     "experiment_harness": (
         "ExperimentReport", "StudyConfig", "fit_rate", "run_nonsymmetric_study",
@@ -43,7 +44,7 @@ NAMES = sorted([*PUBLIC, *(n for names in PUBLIC.values() for n in names)])
 
 
 def test_all_lists_the_public_names():
-    assert len(NAMES) == 60
+    assert len(NAMES) == 59
     assert frstokes.__all__ == NAMES
 
 
@@ -90,3 +91,25 @@ def test_names_are_looked_up_on_every_access(monkeypatch):
     monkeypatch.undo()
     assert frstokes.step_linearized is original
     assert "step_linearized" not in vars(frstokes)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names bound by a module-level import of ``path`` and never read."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in bound.items()
+            if name not in read]
+
+
+def test_no_unused_module_level_imports():
+    # no linter is assumed; a dead import is a dead hook all the same
+    modules = sorted(Path(frstokes.__file__).parent.glob("*.py"))
+    assert len(modules) >= 9
+    assert [hit for path in modules for hit in _unused_imports(path)] == []
