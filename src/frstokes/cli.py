@@ -52,10 +52,10 @@ def _coerce_scalar(text: str):
     return low
 
 
-def _coerce(text: str):
+def _coerce(text: str, scalar=_coerce_scalar):
     if "," in text:
-        return [_coerce_scalar(part) for part in text.split(",") if part.strip()]
-    return _coerce_scalar(text)
+        return [scalar(part) for part in text.split(",") if part.strip()]
+    return scalar(text)
 
 
 def parse_config(path: str) -> dict:
@@ -74,8 +74,9 @@ def parse_config(path: str) -> dict:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = _coerce(value.strip())
+        key, value = (part.strip() for part in line.split("=", 1))
+        # a path stays a string: "cache_dir = 2024" names the directory 2024
+        out[key] = _coerce(value, str.strip if key == "cache_dir" else _coerce_scalar)
     return out
 
 

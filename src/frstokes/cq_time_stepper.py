@@ -71,10 +71,9 @@ import numpy as np
 import numpy.typing as npt
 import scipy.sparse as sp
 
-from .fem_assembly import (NodalField, Nonlinearity, ProblemSpec, _is_count,
-                           _is_positive_real, _require_bool, _require_count,
-                           mesh_operator)
-from .mesh import TriMesh
+from .fem_assembly import (NodalField, Nonlinearity, ProblemSpec, _is_positive_real,
+                           _require_bool, _require_count, mesh_operator)
+from .mesh import TriMesh, _is_count
 from .sparse_linalg import CompositeOperator
 
 __all__ = [

@@ -1,14 +1,18 @@
 """Convergence studies for the fully discrete schemes.
 
-Each study solves a ladder of discretizations against a finer reference
-(or, for single-mode data, against the contour-quadrature oracle), tabulates
-L2 errors at the final time, and fits rates.  Reports serialize to CSV with
-header ``param,error_l2,rate_pairwise`` and a ``fitted_rate`` footer, plus a
-markdown mirror.  Final fields are cached content-addressed by the full
-run configuration, so references shared between studies are solved once.
-Within a process, :func:`build_mesh` hands out one mesh per (family, M)
-while any caller holds it, so the runs and error measurements of a study
-share the mesh and the operators memoized on it.
+Every study runs through one table loop: it first checks that the
+study's reference is finer than its rows on the refined axis, then, for
+each alpha, walks the rows of (param, run, reference) that the study
+names, measures each L2 error at the final time (a spatial study of
+single-mode data is measured against the contour-quadrature oracle
+instead of a reference solve), and fits rates.  Reports serialize to CSV
+with header ``param,error_l2,rate_pairwise`` and a ``fitted_rate``
+footer, plus a markdown mirror.  Final fields are cached
+content-addressed by the full run configuration, so references shared
+between studies are solved once.  Within a process, :func:`build_mesh`
+hands out one mesh per (family, M) while any caller holds it, so the
+runs and error measurements of a study share the mesh and the operators
+memoized on it.
 """
 
 from __future__ import annotations
@@ -61,8 +65,11 @@ class StudyConfig:
     sin(pi x) sin(pi y) ("mode", with no source).  Construction rejects an
     empty ``alphas``, ``M_list``, ``N_list`` or ``t_list``, checks
     ``scheme`` and ``source_lumping`` as :class:`SchemeConfig` does, every
-    count as an integer >= 1, and ``alphas``, ``gamma``, ``T`` and every
-    entry of ``t_list`` by building the :class:`ProblemSpec` of each run.
+    count as an integer >= 1, a ladder that repeats an entry, a
+    ``cache_dir`` that is not None or a non-empty string, and ``alphas``,
+    ``gamma``, ``T`` and every entry of ``t_list`` by building the
+    :class:`ProblemSpec` of each run.  Each study checks that its
+    reference is finer than its rows before its first solve.
     """
 
     case: str = "a"
@@ -92,6 +99,10 @@ class StudyConfig:
         for name in ("alphas", "M_list", "N_list", "t_list"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
+        if self.cache_dir is not None and not (isinstance(self.cache_dir, str)
+                                               and self.cache_dir):
+            raise ValueError("cache_dir must be a non-empty path string, "
+                             f"got {self.cache_dir!r}")
         SchemeConfig(variant=self.scheme, N=self.N, source_lumping=self.source_lumping)
         for name in ("M", "M_ref", "N_ref"):
             _require_count(name, getattr(self, name))
@@ -101,6 +112,10 @@ class StudyConfig:
         for alpha in self.alphas:
             for T in (self.T, *self.t_list):
                 _problem(self.case, alpha, self.gamma, T)
+        for name in ("M_list", "N_list", "t_list"):
+            ladder = getattr(self, name)
+            if len(set(ladder)) < len(ladder):
+                raise ValueError(f"{name} must not repeat an entry, got {ladder}")
 
 
 @dataclass(frozen=True)
@@ -158,29 +173,6 @@ def fit_rate(params, errors) -> float | None:
         return None
     slope = np.polyfit(np.log(params), np.log(errors), 1)[0]
     return float(slope)
-
-
-def _pairwise_rates(params, errors) -> tuple:
-    out = [None]
-    for i in range(1, len(params)):
-        out.append(
-            float(np.log(errors[i - 1] / errors[i]) / np.log(params[i - 1] / params[i]))
-        )
-    return tuple(out)
-
-
-def _make_report(kind, case, alpha, param_name, params, errors, theory) -> ExperimentReport:
-    return ExperimentReport(
-        kind=kind,
-        case=case,
-        alpha=float(alpha),
-        param_name=param_name,
-        params=tuple(float(p) for p in params),
-        errors=tuple(float(e) for e in errors),
-        pairwise=_pairwise_rates(params, errors),
-        fitted_rate=fit_rate(params, errors) if len(params) >= 2 else None,
-        theoretical_rate=theory,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -328,75 +320,102 @@ def _solve_cfg(cfg: StudyConfig, alpha: float, *, M: int, N: int, T: float,
                        cache_dir=cfg.cache_dir)
 
 
-def _mode_reference(cfg: StudyConfig, alpha: float, T: float):
-    # u0 = sin sin = (1/2) phi_11 against the orthonormal eigenfunctions.
-    return linear_exact_solution([(1, 1, 0.5)], T, alpha, cfg.gamma)
-
-
 # ---------------------------------------------------------------------------
 # Studies
 # ---------------------------------------------------------------------------
 
 
-def run_spatial_study(cfg: StudyConfig) -> list[ExperimentReport]:
-    """Mesh refinement at fixed N; param column is the mesh size h."""
-    if cfg.case != "mode" and cfg.M_ref <= max(cfg.M_list):
-        raise ValueError("reference mesh must be finer than every tested mesh")
+def _theory(kind: str, case: str, alpha: float) -> float | None:
+    """Rate of a table of ``kind`` predicted by the error bounds.
+
+    Spatial tables converge at order 2 in h and temporal ones at order 1 in
+    tau; on the nonsymmetric family the lumped-mass bound for the
+    indicator (case b) is 1.5.  A prefactor table gives the slope of
+    log(error) vs log(t_N).  With data regularity nu (2 for the smooth
+    bump, 1/2 for the indicator) the temporal error scales as
+    t^((1-alpha) nu / 2) at fixed N and the spatial error as
+    t^((1-alpha)(nu-2)/2) at fixed mesh.  These slopes are t -> 0 limits,
+    reached only once gamma lambda_1 t^(1-alpha) << 1 (lambda_1 = 2 pi^2 on
+    the unit square).  A temporal fit over the default ``t_list`` at
+    alpha = 0.5 is still pre-asymptotic at its upper end and gives about
+    0.41 for case a rather than 0.50.
+    """
+    if kind in ("spatial", "temporal", "nonsymmetric"):
+        return {"spatial": 2.0, "temporal": 1.0,
+                "nonsymmetric": 1.5 if case == "b" else 2.0}[kind]
+    nu = {"a": 2.0, "b": 0.5}.get(case)
+    if nu is None:
+        return None
+    if kind == "prefactor-temporal":
+        return (1.0 - alpha) * nu / 2.0
+    return (1.0 - alpha) * (nu - 2.0) / 2.0
+
+
+def _table(cfg: StudyConfig, kind: str, param_name: str, rows) -> list[ExperimentReport]:
+    """The one loop behind every study: one report per alpha.
+
+    ``rows(alpha)`` yields (param, run, reference) with run and reference
+    (mesh, field) pairs, solving them as it goes.  A spatial ``mode`` study
+    is measured against the exact kernel instead of its reference, which
+    is None.  Every other table is checked, before the first solve, to
+    have a reference finer than its rows on the refined axis.
+    """
+    exact = kind == "spatial" and cfg.case == "mode"
+    ref_name, tested = {"spatial": ("M_ref", cfg.M_list),
+                        "nonsymmetric": ("M_ref", cfg.M_list),
+                        "temporal": ("N_ref", cfg.N_list),
+                        "prefactor-spatial": ("M_ref", (cfg.M,)),
+                        "prefactor-temporal": ("N_ref", (cfg.N,))}[kind]
+    if not exact and getattr(cfg, ref_name) <= max(tested):
+        raise ValueError(f"{ref_name} must exceed every tested {ref_name[0]} "
+                         f"({max(tested)}) in a {kind} study, got {getattr(cfg, ref_name)}")
     reports = []
     for alpha in cfg.alphas:
-        if cfg.case == "mode":
-            exact = _mode_reference(cfg, alpha, cfg.T)
-            ref = None
-        else:
-            ref = _solve_cfg(cfg, alpha, M=cfg.M_ref, N=cfg.N, T=cfg.T)
+        # u0 = sin sin = (1/2) phi_11 against the orthonormal eigenfunctions.
+        kernel = (linear_exact_solution([(1, 1, 0.5)], cfg.T, alpha, cfg.gamma)
+                  if exact else None)
         params, errors = [], []
-        for M in cfg.M_list:
-            mesh, fld = _solve_cfg(cfg, alpha, M=M, N=cfg.N, T=cfg.T)
-            if cfg.case == "mode":
-                err = l2_error_vs_function(mesh, fld, exact)
-            else:
-                err = l2_error_vs_reference((mesh, fld), ref)
-            params.append(mesh.h)
-            errors.append(err)
-        reports.append(_make_report("spatial", cfg.case, alpha, "h",
-                                    params, errors, theory=2.0))
+        for param, run, ref in rows(alpha):
+            params.append(float(param))
+            errors.append(float(l2_error_vs_function(*run, kernel) if exact
+                                else l2_error_vs_reference(run, ref)))
+        # fit first: it rejects a zero error before any rate divides by it
+        fitted = fit_rate(params, errors) if len(params) >= 2 else None
+        pairwise = [None] + [float(np.log(errors[i - 1] / errors[i])
+                                   / np.log(params[i - 1] / params[i]))
+                             for i in range(1, len(params))]
+        reports.append(ExperimentReport(
+            kind=kind, case=cfg.case, alpha=float(alpha), param_name=param_name,
+            params=tuple(params), errors=tuple(errors), pairwise=tuple(pairwise),
+            fitted_rate=fitted, theoretical_rate=_theory(kind, cfg.case, alpha)))
     return reports
+
+
+def _mesh_ladder(cfg: StudyConfig, family: str, ref_family: str | None):
+    """Rows over ``M_list`` on ``family`` against one ``M_ref`` solve on
+    ``ref_family`` (none when it is None), at fixed N; param is h."""
+    def rows(alpha):
+        ref = (None if ref_family is None else
+               _solve_cfg(cfg, alpha, M=cfg.M_ref, N=cfg.N, T=cfg.T, family=ref_family))
+        for M in cfg.M_list:
+            mesh, fld = _solve_cfg(cfg, alpha, M=M, N=cfg.N, T=cfg.T, family=family)
+            yield mesh.h, (mesh, fld), ref
+    return rows
+
+
+def run_spatial_study(cfg: StudyConfig) -> list[ExperimentReport]:
+    """Mesh refinement at fixed N; param column is the mesh size h."""
+    ref_family = None if cfg.case == "mode" else cfg.family
+    return _table(cfg, "spatial", "h", _mesh_ladder(cfg, cfg.family, ref_family))
 
 
 def run_temporal_study(cfg: StudyConfig) -> list[ExperimentReport]:
     """Step refinement at fixed mesh; param column is the step size tau."""
-    if cfg.N_ref <= max(cfg.N_list):
-        raise ValueError("reference step count must exceed every tested one")
-    reports = []
-    for alpha in cfg.alphas:
+    def rows(alpha):
         ref = _solve_cfg(cfg, alpha, M=cfg.M, N=cfg.N_ref, T=cfg.T)
-        params, errors = [], []
         for N in cfg.N_list:
-            mesh, fld = _solve_cfg(cfg, alpha, M=cfg.M, N=N, T=cfg.T)
-            params.append(cfg.T / N)
-            errors.append(l2_error_vs_reference((mesh, fld), ref))
-        reports.append(_make_report("temporal", cfg.case, alpha, "tau",
-                                    params, errors, theory=1.0))
-    return reports
-
-
-def _prefactor_theory(case: str, alpha: float, axis: str) -> float | None:
-    """Slope of log(error) vs log(t_N) predicted by the error bounds.
-
-    With data regularity nu (2 for the smooth bump, 1/2 for the indicator)
-    the temporal error scales as t^((1-alpha) nu / 2) at fixed N and the
-    spatial error as t^(-(1-alpha)(2-nu)/2) at fixed mesh.  These slopes
-    are t -> 0 limits, reached only once gamma lambda_1 t^(1-alpha) << 1
-    (lambda_1 = 2 pi^2 on the unit square).  A temporal fit over the
-    default ``t_list`` at alpha = 0.5 is still pre-asymptotic at its upper
-    end and gives about 0.41 for case a rather than 0.50.
-    """
-    nu = {"a": 2.0, "b": 0.5}.get(case)
-    if nu is None:
-        return None
-    if axis == "temporal":
-        return (1.0 - alpha) * nu / 2.0
-    return -(1.0 - alpha) * (2.0 - nu) / 2.0
+            yield cfg.T / N, _solve_cfg(cfg, alpha, M=cfg.M, N=N, T=cfg.T), ref
+    return _table(cfg, "temporal", "tau", rows)
 
 
 def run_prefactor_study(cfg: StudyConfig) -> list[ExperimentReport]:
@@ -406,39 +425,17 @@ def run_prefactor_study(cfg: StudyConfig) -> list[ExperimentReport]:
     spatial axis compares M against M_ref at the same step count.  The
     fitted slope exposes the singular-prefactor behavior as t -> 0.
     """
-    reports = []
-    for alpha in cfg.alphas:
-        params, errors = [], []
+    ref_M, ref_N = (cfg.M, cfg.N_ref) if cfg.axis == "temporal" else (cfg.M_ref, cfg.N)
+
+    def rows(alpha):
         for t in cfg.t_list:
-            if cfg.axis == "temporal":
-                run = _solve_cfg(cfg, alpha, M=cfg.M, N=cfg.N, T=t)
-                ref = _solve_cfg(cfg, alpha, M=cfg.M, N=cfg.N_ref, T=t)
-            else:
-                run = _solve_cfg(cfg, alpha, M=cfg.M, N=cfg.N, T=t)
-                ref = _solve_cfg(cfg, alpha, M=cfg.M_ref, N=cfg.N, T=t)
-            params.append(t)
-            errors.append(l2_error_vs_reference(run, ref))
-        reports.append(_make_report(f"prefactor-{cfg.axis}", cfg.case, alpha,
-                                    "t_N", params, errors,
-                                    theory=_prefactor_theory(cfg.case, alpha, cfg.axis)))
-    return reports
+            run = _solve_cfg(cfg, alpha, M=cfg.M, N=cfg.N, T=t)
+            yield t, run, _solve_cfg(cfg, alpha, M=ref_M, N=ref_N, T=t)
+    return _table(cfg, f"prefactor-{cfg.axis}", "t_N", rows)
 
 
 def run_nonsymmetric_study(cfg: StudyConfig) -> list[ExperimentReport]:
     """Refinement over the alternating-width family, referenced against a
     fine symmetric mesh (the meshes are non-nested, so the coarse fields
     are evaluated at the fine nodes through point location)."""
-    reports = []
-    for alpha in cfg.alphas:
-        ref = _solve_cfg(cfg, alpha, M=cfg.M_ref, N=cfg.N, T=cfg.T,
-                         family="symmetric")
-        params, errors = [], []
-        for M in cfg.M_list:
-            mesh, fld = _solve_cfg(cfg, alpha, M=M, N=cfg.N, T=cfg.T,
-                                   family="nonsymmetric")
-            params.append(mesh.h)
-            errors.append(l2_error_vs_reference((mesh, fld), ref))
-        theory = 1.5 if cfg.case == "b" else 2.0
-        reports.append(_make_report("nonsymmetric", cfg.case, alpha, "h",
-                                    params, errors, theory=theory))
-    return reports
+    return _table(cfg, "nonsymmetric", "h", _mesh_ladder(cfg, "nonsymmetric", "symmetric"))

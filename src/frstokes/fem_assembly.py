@@ -23,7 +23,7 @@ import numpy as np
 import numpy.typing as npt
 import scipy.sparse as sp
 
-from .mesh import TriMesh, evaluate_p1
+from .mesh import TriMesh, _is_count, evaluate_p1
 from .sparse_linalg import cg_solve
 
 __all__ = [
@@ -383,12 +383,6 @@ def _require_bool(name: str, value) -> None:
     """Reject anything but a bool, such as the string "false"."""
     if not isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be a bool, got {value!r}")
-
-
-def _is_count(value, least: int = 1) -> bool:
-    """True for an integer >= ``least`` that is not a bool."""
-    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= least)
 
 
 def _is_positive_real(value) -> bool:

@@ -16,6 +16,7 @@ are built once and live exactly as long as the mesh.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,10 +150,16 @@ def _build_tensor_mesh(x_breaks: FloatArray, y_breaks: FloatArray, family: str) 
     return mesh
 
 
+def _is_count(value, least: int = 1) -> bool:
+    """True for an integer >= ``least`` that is not a bool."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= least)
+
+
 def build_symmetric_mesh(M: int) -> TriMesh:
     """Uniform mesh of 2*M^2 right triangles with legs of length 1/M."""
-    if M < 1:
-        raise ValueError(f"M must be a positive integer, got {M}")
+    if not _is_count(M):
+        raise ValueError(f"M must be a positive integer, got {M!r}")
     breaks = np.arange(M + 1) / M
     return _build_tensor_mesh(breaks, breaks, f"symmetric({M})")
 
@@ -164,8 +171,8 @@ def build_nonsymmetric_mesh(M: int) -> TriMesh:
     pairs of columns span 2/M and the line x = 1/2 is a grid line for every
     M divisible by 4 (which is required).
     """
-    if M < 4 or M % 4 != 0:
-        raise ValueError(f"M must be a positive multiple of 4, got {M}")
+    if not _is_count(M, least=4) or M % 4 != 0:
+        raise ValueError(f"M must be a positive multiple of 4, got {M!r}")
     k = np.arange(M + 1)
     # Break k = (wide count)*4/(3M) + (narrow count)*2/(3M); computed
     # directly per index so that the midpoint break is exactly 0.5.

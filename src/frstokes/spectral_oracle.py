@@ -134,6 +134,7 @@ def _require_positive_time(t) -> None:
 
 
 def _check_alpha_gamma(alpha: float, gamma: float) -> None:
+    _require_finite("alpha", alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     _require_finite("gamma", gamma)

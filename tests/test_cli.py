@@ -1,3 +1,7 @@
+import contextlib
+import io
+import json
+import math
 import re
 import shutil
 import subprocess
@@ -5,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import tree_env
 from frstokes import cli
@@ -267,6 +272,99 @@ def test_convergence_subcommand_rejects_bad_scalar_values(tmp_path, capsys, line
     cfg.write_text(f"case = mode\nM = 4\nN = 4,8\nN_ref = 16\n{line}\n")
     assert_rejected(capsys, ["convergence", "temporal", "--config", str(cfg)],
                     message)
+
+
+def test_key_value_cache_dir_stays_a_string(tmp_path, capsys, monkeypatch):
+    # "cache_dir = 2024" was parsed as the int 2024, which passed the config
+    # and crashed the first solve with a TypeError traceback in os.path.join
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("case = a\nM = 4\nN = 4,8\nN_ref = 16\ncache_dir = 2024\n")
+    assert parse_config(str(cfg))["cache_dir"] == "2024"
+    assert main(["convergence", "temporal", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(list((tmp_path / "2024").glob("run-*.npz"))) == 3
+    cfg.write_text("cache_dir = true\n")
+    assert parse_config(str(cfg)) == {"cache_dir": "true"}
+
+
+@pytest.mark.parametrize("value", ["true", "5", "2.5", '""'])
+def test_json_cache_dir_must_be_a_path_string(tmp_path, capsys, value):
+    js = tmp_path / "study.json"
+    js.write_text('{"case": "a", "M": 4, "N": [4, 8], "N_ref": 16, '
+                  f'"cache_dir": {value}}}')
+    assert_rejected(capsys, ["convergence", "temporal", "--config", str(js)],
+                    "^cache_dir must be a non-empty path string, got ")
+    assert list(tmp_path.iterdir()) == [js]
+
+
+def test_prefactor_reference_must_be_finer(tmp_path, capsys):
+    # with the defaults M = M_ref = 128 this ran every solve of the table and
+    # then died in a ZeroDivisionError traceback
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(f"case = a\naxis = spatial\ncache_dir = {tmp_path / 'cache'}\n")
+    assert_rejected(capsys, ["convergence", "prefactor", "--config", str(cfg)],
+                    r"^M_ref must exceed every tested M \(128\) in a "
+                    r"prefactor-spatial study, got 128$")
+    assert not (tmp_path / "cache").exists()
+
+
+# Small valid configs, one per command.  Every count is at most 8, so the
+# one key a draw replaces never leaves a count at its 128/640 default.
+_BASE_CONFIGS = {
+    "run": {"case": "a", "M": 4, "N": 4},
+    "spatial": {"case": "a", "M": [2, 4], "N": 4, "M_ref": 8, "N_ref": 8},
+    "temporal": {"case": "a", "M": 4, "N": [2, 4], "M_ref": 8, "N_ref": 8},
+    "prefactor": {"case": "a", "M": 4, "N": 4, "M_ref": 8, "N_ref": 8,
+                  "t_list": [1e-2, 1e-3]},
+    "nonsymmetric": {"case": "a", "M": [4], "N": 4, "M_ref": 8, "N_ref": 8},
+}
+_CONFIG_KEYS = ("case", "alpha", "gamma", "T", "family", "M", "N", "M_ref", "N_ref",
+                "t_list", "axis", "scheme", "source_lumping", "cache_dir")
+_SCALARS = st.one_of(
+    st.booleans(), st.none(), st.integers(-2, 8),
+    st.sampled_from([0.0, -1.0, 1e-3, 0.25, 0.5, 2.5, math.nan, math.inf, -math.inf]),
+    st.sampled_from(["a", "b", "mode", "symmetric", "nonsymmetric", "spatial",
+                     "temporal", "lumped-linearized", "galerkin-linearized",
+                     "galerkin-implicit", "runs", "abc", ""]))
+
+
+def _key_value_text(value) -> str:
+    if isinstance(value, list):  # a trailing comma keeps one entry a list
+        return ",".join(map(str, value)) + ("," if len(value) == 1 else "")
+    return str(value)
+
+
+@settings(max_examples=300)
+@example(command="prefactor", key="N_ref", value=4, as_json=False)
+@example(command="temporal", key="cache_dir", value=5, as_json=False)
+@example(command="temporal", key="cache_dir", value=True, as_json=True)
+@given(command=st.sampled_from(sorted(_BASE_CONFIGS)), key=st.sampled_from(_CONFIG_KEYS),
+       value=st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3)), as_json=st.booleans())
+def _config_runs_or_exits_2(command, key, value, as_json):
+    raw = {**_BASE_CONFIGS[command], key: value}
+    path = "case.json" if as_json else "case.cfg"
+    with open(path, "w") as fh:
+        fh.write(json.dumps(raw) if as_json else
+                 "".join(f"{k} = {_key_value_text(v)}\n" for k, v in raw.items()))
+    argv = ["run"] if command == "run" else ["convergence", command]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--config", path])
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 2, err.getvalue()
+        assert out.getvalue() == ""
+        (line,) = err.getvalue().splitlines()
+        assert line.startswith("frs: ")
+
+
+def test_cli_configs_run_or_exit_2_with_one_line(tmp_path, monkeypatch):
+    # wrong types, lists, NaN/inf, bools, non-positive counts and references
+    # that are not finer, one documented key at a time, through cli.main
+    monkeypatch.chdir(tmp_path)
+    _config_runs_or_exits_2()
 
 
 @pytest.mark.parametrize("command", [["run"], ["convergence", "temporal"]])

@@ -308,13 +308,33 @@ def test_spatial_study_single_mode_against_oracle(tmp_path):
     assert rep2.to_csv() == rep.to_csv()
 
 
-def test_spatial_study_requires_finer_reference():
-    cfg = StudyConfig(case="a", M_list=(4, 8), M_ref=8, N=4)
-    with pytest.raises(ValueError):
-        run_spatial_study(cfg)
-    cfg = StudyConfig(case="a", N_list=(4, 8), N_ref=8, M=4)
-    with pytest.raises(ValueError):
-        run_temporal_study(cfg)
+def test_spatial_study_requires_finer_reference(monkeypatch):
+    # Every table kind checks its reference, equal or coarser, before its
+    # first solve: a prefactor study with M_ref = M used to run every solve
+    # and end in a ZeroDivisionError, and the other unchecked kinds printed
+    # a table measured against a coarser mesh.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking the reference")
+
+    monkeypatch.setattr(harness, "solve_final", no_solve)
+    tables = [
+        (run_spatial_study, dict(M_list=(4, 8)), "M_ref", "spatial"),
+        (run_nonsymmetric_study, dict(M_list=(4, 8)), "M_ref", "nonsymmetric"),
+        (run_temporal_study, dict(M=4, N_list=(4, 8)), "N_ref", "temporal"),
+        (run_prefactor_study, dict(M=8, N=8, axis="temporal"), "N_ref",
+         "prefactor-temporal"),
+        (run_prefactor_study, dict(M=8, N=8, axis="spatial"), "M_ref",
+         "prefactor-spatial"),
+    ]
+    for run, fields, ref_name, kind in tables:
+        for ref in (8, 4):  # equal to the finest row, then coarser
+            cfg = StudyConfig(case="a", **fields, **{ref_name: ref})
+            with pytest.raises(ValueError, match=f"^{ref_name} must exceed every "
+                               f"tested {ref_name[0]} .* in a {kind} study, got {ref}$"):
+                run(cfg)
+    # the spatial mode table is measured against the exact kernel instead
+    with pytest.raises(AssertionError, match="solved before"):
+        run_spatial_study(StudyConfig(case="mode", M_list=(4, 8), M_ref=4))
 
 
 def test_temporal_study_first_order(tmp_path):

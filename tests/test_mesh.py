@@ -98,6 +98,15 @@ def test_invalid_mesh_parameters():
         build_nonsymmetric_mesh(6)
     with pytest.raises(ValueError):
         build_nonsymmetric_mesh(0)
+    # M is an integer, not a bool, float or string: True used to build
+    # symmetric(True), 4.0 symmetric(4.0), and "4" raised a TypeError
+    for M in (True, 4.0, "4", None, 2.5):
+        with pytest.raises(ValueError, match="^M must be a positive integer"):
+            build_symmetric_mesh(M)
+    for M in (True, 8.0, "8", None):
+        with pytest.raises(ValueError, match="^M must be a positive multiple of 4"):
+            build_nonsymmetric_mesh(M)
+    assert build_symmetric_mesh(np.int64(2)).n_nodes == 9
 
 
 def test_evaluate_p1_at_nodes_and_centroids():

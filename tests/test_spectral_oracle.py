@@ -111,6 +111,21 @@ def test_mode_response_rejects_bad_arguments(args, match):
         mode_response(*args)
 
 
+@pytest.mark.parametrize("call", [
+    lambda alpha, gamma: mode_response(1.0, 1.0, alpha, gamma),
+    lambda alpha, gamma: scalar_cq_response(1.0, alpha, gamma, 1.0, 4),
+    lambda alpha, gamma: symbol_g(1.0, alpha, gamma),
+], ids=["mode_response", "scalar_cq_response", "symbol_g"])
+@pytest.mark.parametrize("alpha,gamma,name", [
+    ("0.5", 1.0, "alpha"), (None, 1.0, "alpha"), (True, 1.0, "alpha"),
+    ([0.5], 1.0, "alpha"), (0.5, "1", "gamma"), (0.5, None, "gamma"),
+])
+def test_oracle_rejects_non_number_alpha_and_gamma(call, alpha, gamma, name):
+    # a string or None alpha used to raise a TypeError from the comparison
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number, got "):
+        call(alpha, gamma)
+
+
 def test_contour_spec_validation():
     with pytest.raises(ValueError):
         ContourSpec(theta=np.pi / 2)
