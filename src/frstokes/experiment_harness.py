@@ -214,7 +214,7 @@ def _problem(case: str, alpha: float, gamma: float, T: float) -> ProblemSpec:
 
 # Names the solver and the file layout behind a cached field.  Change it
 # whenever either changes what a run produces, so older files are not served.
-CACHE_FORMAT = "splu-soe-3"
+CACHE_FORMAT = "splu-soe-4"
 
 
 def _run_key(case, alpha, gamma, T, family, M, N, scheme, source_lumping):
@@ -268,7 +268,9 @@ def solve_final(case: str, alpha: float, gamma: float, T: float, family: str,
     records the BLAS library and thread settings it was computed under
     (entries ``blas`` and ``threads``); reading ignores them, so they
     neither split the cache nor stop files without them from being served.
-    This is the one place that picks the stepper for a scheme.
+    A ``cache_dir`` that cannot be made a directory, such as the name of a
+    file, raises ``ValueError`` before the solve.  This is the one place
+    that picks the stepper for a scheme.
     """
     config = SchemeConfig(variant=scheme, N=N, source_lumping=source_lumping,
                           snapshot_stride=N)
@@ -276,6 +278,11 @@ def solve_final(case: str, alpha: float, gamma: float, T: float, family: str,
     key = _run_key(case, alpha, gamma, T, family, M, N, scheme, source_lumping)
     path = None
     if cache_dir is not None:
+        try:  # before the solve, so that a file in the way costs no solve
+            os.makedirs(cache_dir, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"cannot create cache_dir {cache_dir!r}: "
+                             f"{exc.strerror}") from exc
         digest = hashlib.sha256(key.encode()).hexdigest()
         path = os.path.join(cache_dir, f"run-{digest}.npz")
         values = _read_cached(path, key)
@@ -286,7 +293,6 @@ def solve_final(case: str, alpha: float, gamma: float, T: float, family: str,
     stepper = step_implicit if scheme == "galerkin-implicit" else step_linearized
     final = stepper(config, problem, mesh).final()
     if path is not None:
-        os.makedirs(cache_dir, exist_ok=True)
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
             blas, threads = _blas_config()
@@ -358,7 +364,10 @@ def _table(cfg: StudyConfig, kind: str, param_name: str, rows) -> list[Experimen
     (mesh, field) pairs, solving them as it goes.  A spatial ``mode`` study
     is measured against the exact kernel instead of its reference, which
     is None.  Every other table is checked, before the first solve, to
-    have a reference finer than its rows on the refined axis.
+    have a reference finer than its rows on the refined axis, and every
+    table that refines M on the nonsymmetric family to test only M
+    divisible by 4.  A row whose error is exactly 0 has no rate and is
+    rejected with its parameter.
     """
     exact = kind == "spatial" and cfg.case == "mode"
     ref_name, tested = {"spatial": ("M_ref", cfg.M_list),
@@ -369,6 +378,11 @@ def _table(cfg: StudyConfig, kind: str, param_name: str, rows) -> list[Experimen
     if not exact and getattr(cfg, ref_name) <= max(tested):
         raise ValueError(f"{ref_name} must exceed every tested {ref_name[0]} "
                          f"({max(tested)}) in a {kind} study, got {getattr(cfg, ref_name)}")
+    if ref_name == "M_ref" and "nonsymmetric" in (kind, cfg.family):
+        for M in tested:  # the rule of build_nonsymmetric_mesh
+            if M % 4:
+                raise ValueError(f"M must be a positive multiple of 4 on the "
+                                 f"nonsymmetric family, got {M}")
     reports = []
     for alpha in cfg.alphas:
         # u0 = sin sin = (1/2) phi_11 against the orthonormal eigenfunctions.
@@ -379,15 +393,17 @@ def _table(cfg: StudyConfig, kind: str, param_name: str, rows) -> list[Experimen
             params.append(float(param))
             errors.append(float(l2_error_vs_function(*run, kernel) if exact
                                 else l2_error_vs_reference(run, ref)))
-        # fit first: it rejects a zero error before any rate divides by it
-        fitted = fit_rate(params, errors) if len(params) >= 2 else None
+            if errors[-1] == 0.0:
+                raise ValueError(f"{param_name} = {param:g}: the run equals its "
+                                 "reference (L2 error 0), so it has no rate")
         pairwise = [None] + [float(np.log(errors[i - 1] / errors[i])
                                    / np.log(params[i - 1] / params[i]))
                              for i in range(1, len(params))]
         reports.append(ExperimentReport(
             kind=kind, case=cfg.case, alpha=float(alpha), param_name=param_name,
             params=tuple(params), errors=tuple(errors), pairwise=tuple(pairwise),
-            fitted_rate=fitted, theoretical_rate=_theory(kind, cfg.case, alpha)))
+            fitted_rate=fit_rate(params, errors),
+            theoretical_rate=_theory(kind, cfg.case, alpha)))
     return reports
 
 

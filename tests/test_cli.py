@@ -298,6 +298,30 @@ def test_json_cache_dir_must_be_a_path_string(tmp_path, capsys, value):
     assert list(tmp_path.iterdir()) == [js]
 
 
+def test_cache_dir_that_is_a_file_is_one_line(tmp_path, capsys):
+    # it passed the config and ended the first solve in a FileExistsError
+    # (or, under the file, NotADirectoryError) traceback from os.makedirs
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    cfg = tmp_path / "study.cfg"
+    for cache_dir, reason in ((afile, "File exists"), (afile / "runs", "Not a directory")):
+        cfg.write_text(f"case = a\nM = 4\nN = 2,4\nN_ref = 8\ncache_dir = {cache_dir}\n")
+        assert_rejected(capsys, ["convergence", "temporal", "--config", str(cfg)],
+                        f"^cannot create cache_dir {re.escape(repr(str(cache_dir)))}: "
+                        f"{reason}$")
+    assert afile.read_text() == ""
+
+
+def test_zero_error_row_names_its_parameter(tmp_path, capsys):
+    # at t_N = 1e-300 both fields equal the projected data; this exited 2
+    # with "params and errors must be strictly positive", naming no row
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("case = a\nM = 4\nN = 4\nN_ref = 8\nt_list = 1e-300,1e-3\n")
+    assert_rejected(capsys, ["convergence", "prefactor", "--config", str(cfg)],
+                    r"^t_N = 1e-300: the run equals its reference \(L2 error 0\), "
+                    "so it has no rate$")
+
+
 def test_prefactor_reference_must_be_finer(tmp_path, capsys):
     # with the defaults M = M_ref = 128 this ran every solve of the table and
     # then died in a ZeroDivisionError traceback

@@ -17,6 +17,7 @@ from frstokes.cq_time_stepper import (
     step_linearized,
     _advance,
     _extrapolate,
+    _gauss_legendre,
     _soe_tail,
     _source_builder,
     _PICARD_ORDER,
@@ -551,6 +552,42 @@ def test_soe_tail_weights_match_exact_and_recursion(beta, N):
                                            - mpmath.loggamma(j + 1)))
                           for j in sampled])
     assert np.max(np.abs(soe(sampled) / exact - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("beta", [0.05, 0.25, 0.5, 0.75, 0.95])
+def test_soe_tail_few_nodes_within_1e14_on_every_lag(beta):
+    # one Gauss-Legendre rule in log s: the node count grows like log N,
+    # at about half of what dyadic panels of 10 nodes need (80 .. 180)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        b, q, exact = mpmath.mpf(beta), mpmath.mpf(1), [1.0]
+        for j in range(1, 100_001):
+            q = q * (j - 1 + b) / j
+            exact.append(float(q))
+    exact = np.array(exact)
+    for N, most in ((64, 40), (640, 55), (5000, 75), (100_000, 95)):
+        s, w = _soe_tail(beta, N)
+        assert s.size <= most, (N, s.size)
+        worst = max(np.max(np.abs(np.exp(-np.outer(lags, s)) @ w / exact[lags] - 1.0))
+                    for lags in np.array_split(np.arange(_SOE_NEAR, N + 1), 1 + N // 8192))
+        assert worst <= 1e-14, (N, worst)
+
+
+@pytest.mark.parametrize("n", [1, 2, 72, 93])
+def test_gauss_legendre_end_weights_are_accurate(n):
+    # numpy's leggauss is off by 1.6e-12 (n = 72) and 3.5e-12 (n = 93) in
+    # the end weights, which carry the longest lags of the tail rule
+    mpmath = pytest.importorskip("mpmath")
+    u, w = _gauss_legendre(n)
+    assert np.all(np.diff(u) > 0) and u.size == n
+    with mpmath.workdps(40):
+        for ui, wi in zip(u, w):
+            x = 2 * mpmath.mpf(ui) - 1
+            for _ in range(3):  # Newton from the double node
+                p, p1 = mpmath.legendre(n, x), mpmath.legendre(n - 1, x)
+                dp = n * (x * p - p1) / (x * x - 1)
+                x -= p / dp
+            assert abs(float(wi * (1 - x * x) * dp * dp) - 1) <= 5e-15, (ui, wi)
 
 
 def stepper_inputs(mesh, problem, variant):

@@ -337,6 +337,25 @@ def test_spatial_study_requires_finer_reference(monkeypatch):
         run_spatial_study(StudyConfig(case="mode", M_list=(4, 8), M_ref=4))
 
 
+def test_nonsymmetric_M_is_checked_before_any_solve(monkeypatch):
+    # M = 6 used to fail only when its mesh was built, after the M_ref
+    # reference (and, in a spatial study, the M = 8 row) had been solved
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return solve_final(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "solve_final", recorded)
+    for run, family in ((run_nonsymmetric_study, "symmetric"),
+                        (run_spatial_study, "nonsymmetric")):
+        cfg = StudyConfig(case="a", family=family, M_list=(8, 6), M_ref=16, N=4)
+        with pytest.raises(ValueError, match="^M must be a positive multiple of 4 "
+                           "on the nonsymmetric family, got 6$"):
+            run(cfg)
+    assert calls == []
+
+
 def test_temporal_study_first_order(tmp_path):
     cfg = StudyConfig(case="a", alphas=(0.5,), M=8, N_list=(4, 8, 16),
                       N_ref=128, cache_dir=str(tmp_path))
