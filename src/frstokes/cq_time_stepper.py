@@ -295,7 +295,8 @@ def _soe_tail(beta: float, N: int):
     far = np.exp(X * y) / N
     s = np.concatenate([(1 + x) / (2 * N), far])
     quad = np.concatenate([mu0 * vec[0] ** 2 * (1 + x) ** beta / (2 * N), X * wy * far])
-    w = (np.sin(np.pi * beta) / np.pi * quad
+    # sin(pi beta) = sin(pi (1 - beta)), and 1 - beta is exact for beta >= 1/2
+    w = (np.sin(np.pi * min(beta, 1.0 - beta)) / np.pi * quad
          * np.exp(-beta * s) * (-np.expm1(-s)) ** -beta)
     return s, w
 

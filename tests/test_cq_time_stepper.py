@@ -554,7 +554,7 @@ def test_soe_tail_weights_match_exact_and_recursion(beta, N):
     assert np.max(np.abs(soe(sampled) / exact - 1.0)) <= 1e-13
 
 
-@pytest.mark.parametrize("beta", [0.05, 0.25, 0.5, 0.75, 0.95])
+@pytest.mark.parametrize("beta", [0.001, 0.05, 0.25, 0.5, 0.75, 0.95, 0.999])
 def test_soe_tail_few_nodes_within_1e14_on_every_lag(beta):
     # one Gauss-Legendre rule in log s: the node count grows like log N,
     # at about half of what dyadic panels of 10 nodes need (80 .. 180)

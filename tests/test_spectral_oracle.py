@@ -17,6 +17,7 @@ from frstokes.cq_time_stepper import _advance
 from frstokes.spectral_oracle import (
     _GL_ORDER,
     _LAM_BLOCK,
+    _fft_length,
     _gauss_legendre,
     _product_weights,
     ContourResolutionError,
@@ -327,6 +328,24 @@ def test_mode_response_self_convergence():
     assert abs(base - fine) < 1e-14
 
 
+def test_default_contour_is_resolved_to_rounding():
+    # the for_time default against twice (320) and half (40) its nodes per
+    # ray: the default is converged, and the halved rule stays far inside
+    # 1e-10, the margin a halved-rule resolution check would rely on
+    scattered = np.concatenate([[0.0], np.logspace(-4.0, 14.0, 37)])
+    cases = [(scattered, float(t), alpha, gamma)
+             for t in np.logspace(-8.0, 2.0, 6)
+             for alpha in (0.01, 0.5, 0.99) for gamma in (0.0, 1.0, 1e4)]
+    cases += [(grid_eigenvalues(128), t, 0.5, 1.0) for t in (1.0, 1e-3, 1e-5, 1e-7)]
+    for lams, t, alpha, gamma in cases:
+        value = mode_response_many(lams, t, alpha, gamma)
+        for n, tol in ((320, 2e-15), (40, 1e-10)):
+            other = mode_response_many(lams, t, alpha, gamma,
+                                       ContourSpec.for_time(t, nodes_per_ray=n))
+            err = np.max(np.abs(other - value) / (1.0 + np.abs(value)))
+            assert err <= tol, (n, t, alpha, gamma, err)
+
+
 def test_mode_response_short_time_limit():
     # the kernel starts at 1; at t = 1e-8 the drop is O(lam * t^(1-alpha))
     lam = 2.0 * np.pi**2
@@ -469,7 +488,7 @@ def test_mode_response_many_memory_is_bounded_by_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one unblocked 16129 x 480 complex array alone is 124 MB
+    # one unblocked 16129 x 240 complex array alone is 62 MB
     assert peak <= 40e6
 
 
@@ -484,8 +503,8 @@ def traced_peak(fn):
 
 
 def test_oracle_working_sets():
-    # a block of 128 eigenvalues x 480 nodes is 1 MB; the scalar run keeps
-    # a few series of 2^17 coefficients
+    # a block of 256 eigenvalues x 240 nodes is 1 MB; the scalar run keeps
+    # a few series of about 1e5 coefficients
     lams = grid_eigenvalues(128)
     assert traced_peak(lambda: mode_response_many(lams, 1e-3, 0.5, 1.0)) <= 4e6
     lam = 2.0 * np.pi**2
@@ -521,6 +540,12 @@ def test_scalar_cq_matches_matrix_stepper():
 
 
 @settings(max_examples=60)
+# odd sizes on the Newton ladder: N = 100 climbs 1, 2, 4, 7, 13, 26, 51, 101
+@example(lam=1.0, alpha=0.5, gamma=1.0, T=1.0, N=1, u0=1.0)
+@example(lam=10.0, alpha=0.3, gamma=2.0, T=1.0, N=2, u0=1.0)
+@example(lam=100.0, alpha=0.7, gamma=0.5, T=2.0, N=64, u0=-1.5)
+@example(lam=1e4, alpha=0.5, gamma=1.0, T=1.0, N=100, u0=1.0)
+@example(lam=1e8, alpha=0.1, gamma=10.0, T=0.01, N=2999, u0=0.5)
 @given(lam=st.one_of(st.just(0.0), st.floats(-3.0, 8.0).map(lambda e: 10.0**e)),
        alpha=st.floats(0.05, 0.95), gamma=st.floats(0.0, 10.0),
        T=st.floats(0.01, 10.0), N=st.integers(1, 3000),
@@ -530,6 +555,13 @@ def test_scalar_cq_matches_direct_sum(lam, alpha, gamma, T, N, u0):
     want = direct_scalar_cq(lam, alpha, gamma, T, N, u0)
     assert got.shape == (N + 1,)
     assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_fft_length_is_the_smallest_5_smooth_length():
+    smooth = sorted(2**i * 3**j * 5**k for i in range(14) for j in range(9)
+                    for k in range(6))
+    for n in range(1, 5001):
+        assert _fft_length(n) == next(L for L in smooth if L >= n), n
 
 
 @pytest.mark.parametrize("beta", [0.25, 0.5, 0.75])
