@@ -25,7 +25,10 @@ instead (see ``ContourResolutionError``).  The real part is summed in
 real arithmetic: with p = a + i b and d = lam - a, each term is
 Re(2 r / (lam - p)) = (2 Re r d - 2 Im r b) / (d^2 + b^2).  So that d^2
 and b^2 neither overflow nor underflow, the poles and residues are first
-divided by a power of two near the largest |p|, which is exact.
+divided by a power of two near the largest |p|, which is exact.  Past
+twice the largest |p|, the sum over poles is a geometric series in p / lam,
+so such an eigenvalue is evaluated as a short polynomial in 1 / lam whose
+coefficients are computed once per contour.
 """
 
 from __future__ import annotations
@@ -60,17 +63,21 @@ _TRUNC_LOG = 18.0 * np.log(10.0)
 # [0.01, 0.99], gamma in [0, 1e4] and lam in {0} U [1e-4, 1e14]; 40
 # reach 1.65e-11.
 _NODES_PER_RAY = 80
-# Eigenvalues per block in mode_response_many: bounds the two working
-# arrays to _LAM_BLOCK x (contour nodes / 2) floats each, about 0.5 MB
-# together at 240 nodes, so a block stays in cache.
+# Eigenvalues below _FAR_RATIO max_k |p_k| are summed pole by pole in
+# blocks of this many: that bounds the two working arrays to _LAM_BLOCK x
+# (contour nodes / 2) floats each, about 0.5 MB together at 240 nodes, so
+# a block stays in cache.
 _LAM_BLOCK = 256
-# Once the poles are scaled to |p| < 2, an eigenvalue above 2^500 has
-# 1/(lam - p) = 1/lam to 2^-499 relative, far below rounding, and its d^2
-# would overflow near 2^512.
-_LAM_ASYMPTOTIC = 2.0**500
 # The rounding of a contour sum may reach this fraction of 1 + |e_lam(t)|.
 _ROUNDING_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
+# From lam >= _FAR_RATIO |p_k| on, 1 / (lam - p_k) = sum_j p_k^j / lam^(j+1)
+# is a geometric series of ratio at most 1 / _FAR_RATIO.  Its tail after J
+# terms is at most _FAR_RATIO^-J / (1 - 1 / _FAR_RATIO) relative to 1 / lam,
+# and _FAR_TERMS is the least J that makes this eps / 2 (54 for ratio 2).
+_FAR_RATIO = 2.0
+_FAR_TERMS = math.ceil(math.log2(2.0 * _FAR_RATIO / (_EPS * (_FAR_RATIO - 1.0)))
+                       / math.log2(_FAR_RATIO))
 
 
 class ContourResolutionError(RuntimeError):
@@ -232,18 +239,32 @@ def mode_response_many(lams, t: float, alpha: float, gamma: float,
 
         e_lam(t) = sum_k (rho_k d + kappa_k) / (d^2 + b_k^2).
 
-    For lam / c >= 2^500, where d^2 would overflow, 1 / (lam - p_k) is
-    1 / lam to 2^-499 relative and e_lam(t) = sum_k rho_k / (lam / c).
+    An eigenvalue with lam / c >= R max_k |p_k / c| (R = ``_FAR_RATIO``
+    = 2) is far: there 1 / (lam - p_k) = sum_j p_k^j / lam^(j+1) converges
+    geometrically, and with the real moments
+    mu_j = 2 Re sum_k (r_k / c) (p_k / c)^j, computed once per contour,
+
+        e_lam(t) = sum_{j < J} mu_j y^(j+1),    y = c / lam,
+
+    by Horner's rule: J = ``_FAR_TERMS`` = 54 multiply-adds per eigenvalue
+    and no division, with a truncation error below eps / 2 relative to
+    sum_k |r_k| / lam.  Most of a grid spectrum is far (97.7-100 % of the
+    M=128 grid for t in [1e-5, 1] at alpha 0.5, gamma 1), and lam = 1e300
+    stays finite.
 
     Each distinct eigenvalue is evaluated once (a grid spectrum repeats
     lam_kl = lam_lk) and the values are scattered back.  The distinct
-    eigenvalues are taken in blocks of ``_LAM_BLOCK``, so the working
-    arrays are at most ``_LAM_BLOCK`` x (number of nodes / 2) whatever the
-    length of ``lams``; each value is the same as a single-eigenvalue call.
+    eigenvalues below the far ones are taken in blocks of
+    ``_LAM_BLOCK``, so the working arrays are at most ``_LAM_BLOCK`` x
+    (number of nodes / 2) whatever the length of ``lams``; each value is
+    the same as a single-eigenvalue call.
 
-    Raises ``ContourResolutionError`` when the rounding bound
-    eps * sum_k |r_k / (lam - p_k)| over the full contour exceeds
-    1e-10 (1 + |e_lam(t)|) for some eigenvalue.
+    Raises ``ValueError`` ("too large") when lam (1 + gamma z^alpha)
+    overflows, or when gamma and t are so large that the poles underflow
+    or the scaled residues overflow, and ``ContourResolutionError`` when
+    the rounding bound eps * sum_k |r_k / (lam - p_k)| over the full
+    contour exceeds 1e-10 (1 + |e_lam(t)|) for some eigenvalue; for a far
+    eigenvalue the sum is bounded by sum_k |r_k| / (lam - max_k |p_k|).
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     if not np.all((lams >= 0) & (lams < np.inf)):
@@ -266,9 +287,15 @@ def mode_response_many(lams, t: float, alpha: float, gamma: float,
                          f"{distinct.max(initial=0.0):.3e}, gamma {gamma:.3e})")
     upper = z.imag > 0
     poles = (-z / sigma)[upper]
-    c = math.ldexp(1.0, math.frexp(np.abs(poles).max())[1] - 1)
-    residues = (w * np.exp(z * t) / sigma)[upper] / c
-    poles /= c
+    with np.errstate(over="ignore", invalid="ignore"):
+        largest = np.abs(poles).max()
+        c = math.ldexp(1.0, math.frexp(largest)[1] - 1)
+        residues = (w * np.exp(z * t) / sigma)[upper] / c
+        poles /= c
+    if not (largest > 0 and np.isfinite(residues).all() and np.isfinite(poles).all()):
+        raise ValueError("gamma or t too large for the contour quadrature: the poles "
+                         "-z / (1 + gamma z^alpha) underflow or the scaled residues "
+                         f"overflow (gamma {gamma:.3e}, t {t:.3e})")
     a = np.ascontiguousarray(poles.real)
     b = np.ascontiguousarray(poles.imag)
     rho = 2.0 * residues.real
@@ -281,9 +308,10 @@ def mode_response_many(lams, t: float, alpha: float, gamma: float,
     # a time only when it does not pass.
     nearest = np.where(a <= 0, np.abs(poles), np.abs(b))
     bound_each = _EPS * 2.0 * np.sum(abs_r / nearest) > _ROUNDING_TOL
-    with np.errstate(over="ignore"):  # inf takes the asymptotic form
+    with np.errstate(over="ignore"):  # inf takes the far form
         scaled = distinct / c
-    n_near = int(np.searchsorted(scaled, _LAM_ASYMPTOTIC))
+    reach = np.abs(poles).max()
+    n_near = int(np.searchsorted(scaled, _FAR_RATIO * reach))
     vals = np.empty(distinct.shape)
     magnitude = np.empty(distinct.shape) if bound_each else None
     for start in range(0, n_near, _LAM_BLOCK):
@@ -299,10 +327,24 @@ def mode_response_many(lams, t: float, alpha: float, gamma: float,
             np.sqrt(d, out=d)
             np.divide(abs_r, d, out=d)
             magnitude[start:stop] = 2.0 * d.sum(axis=1)
-    far = scaled[n_near:]
-    vals[n_near:] = rho.sum() / far
-    if bound_each:
-        magnitude[n_near:] = 2.0 * abs_r.sum() / far
+    if n_near < distinct.size:
+        # moments mu_j = 2 Re sum_k r_k p_k^j / c^(j+1), and e_lam(t) =
+        # sum_j mu_j y^(j+1) in y = c / lam by Horner's rule
+        powers = np.empty((_FAR_TERMS, poles.size), dtype=complex)
+        powers[0] = residues
+        powers[1:] = poles
+        np.cumprod(powers, axis=0, out=powers)
+        moments = 2.0 * powers.real.sum(axis=1)
+        y = c / distinct[n_near:]
+        far = np.full(y.shape, moments[-1])
+        for mu in moments[-2::-1]:
+            far *= y
+            far += mu
+        far *= y
+        vals[n_near:] = far
+        if bound_each:
+            # |lam - p_k| >= lam - max_k |p_k| > 0
+            magnitude[n_near:] = 2.0 * abs_r.sum() / (scaled[n_near:] - reach)
     if not np.isfinite(vals).all():
         raise ValueError("eigenvalue too large for the contour quadrature: "
                          f"the sum overflowed (largest eigenvalue {distinct[-1]:.3e})")
@@ -380,7 +422,11 @@ def scalar_cq_response(lam: float, alpha: float, gamma: float, T: float,
     a *= lam
     a[0] += 1.0
     b = _series_inverse(a)
-    return u0 * (np.cumsum(b) + lam * c * b)
+    u = np.cumsum(b)
+    b *= lam * c
+    u += b
+    u *= u0
+    return u
 
 
 def _product_weights(beta: float, N: int) -> np.ndarray:
@@ -429,16 +475,21 @@ def _series_inverse(a: np.ndarray) -> np.ndarray:
         ladder.append((ladder[-1] + 1) // 2)
     b = np.empty(n)
     b[0] = 1.0 / a[0]
+    # every stage transforms into prefixes of the top stage's buffers
+    top = _fft_length(n)
+    spectra = np.empty((2, top // 2 + 1), dtype=complex)
+    signal = np.empty(top)
     m = 1
     for m2 in reversed(ladder[:-1]):
         L = _fft_length(m2)
-        fb = rfft(b[:m], L)
-        prod = rfft(a[:m2], L)
+        fb, prod = spectra[:, : L // 2 + 1]
+        rfft(b[:m], L, out=fb)
+        rfft(a[:m2], L, out=prod)
         prod *= fb
-        residual = irfft(prod, L)[m:m2]
-        prod = rfft(residual, L)
+        residual = irfft(prod, L, out=signal[:L])[m:m2]
+        rfft(residual, L, out=prod)
         prod *= fb
-        np.negative(irfft(prod, L)[: m2 - m], out=b[m:m2])
+        np.negative(irfft(prod, L, out=signal[:L])[: m2 - m], out=b[m:m2])
         m = m2
     return b
 

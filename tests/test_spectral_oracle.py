@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -283,12 +284,67 @@ def test_real_kernel_matches_complex_pole_sum_everywhere(lam, t, alpha, gamma):
 @pytest.mark.parametrize("t", [1e-7, 1.0, 30.0])
 @pytest.mark.parametrize("gamma", [1.0, 1e3])
 def test_real_kernel_keeps_relative_accuracy_at_large_eigenvalues(t, gamma):
-    # e_lam ~ 1 / lam here, below any absolute tolerance; the values on both
-    # sides of the switch to 1 / lam at 2^500 |p| must still be right
+    # e_lam ~ 1 / lam here, below any absolute tolerance; the series in
+    # 1 / lam that takes every eigenvalue past 2 max|p| must keep it right
     lams = np.array([1e140, 1e150, 1e151, 1e152, 1e200, 1e300])
     got = mode_response_many(lams, t, 0.5, gamma)
     want = complex_pole_sum(lams, t, 0.5, gamma)
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+
+
+def upper_residues_and_poles(t, alpha, gamma):
+    """Residues w exp(z t) / sigma and poles -z / sigma, sigma = 1 + gamma
+    z^alpha, over the upper half of the default contour."""
+    z, w = contour_nodes(ContourSpec.for_time(t))
+    sigma = 1.0 + gamma * z**alpha
+    upper = z.imag > 0
+    return (w * np.exp(z * t) / sigma)[upper], (-z / sigma)[upper]
+
+
+@pytest.mark.parametrize("t", [1e-7, 1.0, 30.0])
+@pytest.mark.parametrize("alpha", [0.01, 0.5, 0.99])
+@pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e3])
+def test_far_series_matches_complex_pole_sum_at_its_threshold(t, alpha, gamma):
+    # past 2 max|p| the kernel sums a series in 1 / lam, just below it the
+    # poles.  The terms cancel by up to 4e6 (t = 30, alpha 0.99, gamma
+    # 1e-3), where both sums lose digits alike, so the yardstick is the sum
+    # of their moduli, 1.3 to 5 times |e_lam| where they do not cancel.
+    residues, poles = upper_residues_and_poles(t, alpha, gamma)
+    lams = 2.0 * np.abs(poles).max() * np.array([1.0 - 1e-12, 1.0 + 1e-12])
+    got = mode_response_many(lams, t, alpha, gamma)
+    want = complex_pole_sum(lams, t, alpha, gamma)
+    moduli = 2.0 * np.abs(residues / np.subtract.outer(lams, poles)).sum(axis=1)
+    assert np.all(np.abs(got - want) <= 1e-14 * moduli)
+
+
+def test_far_series_matches_complex_pole_sum_on_standing_grid():
+    # the grid on which the default contour was shown to be resolved; the
+    # eigenvalues below 2 max|p| take the pole sum, unchanged by the series
+    lams = np.concatenate([[0.0], np.logspace(-8.0, 16.0, 49)])
+    far_count = 0
+    for t in (1e-12, 1e-8, 1e-3, 1.0, 100.0, 1e4):
+        for alpha in (0.001, 0.01, 0.5, 0.99, 0.999):
+            for gamma in (0.0, 1e-6, 1.0, 1e4, 1e6, 1e10):
+                _, poles = upper_residues_and_poles(t, alpha, gamma)
+                far = lams >= 2.0 * np.abs(poles).max()
+                got = mode_response_many(lams[far], t, alpha, gamma)
+                want = complex_pole_sum(lams[far], t, alpha, gamma)
+                assert np.all(np.abs(got - want) <= 2e-16 * (1.0 + np.abs(want)))
+                far_count += far.sum()
+    assert far_count > 4000
+
+
+@pytest.mark.parametrize("lam, t, alpha, gamma", [
+    (0.0, 1.3714374429756675e195, 1.9470872587777212e-122, 3.859122743944975e199),
+    (0.0, 2.7260283262838753e213, 4.308612536166332e-199, 3.0557234645692486e98),
+])
+def test_mode_response_many_rejects_underflowing_poles(lam, t, alpha, gamma):
+    # the poles -z / sigma fall to zero (first case) or to subnormals whose
+    # scaled residues overflow (second): a clear error, and no warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"gamma or t too large.*gamma .*, t "):
+            mode_response_many([lam], t, alpha, gamma)
 
 
 def test_gauss_legendre_rule_is_cached_and_read_only(monkeypatch):
@@ -397,7 +453,8 @@ def eigenvalue_arrays(draw):
 
 
 @settings(max_examples=20, deadline=None)
-# eigenvalues on both sides of the switch to 1 / lam at 2^500 |p|
+# eigenvalues below the switch to the series in 1 / lam at 2 max|p| and
+# far past it
 @example(lams=np.array([0.0, 1e-300, 1.0, 1e150, 1e151, 1e152, 1e300]), t=1e-7)
 @example(lams=np.array([0.0, 1e-300, 1.0, 1e150, 1e151, 1e152, 1e300]), t=30.0)
 @given(lams=eigenvalue_arrays(), t=st.sampled_from([2.0, 1.0, 1e-3, 1e-7]))
@@ -509,6 +566,13 @@ def test_oracle_working_sets():
     assert traced_peak(lambda: mode_response_many(lams, 1e-3, 0.5, 1.0)) <= 4e6
     lam = 2.0 * np.pi**2
     assert traced_peak(lambda: scalar_cq_response(lam, 0.5, 1.0, 1.0, N=100_000)) <= 6.5e6
+
+
+def test_scalar_cq_working_set():
+    # a and b of 1e5 + 1 coefficients and the three FFT buffers of the top
+    # Newton stage, reused by every stage, are 4.0 MB together
+    lam = 2.0 * np.pi**2
+    assert traced_peak(lambda: scalar_cq_response(lam, 0.5, 1.0, 1.0, N=100_000)) <= 4.5e6
 
 
 def test_scalar_cq_converges_to_contour_value():
