@@ -45,7 +45,7 @@ _EXPORTS = {
     ),
     "sparse_linalg": ("CGConvergenceError", "CompositeOperator", "cg_solve"),
     "spectral_oracle": (
-        "ContourResolutionError", "ContourSpec", "laplacian_eigenvalue",
+        "ContourResolutionError", "laplacian_eigenvalue",
         "linear_exact_solution", "mode_response", "mode_response_many",
         "scalar_cq_response", "smoothing_probe", "symbol_g",
     ),

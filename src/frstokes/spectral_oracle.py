@@ -6,12 +6,13 @@ an eigenmode with eigenvalue lam evolves as
     e_lam(t) = (1 / 2 pi i) * integral over Gamma of
                exp(z t) / (z + lam + lam gamma z^alpha) dz,
 
-where Gamma is a sectorial contour: two rays at angles +/- theta
-(pi/2 < theta < pi) joined by a circular arc of radius delta around the
-origin, oriented by increasing imaginary part.  The quadrature uses
+where Gamma is a sectorial contour chosen from t alone: two rays at
+angles +/- 3 pi / 4 joined by a circular arc of radius 1/t around the
+origin, oriented by increasing imaginary part, with the rays cut where
+|exp(z t)| falls below 1e-18 (``contour_nodes``).  The quadrature uses
 Gauss-Legendre panels, geometrically spaced along the rays, which keeps
 the corner joints of the contour on panel boundaries and converges to
-machine precision at the default node counts.
+machine precision at the default node count.
 
 The lower half of the contour is the mirror image of the upper half, node
 for node and weight for weight, and for real lam, gamma and t the
@@ -36,7 +37,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 # numpy loads fft and polynomial on first attribute access; importing them
@@ -45,7 +45,6 @@ from numpy.fft import irfft, rfft
 from numpy.polynomial.legendre import leggauss
 
 __all__ = [
-    "ContourSpec",
     "ContourResolutionError",
     "symbol_g",
     "mode_response",
@@ -56,12 +55,15 @@ __all__ = [
 ]
 
 _GL_ORDER = 8
+# Angle of the upper ray of every contour.
+_THETA = 3.0 * np.pi / 4.0
 # exp(z t) below 1e-18 in modulus is dropped when choosing the ray length.
 _TRUNC_LOG = 18.0 * np.log(10.0)
-# Nodes per ray of ContourSpec.for_time.  Against 320 per ray, 80 stay
-# within 4.3e-16 (1 + |e_lam(t)|) for t in [1e-8, 100], alpha in
-# [0.01, 0.99], gamma in [0, 1e4] and lam in {0} U [1e-4, 1e14]; 40
-# reach 1.65e-11.
+# Nodes per ray of contour_nodes.  Against 320 per ray, 80 stay within
+# 2.9e-16 (1 + |e_lam(t)|) for t in {1e-12, 1e-8, 1e-3, 1, 100, 1e4},
+# alpha in {0.001, 0.01, 0.5, 0.99, 0.999}, gamma in {0, 1e-6, 1, 1e4,
+# 1e6, 1e10} and lam in {0} U 49 log-spaced values in [1e-8, 1e16]; 40
+# reach 9.6e-12.
 _NODES_PER_RAY = 80
 # Eigenvalues below _FAR_RATIO max_k |p_k| are summed pole by pole in
 # blocks of this many: that bounds the two working arrays to _LAM_BLOCK x
@@ -81,12 +83,17 @@ _FAR_TERMS = math.ceil(math.log2(2.0 * _FAR_RATIO / (_EPS * (_FAR_RATIO - 1.0)))
 
 
 class ContourResolutionError(RuntimeError):
-    """The contour sum may have lost more than 1e-10 (1 + |e_lam(t)|) to
-    rounding: eps * sum_k |r_k / (lam - p_k)| over the full contour exceeds
-    it.  This happens when |exp(z t)| is large on the contour and its terms
-    cancel, as on an arc much larger than 1/t.  It is a cancellation bound,
-    not a test of quadrature resolution: it does not see a sum that is
-    computed accurately but has too few nodes.
+    """The contour sum may lose more than 1e-10 to rounding for some
+    eigenvalue.  Checked once per contour, before any eigenvalue is
+    evaluated: for every lam >= 0, |lam - p_k| >= n_k, where n_k = |p_k| if
+    Re p_k <= 0 and |Im p_k| otherwise, so eps * 2 sum_k |r_k| / n_k over
+    the upper half bounds eps * sum_k |r_k / (lam - p_k)| over the full
+    contour whatever lam is.  The bound is large when |exp(z t)| is large
+    on the contour and its terms cancel, as on an arc much larger than
+    1/t; on the contours of ``contour_nodes`` it stays below 3e-16 for t
+    in [1e-12, 1e4], alpha in [0.001, 0.999] and gamma in [0, 1e10].  It
+    is a cancellation bound, not a test of quadrature resolution: it does
+    not see a sum that is computed accurately but has too few nodes.
     """
 
 
@@ -95,68 +102,6 @@ def _require_finite(name: str, value) -> None:
     if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and math.isfinite(value)):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
-
-
-@dataclass(frozen=True)
-class ContourSpec:
-    """Sectorial contour parameters and quadrature resolution.
-
-    The defaults describe a fixed contour that is not adapted to t, and
-    keep 160 nodes per ray.  On an arc much larger than 1/t, 80 do not
-    resolve the integral, and the rounding check of
-    ``mode_response_many`` does not see it: at t = 1, lam = 0 on
-    delta = 30, radius = 200 returns 1.6e8 with 80 nodes per ray and
-    raises ``ContourResolutionError`` with 160.  ``for_time`` adapts the
-    contour to t and needs only ``_NODES_PER_RAY`` = 80.
-    """
-
-    theta: float = 3.0 * np.pi / 4.0
-    delta: float = 1.0
-    radius: float = 60.0
-    nodes_per_ray: int = 160
-
-    def __post_init__(self):
-        for name in ("theta", "delta", "radius"):
-            _require_finite(name, getattr(self, name))
-        if not np.pi / 2 < self.theta < np.pi:
-            raise ValueError(f"theta must lie in (pi/2, pi), got {self.theta}")
-        if self.delta <= 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.radius <= self.delta:
-            raise ValueError("truncation radius must exceed delta")
-        if (not isinstance(self.nodes_per_ray, numbers.Integral)
-                or isinstance(self.nodes_per_ray, bool)
-                or self.nodes_per_ray < _GL_ORDER):
-            raise ValueError(f"nodes_per_ray must be an integer >= {_GL_ORDER}, "
-                             f"got {self.nodes_per_ray!r}")
-
-    @classmethod
-    def for_time(cls, t: float,
-                 nodes_per_ray: int = _NODES_PER_RAY) -> "ContourSpec":
-        """Contour adapted to the evaluation time.
-
-        delta = 1/t keeps exp(z t) on the arc of modulus at most e; the rays
-        are truncated where |exp(z t)| drops below 1e-18.  The default 80
-        nodes per ray (ten Gauss-Legendre panels per ray and ten on the
-        arc, 120 nodes in the upper half) are within 4.3e-16
-        (1 + |e_lam(t)|) of 320 per ray; the quadrature error falls
-        geometrically with the node count.  The arc may come as close to
-        the origin as it likes: for real lam > 0 the denominator
-        z + lam + lam gamma z^alpha has a positive imaginary part for
-        0 < arg z < pi, so it has no zeros in the cut plane.
-        """
-        _require_positive_time(t)
-        theta = 3.0 * np.pi / 4.0
-        delta = 1.0 / t
-        radius = max(_TRUNC_LOG / (abs(np.cos(theta)) * t), 4.0 * delta)
-        return cls(theta=theta, delta=delta, radius=radius,
-                   nodes_per_ray=nodes_per_ray)
-
-
-def _require_positive_time(t) -> None:
-    _require_finite("t", t)
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
 
 
 def _check_alpha_gamma(alpha: float, gamma: float) -> None:
@@ -196,22 +141,50 @@ def _panel_nodes(a: float, b: float, panels: int):
     return (mid + half * x[None, :]).ravel(), (half * w[None, :]).ravel()
 
 
-def contour_nodes(spec: ContourSpec):
+def contour_nodes(t: float, nodes_per_ray: int = _NODES_PER_RAY):
     """Quadrature nodes z_k and weights w_k with sum_k w_k F(z_k) ~ the
-    contour integral (1/2 pi i) * integral of F over Gamma."""
-    panels = max(1, spec.nodes_per_ray // _GL_ORDER)
-    s, ws = _panel_nodes(np.log(spec.delta), np.log(spec.radius), panels)
+    contour integral (1/2 pi i) * integral of F over Gamma, on the contour
+    for time t.
+
+    The rays leave the origin at angles +/- theta = 3 pi / 4.  The arc
+    radius delta = 1/t keeps exp(z t) on the arc of modulus at most e, and
+    the rays are truncated where |exp(z t)| drops below 1e-18, at
+    _TRUNC_LOG / (|cos theta| t) = 58.6 / t.  The default 80 nodes per ray
+    (ten Gauss-Legendre panels per ray and ten on the arc, 120 nodes in
+    the upper half) are converged to rounding (see ``_NODES_PER_RAY``);
+    the quadrature error falls geometrically with the node count.  The
+    arc may come as close to the origin as it likes: for real lam > 0 the
+    denominator z + lam + lam gamma z^alpha has a positive imaginary part
+    for 0 < arg z < pi, so it has no zeros in the cut plane.
+    """
+    _require_finite("t", t)
+    if t <= 0:
+        raise ValueError(f"t must be positive, got {t}")
+    radius = _TRUNC_LOG / (abs(np.cos(_THETA)) * t)
+    return _contour(1.0 / t, radius, nodes_per_ray)
+
+
+def _contour(delta: float, radius: float, nodes_per_ray: int):
+    """Nodes and weights of the rays at +/- _THETA from radius delta out to
+    ``radius``, joined by the arc of radius delta, with ``nodes_per_ray``
+    // _GL_ORDER panels on each ray, geometric in the distance from 0."""
+    if (not isinstance(nodes_per_ray, numbers.Integral)
+            or isinstance(nodes_per_ray, bool) or nodes_per_ray < _GL_ORDER):
+        raise ValueError(f"nodes_per_ray must be an integer >= {_GL_ORDER}, "
+                         f"got {nodes_per_ray!r}")
+    panels = nodes_per_ray // _GL_ORDER
+    s, ws = _panel_nodes(np.log(delta), np.log(radius), panels)
     rho = np.exp(s)
-    up = rho * np.exp(1j * spec.theta)
+    up = rho * np.exp(1j * _THETA)
     w_up = ws * up  # dz = e^{i theta} e^s ds
 
-    psi, wpsi = _panel_nodes(-spec.theta, spec.theta, max(2, panels))
+    psi, wpsi = _panel_nodes(-_THETA, _THETA, max(2, panels))
     # the panel edges are symmetric about 0 only up to rounding: average
     # each node with its mirror image so that the lower arc is exactly the
     # conjugate of the upper one, as mode_response_many assumes
     psi = 0.5 * (psi - psi[::-1])
     wpsi = 0.5 * (wpsi + wpsi[::-1])
-    arc = spec.delta * np.exp(1j * psi)
+    arc = delta * np.exp(1j * psi)
     w_arc = wpsi * 1j * arc  # dz = i delta e^{i psi} dpsi
 
     # Orientation: up the lower ray, around the arc, out the upper ray.
@@ -220,9 +193,9 @@ def contour_nodes(spec: ContourSpec):
     return z, w
 
 
-def mode_response_many(lams, t: float, alpha: float, gamma: float,
-                       contour: ContourSpec | None = None) -> np.ndarray:
-    """Vectorized e_lam(t) over an array of eigenvalues (one contour).
+def mode_response_many(lams, t: float, alpha: float, gamma: float) -> np.ndarray:
+    """Vectorized e_lam(t) over an array of eigenvalues, on the one contour
+    that ``contour_nodes`` builds for t.
 
     The quadrature is taken in pole form: with sigma_k = 1 + gamma z_k^alpha,
     residues r_k = w_k exp(z_k t) / sigma_k and poles p_k = -z_k / sigma_k,
@@ -262,18 +235,15 @@ def mode_response_many(lams, t: float, alpha: float, gamma: float,
     Raises ``ValueError`` ("too large") when lam (1 + gamma z^alpha)
     overflows, or when gamma and t are so large that the poles underflow
     or the scaled residues overflow, and ``ContourResolutionError`` when
-    the rounding bound eps * sum_k |r_k / (lam - p_k)| over the full
-    contour exceeds 1e-10 (1 + |e_lam(t)|) for some eigenvalue; for a far
-    eigenvalue the sum is bounded by sum_k |r_k| / (lam - max_k |p_k|).
+    the lam-free rounding bound of the contour exceeds 1e-10, before any
+    eigenvalue is evaluated.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     if not np.all((lams >= 0) & (lams < np.inf)):
         raise ValueError("eigenvalues must be finite and nonnegative")
-    _require_positive_time(t)
+    z, w = contour_nodes(t)
     _check_alpha_gamma(alpha, gamma)
     distinct, where = np.unique(lams, return_inverse=True)
-    spec = contour if contour is not None else ContourSpec.for_time(t)
-    z, w = contour_nodes(spec)
     # lam - p does not overflow where lam * sigma would; such an eigenvalue
     # is still out of the quadrature's range, and so is a gamma for which
     # sigma itself overflows
@@ -301,19 +271,21 @@ def mode_response_many(lams, t: float, alpha: float, gamma: float,
     rho = 2.0 * residues.real
     kappa = -2.0 * residues.imag * b
     b2 = b * b
-    abs_r = np.abs(residues)
     # For lam >= 0, |lam - p_k| >= |p_k| where Re p_k <= 0 and >= |Im p_k|
-    # elsewhere, neither of them zero, so this bounds the sum of |terms|
-    # for every eigenvalue at once; the terms are bounded one eigenvalue at
-    # a time only when it does not pass.
+    # elsewhere, neither of them zero, so this bounds the rounding of the
+    # sum for every eigenvalue at once
     nearest = np.where(a <= 0, np.abs(poles), np.abs(b))
-    bound_each = _EPS * 2.0 * np.sum(abs_r / nearest) > _ROUNDING_TOL
+    bound = _EPS * 2.0 * np.sum(np.abs(residues) / nearest)
+    if bound > _ROUNDING_TOL:
+        raise ContourResolutionError(
+            f"rounding bound {bound:.3e} of the contour sum exceeds "
+            f"{_ROUNDING_TOL:.0e}: exp(z t) is large on the contour and its "
+            "terms cancel; the contour needs a smaller arc")
     with np.errstate(over="ignore"):  # inf takes the far form
         scaled = distinct / c
     reach = np.abs(poles).max()
     n_near = int(np.searchsorted(scaled, _FAR_RATIO * reach))
     vals = np.empty(distinct.shape)
-    magnitude = np.empty(distinct.shape) if bound_each else None
     for start in range(0, n_near, _LAM_BLOCK):
         stop = min(start + _LAM_BLOCK, n_near)
         d = np.subtract.outer(scaled[start:stop], a)
@@ -323,10 +295,6 @@ def mode_response_many(lams, t: float, alpha: float, gamma: float,
         d += b2  # |lam - p|^2 / c^2
         np.divide(num, d, out=num)
         vals[start:stop] = num.sum(axis=1)
-        if bound_each:
-            np.sqrt(d, out=d)
-            np.divide(abs_r, d, out=d)
-            magnitude[start:stop] = 2.0 * d.sum(axis=1)
     if n_near < distinct.size:
         # moments mu_j = 2 Re sum_k r_k p_k^j / c^(j+1), and e_lam(t) =
         # sum_j mu_j y^(j+1) in y = c / lam by Horner's rule
@@ -342,28 +310,15 @@ def mode_response_many(lams, t: float, alpha: float, gamma: float,
             far += mu
         far *= y
         vals[n_near:] = far
-        if bound_each:
-            # |lam - p_k| >= lam - max_k |p_k| > 0
-            magnitude[n_near:] = 2.0 * abs_r.sum() / (scaled[n_near:] - reach)
     if not np.isfinite(vals).all():
         raise ValueError("eigenvalue too large for the contour quadrature: "
                          f"the sum overflowed (largest eigenvalue {distinct[-1]:.3e})")
-    if bound_each:
-        relative = _EPS * magnitude / (1.0 + np.abs(vals))
-        worst = int(np.argmax(relative))
-        if relative[worst] > _ROUNDING_TOL:
-            raise ContourResolutionError(
-                f"rounding bound {relative[worst]:.3e} (1 + |e_lam|) of the contour "
-                f"sum exceeds {_ROUNDING_TOL:.0e} at lam = {distinct[worst]:.6g}: "
-                "exp(z t) is large on the contour and its terms cancel; "
-                "use a smaller arc (ContourSpec.for_time)")
     return vals[where.reshape(lams.shape)]
 
 
-def mode_response(lam: float, t: float, alpha: float, gamma: float,
-                  contour: ContourSpec | None = None) -> float:
+def mode_response(lam: float, t: float, alpha: float, gamma: float) -> float:
     """Mode coefficient e_lam(t); e_0 = 1 and gamma -> 0 gives exp(-lam t)."""
-    return float(mode_response_many([lam], t, alpha, gamma, contour)[0])
+    return float(mode_response_many([lam], t, alpha, gamma)[0])
 
 
 def scalar_cq_response(lam: float, alpha: float, gamma: float, T: float,
@@ -499,8 +454,7 @@ def laplacian_eigenvalue(k: int, l: int) -> float:
     return float((k * k + l * l) * np.pi**2)
 
 
-def linear_exact_solution(modes, t: float, alpha: float, gamma: float,
-                          contour: ContourSpec | None = None):
+def linear_exact_solution(modes, t: float, alpha: float, gamma: float):
     """Exact solution of the linear (f = 0) problem for sine-series data.
 
     ``modes`` is an iterable of (k, l, coefficient) with coefficients taken
@@ -512,7 +466,7 @@ def linear_exact_solution(modes, t: float, alpha: float, gamma: float,
         raise ValueError("need at least one mode")
     lams = np.array([laplacian_eigenvalue(k, l) for k, l, _ in modes])
     coeffs = np.array([c for _, _, c in modes])
-    evals = mode_response_many(lams, t, alpha, gamma, contour)
+    evals = mode_response_many(lams, t, alpha, gamma)
     amps = 2.0 * coeffs * evals
     ks = np.array([k for k, _, _ in modes], dtype=float)
     ls = np.array([l for _, l, _ in modes], dtype=float)
@@ -528,7 +482,7 @@ def linear_exact_solution(modes, t: float, alpha: float, gamma: float,
 
 
 def smoothing_probe(alpha: float, gamma: float, order: int, t_grid,
-                    lam_grid, nodes_per_ray: int = _NODES_PER_RAY) -> float:
+                    lam_grid) -> float:
     """Empirical constant sup over the grids of
     lam^(order/2) * |e_lam(t)| * t^((1-alpha) order / 2).
 
@@ -540,8 +494,7 @@ def smoothing_probe(alpha: float, gamma: float, order: int, t_grid,
     lams = np.asarray(lam_grid, dtype=float)
     best = 0.0
     for t in np.asarray(t_grid, dtype=float):
-        spec = ContourSpec.for_time(float(t), nodes_per_ray=nodes_per_ray)
-        vals = np.abs(mode_response_many(lams, float(t), alpha, gamma, spec))
+        vals = np.abs(mode_response_many(lams, float(t), alpha, gamma))
         weighted = lams ** (order / 2.0) * vals * float(t) ** ((1.0 - alpha) * order / 2.0)
         best = max(best, float(weighted.max()))
     return best

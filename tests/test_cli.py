@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import tree_env
+from conftest import tree_env, use_hand_built_contour
 from frstokes import cli
 from frstokes.cli import main, parse_config, study_config_from_dict
 from frstokes.cq_time_stepper import (DivergedError, PicardConvergenceError,
@@ -442,6 +442,17 @@ def test_solver_failures_exit_1_with_one_line(tmp_path, capsys, monkeypatch, err
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"frs: {error}\n"
+
+
+def test_unresolved_contour_exits_1_with_one_line(capsys, monkeypatch):
+    # the oracle's rounding guard, reached through a contour with an
+    # oversized arc, ends `frs oracle` like a solver failure
+    use_hand_built_contour(monkeypatch, 30.0)
+    assert main(["oracle", "--lambda", "0", "--alpha", "0.5", "--t", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert re.match(r"frs: rounding bound .* smaller arc$", line), line
 
 
 def test_bad_oracle_argument_is_one_line_in_a_subprocess():

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy.special import binom
 
-from conftest import tree_env
+from conftest import hand_built_contour, tree_env, use_hand_built_contour
 from frstokes import spectral_oracle
 from frstokes.cq_time_stepper import _advance
 from frstokes.spectral_oracle import (
@@ -22,7 +23,6 @@ from frstokes.spectral_oracle import (
     _gauss_legendre,
     _product_weights,
     ContourResolutionError,
-    ContourSpec,
     contour_nodes,
     laplacian_eigenvalue,
     linear_exact_solution,
@@ -78,26 +78,22 @@ def test_symbol_values():
         symbol_g(1.0, 0.5, -1.0)
 
 
-@pytest.mark.parametrize("kwargs,match", [
-    ({"theta": math.nan}, "theta"),
-    ({"theta": math.inf}, "theta"),
-    ({"delta": math.nan}, "delta"),
-    ({"delta": math.inf}, "delta"),
-    ({"radius": math.inf}, "radius"),
-    ({"radius": math.nan}, "radius"),
-    ({"nodes_per_ray": 16.5}, "nodes_per_ray"),
-    ({"nodes_per_ray": True}, "nodes_per_ray"),
-    ({"nodes_per_ray": "160"}, "nodes_per_ray"),
+@pytest.mark.parametrize("t,nodes_per_ray,match", [
+    pytest.param(1.0, 16.5, "nodes_per_ray", id="nodes_per_ray=16.5"),
+    pytest.param(1.0, True, "nodes_per_ray", id="nodes_per_ray=True"),
+    pytest.param(1.0, "160", "nodes_per_ray", id="nodes_per_ray='160'"),
+    pytest.param(1.0, 4, "nodes_per_ray must be an integer >= 8", id="nodes_per_ray=4"),
+    pytest.param(0.0, 80, "t must be positive", id="t=0"),
 ])
-def test_contour_spec_rejects_bad_values(kwargs, match):
+def test_contour_nodes_rejects_bad_arguments(t, nodes_per_ray, match):
     with pytest.raises(ValueError, match=match):
-        ContourSpec(**kwargs)
+        contour_nodes(t, nodes_per_ray)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_contour_for_time_rejects_non_finite_time(t):
     with pytest.raises(ValueError, match="t must be a finite number"):
-        ContourSpec.for_time(t)
+        contour_nodes(t)
 
 
 @pytest.mark.parametrize("args,match", [
@@ -106,7 +102,7 @@ def test_contour_for_time_rejects_non_finite_time(t):
     ((1.0, 0.5, 0.5, math.inf), "gamma must be a finite number"),
     ((1.0, 0.5, 0.5, math.nan), "gamma must be a finite number"),
     ((1.0, 0.5, math.nan, 1.0), "alpha"),
-    ((1.0, -0.5, 0.5, 1.0, ContourSpec()), "t must be positive"),
+    ((1.0, -0.5, 0.5, 1.0), "t must be positive"),
 ])
 def test_mode_response_rejects_bad_arguments(args, match):
     with pytest.raises(ValueError, match=match):
@@ -128,41 +124,35 @@ def test_oracle_rejects_non_number_alpha_and_gamma(call, alpha, gamma, name):
         call(alpha, gamma)
 
 
-def test_contour_spec_validation():
-    with pytest.raises(ValueError):
-        ContourSpec(theta=np.pi / 2)
-    with pytest.raises(ValueError):
-        ContourSpec(delta=0.0)
-    with pytest.raises(ValueError):
-        ContourSpec(delta=2.0, radius=1.0)
-    with pytest.raises(ValueError):
-        ContourSpec(nodes_per_ray=4)
-    with pytest.raises(ValueError):
-        ContourSpec.for_time(0.0)
-
-
 def test_contour_for_time_scaling():
-    spec = ContourSpec.for_time(2.0)
-    assert spec.delta == 0.5  # 1/t
-    small = ContourSpec.for_time(0.01)
-    assert small.delta == 100.0
-    want_radius = 18.0 * math.log(10.0) / (abs(math.cos(small.theta)) * 0.01)
-    assert small.radius == pytest.approx(want_radius, rel=1e-12)
-    assert small.radius > 4.0 * small.delta
+    # the arc has radius 1/t, and the rays at angle 3 pi / 4 reach out to
+    # where |exp(z t)| = 1e-18; the outermost Gauss node sits half a panel
+    # (1 - x_max) inside that radius, in log distance
+    x_max = leggauss(_GL_ORDER)[0].max()
+    for t in (2.0, 0.01):
+        z, _ = contour_nodes(t)
+        on_arc = np.abs(np.abs(z) - 1.0 / t) <= 1e-14 / t
+        assert on_arc.sum() == 80
+        assert np.allclose(np.abs(np.angle(z[~on_arc])), 3.0 * np.pi / 4.0,
+                           rtol=1e-15, atol=0.0)
+        radius = 18.0 * math.log(10.0) / (math.cos(np.pi / 4.0) * t)
+        h = math.log(radius * t) / 10  # ten panels per ray
+        outermost = math.exp(math.log(radius) - 0.5 * h * (1.0 - x_max))
+        assert np.abs(z).max() == pytest.approx(outermost, rel=1e-14, abs=0.0)
 
 
-@pytest.mark.parametrize("spec", [
-    pytest.param(ContourSpec(), id="default"),
-    *(pytest.param(ContourSpec.for_time(t), id=f"for_time({t:g})")
+@pytest.mark.parametrize("nodes", [
+    pytest.param(hand_built_contour(30.0), id="oversized-arc"),
+    *(pytest.param(contour_nodes(t), id=f"for_time({t:g})")
       for t in (1e-7, 1e-3, 1.0, 30.0)),
     # 1, 3 and 20 panels per ray, 2, 3 and 20 on the arc
-    *(pytest.param(ContourSpec(nodes_per_ray=n), id=f"nodes_per_ray={n}")
+    *(pytest.param(contour_nodes(1.0, n), id=f"nodes_per_ray={n}")
       for n in (8, 24, 160)),
 ])
-def test_contour_nodes_are_conjugate_symmetric(spec):
+def test_contour_nodes_are_conjugate_symmetric(nodes):
     # mode_response_many sums the upper half alone: each lower node must be
     # the conjugate of an upper node, with the conjugate weight
-    z, w = contour_nodes(spec)
+    z, w = nodes
     upper = z.imag > 0
     assert 2 * upper.sum() == z.size
     assert np.all(z.imag != 0.0)
@@ -177,7 +167,7 @@ def test_contour_nodes_are_conjugate_symmetric(spec):
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
 def test_contour_inverts_simple_transforms(t):
     # inverse Laplace transforms: 1/z -> 1 and 1/z^2 -> t
-    z, w = contour_nodes(ContourSpec.for_time(t))
+    z, w = contour_nodes(t)
     one = (w * np.exp(z * t) / z).sum()
     ramp = (w * np.exp(z * t) / z**2).sum()
     assert one.real == pytest.approx(1.0, abs=1e-13)
@@ -208,7 +198,7 @@ def test_mode_response_gamma_zero_is_heat_kernel_at_long_times(t):
 def reference_mode_response(lams, t, alpha, gamma):
     """sum_k w_k exp(z_k t) / (z_k + lam (1 + gamma z_k^alpha)), the
     contour sum in its direct form, over chunks of eigenvalues."""
-    z, w = contour_nodes(ContourSpec.for_time(t))
+    z, w = contour_nodes(t)
     ezt_w = w * np.exp(z * t)
     symbol = 1.0 + gamma * z**alpha
     vals = [(ezt_w / (z + np.multiply.outer(chunk, symbol))).sum(axis=1)
@@ -229,7 +219,7 @@ def complex_pole_sum(lams, t, alpha, gamma):
     contour, with the division in complex arithmetic, over chunks of
     eigenvalues; raises ValueError("too large") where the kernel must."""
     lams = np.asarray(lams, dtype=float)
-    z, w = contour_nodes(ContourSpec.for_time(t))
+    z, w = contour_nodes(t)
     with np.errstate(over="ignore", invalid="ignore"):
         sigma = 1.0 + gamma * z**alpha
         if not np.isfinite(lams.max() * np.abs(sigma).max()):
@@ -295,7 +285,7 @@ def test_real_kernel_keeps_relative_accuracy_at_large_eigenvalues(t, gamma):
 def upper_residues_and_poles(t, alpha, gamma):
     """Residues w exp(z t) / sigma and poles -z / sigma, sigma = 1 + gamma
     z^alpha, over the upper half of the default contour."""
-    z, w = contour_nodes(ContourSpec.for_time(t))
+    z, w = contour_nodes(t)
     sigma = 1.0 + gamma * z**alpha
     upper = z.imag > 0
     return (w * np.exp(z * t) / sigma)[upper], (-z / sigma)[upper]
@@ -355,12 +345,12 @@ def test_gauss_legendre_rule_is_cached_and_read_only(monkeypatch):
         x[0] = 0.0
     fresh = leggauss(_GL_ORDER)
     assert np.array_equal(x, fresh[0]) and np.array_equal(w, fresh[1])
-    specs = [ContourSpec.for_time(t) for t in (1e-7, 1e-5, 1e-3, 1.0, 30.0)]
-    cached = [contour_nodes(spec) for spec in specs]
+    times = (1e-7, 1e-5, 1e-3, 1.0, 30.0)
+    cached = [contour_nodes(t) for t in times]
     # the nodes as built before the cache, on a fresh rule per panel set
     monkeypatch.setattr(spectral_oracle, "_gauss_legendre", lambda: leggauss(_GL_ORDER))
-    for spec, (z, w) in zip(specs, cached):
-        z0, w0 = contour_nodes(spec)
+    for t, (z, w) in zip(times, cached):
+        z0, w0 = contour_nodes(t)
         assert z.tobytes() == z0.tobytes() and w.tobytes() == w0.tobytes()
 
 
@@ -375,31 +365,75 @@ def test_gauss_legendre_rule_is_built_on_first_contour():
     assert proc.stdout.split() == ["0", "1"]
 
 
-def test_mode_response_self_convergence():
+def refined_contour(monkeypatch, n):
+    """Make ``mode_response_many`` sum over ``contour_nodes(t, n)``."""
+    monkeypatch.setattr(spectral_oracle, "contour_nodes",
+                        functools.partial(contour_nodes, nodes_per_ray=n))
+
+
+def test_mode_response_self_convergence(monkeypatch):
     lam = 2.0 * np.pi**2
-    base = mode_response(lam, 1.0, 0.5, 1.0,
-                         contour=ContourSpec.for_time(1.0, nodes_per_ray=160))
-    fine = mode_response(lam, 1.0, 0.5, 1.0,
-                         contour=ContourSpec.for_time(1.0, nodes_per_ray=320))
-    assert abs(base - fine) < 1e-14
+    values = []
+    for n in (160, 320):
+        refined_contour(monkeypatch, n)
+        values.append(mode_response(lam, 1.0, 0.5, 1.0))
+    assert abs(values[0] - values[1]) < 1e-14
 
 
-def test_default_contour_is_resolved_to_rounding():
-    # the for_time default against twice (320) and half (40) its nodes per
-    # ray: the default is converged, and the halved rule stays far inside
-    # 1e-10, the margin a halved-rule resolution check would rely on
-    scattered = np.concatenate([[0.0], np.logspace(-4.0, 14.0, 37)])
-    cases = [(scattered, float(t), alpha, gamma)
-             for t in np.logspace(-8.0, 2.0, 6)
-             for alpha in (0.01, 0.5, 0.99) for gamma in (0.0, 1.0, 1e4)]
+def test_default_contour_is_resolved_to_rounding(monkeypatch):
+    # the default 80 nodes per ray against twice (320) and half (40) as
+    # many: the default is converged, and the halved rule stays far inside
+    # 1e-10, the margin a halved-rule resolution check would rely on.  At
+    # gamma = 0 the kernel is exp(-lam t).  Measured: 2.9e-16, 9.6e-12 and
+    # 2.2e-16.
+    scattered = np.concatenate([[0.0], np.logspace(-8.0, 16.0, 49)])
+    cases = [(scattered, t, alpha, gamma)
+             for t in (1e-12, 1e-8, 1e-3, 1.0, 100.0, 1e4)
+             for alpha in (0.001, 0.01, 0.5, 0.99, 0.999)
+             for gamma in (0.0, 1e-6, 1.0, 1e4, 1e6, 1e10)]
     cases += [(grid_eigenvalues(128), t, 0.5, 1.0) for t in (1.0, 1e-3, 1e-5, 1e-7)]
     for lams, t, alpha, gamma in cases:
         value = mode_response_many(lams, t, alpha, gamma)
         for n, tol in ((320, 2e-15), (40, 1e-10)):
-            other = mode_response_many(lams, t, alpha, gamma,
-                                       ContourSpec.for_time(t, nodes_per_ray=n))
+            with monkeypatch.context() as patch:
+                refined_contour(patch, n)
+                other = mode_response_many(lams, t, alpha, gamma)
             err = np.max(np.abs(other - value) / (1.0 + np.abs(value)))
             assert err <= tol, (n, t, alpha, gamma, err)
+        if gamma == 0.0:
+            heat = np.exp(-lams * t)
+            assert np.all(np.abs(value - heat) <= 1e-15 * (1.0 + np.abs(value))), (t, alpha)
+
+
+def test_large_eigenvalue_matches_its_asymptote():
+    # e_lam(t) ~ t^(alpha-1) E_(alpha,alpha)(-t^alpha / gamma) / (gamma lam)
+    # as lam -> oo; at t = 1, alpha = 1/2, gamma = 1 that is
+    # (1/sqrt(pi) - e erfc(1)) / lam.  An arc of radius 30, much larger
+    # than 1/t, returns -8.8e-5 here.
+    want = (1.0 / math.sqrt(math.pi) - math.e * math.erfc(1.0)) / 1e8
+    assert mode_response(1e8, 1.0, 0.5, 1.0) == pytest.approx(want, rel=1e-7)
+
+
+def test_mode_response_stays_in_range_at_long_times():
+    # a unit arc, much larger than 1/t, returns -9.3e257 at t = 600 and
+    # -2.2e301 at 700
+    vals = [mode_response(1.0, t, 0.5, 1.0) for t in (100.0, 600.0, 700.0, 1e4)]
+    assert all(0.0 < v <= 1.0 for v in vals)
+    assert np.all(np.diff(vals) < 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mode_response(1.0, 1.0, 0.5, 1.0, contour=None),
+    lambda: mode_response_many([1.0], 1.0, 0.5, 1.0, contour=None),
+    lambda: linear_exact_solution([(1, 1, 1.0)], 1.0, 0.5, 1.0, contour=None),
+    lambda: mode_response_many([1.0], 1.0, 0.5, 1.0, 80),
+    lambda: mode_response_many([1.0], 1.0, 0.5, 1.0, nodes_per_ray=80),
+    lambda: smoothing_probe(0.5, 1.0, 0, [1.0], [1.0], nodes_per_ray=80),
+], ids=["mode_response", "mode_response_many", "linear_exact_solution", "positional",
+        "mode_response_many-nodes_per_ray", "smoothing_probe-nodes_per_ray"])
+def test_oracle_takes_no_contour(call):
+    with pytest.raises(TypeError):
+        call()
 
 
 def test_mode_response_short_time_limit():
@@ -464,47 +498,53 @@ def test_mode_response_many_is_bitwise_single_calls(lams, t):
     assert np.array_equal(batch, single)
 
 
-def test_mode_response_many_checks_every_block():
-    # with this oversized arc, exp(z t) is ~1e13 on the contour: large
-    # eigenvalues damp it and pass, lam = 0 leaves a residue of ~1e-5
-    spec = ContourSpec(delta=30.0, radius=200.0)
+def test_mode_response_many_checks_every_block(monkeypatch):
+    # exp(z t) is ~1e13 on this arc, and lam = 0 leaves a residue of ~1e-5.
+    # The guard bounds the rounding for every eigenvalue at once, before
+    # the first block, so large eigenvalues, which damp the sum, are
+    # refused too, with lam = 0 in the last block and without it
+    use_hand_built_contour(monkeypatch, 30.0)
+    with pytest.raises(ContourResolutionError, match="smaller arc"):
+        mode_response_many([0.0], 1.0, 0.5, 1.0)
     lams = np.full(_LAM_BLOCK + 5, 1e8)
-    mode_response_many(lams, 1.0, 0.5, 1.0, spec)
+    with pytest.raises(ContourResolutionError):
+        mode_response_many(lams, 1.0, 0.5, 1.0)
     lams[-1] = 0.0
     with pytest.raises(ContourResolutionError):
-        mode_response_many(lams, 1.0, 0.5, 1.0, spec)
+        mode_response_many(lams, 1.0, 0.5, 1.0)
 
 
-def test_mode_response_many_checks_every_block_of_distinct_values():
+def test_mode_response_many_checks_every_block_of_distinct_values(monkeypatch):
     # the twin of the test above with no repeated eigenvalue, so the
-    # evaluation of distinct values still spans two blocks
-    spec = ContourSpec(delta=30.0, radius=200.0)
+    # evaluation of distinct values would span two blocks
+    use_hand_built_contour(monkeypatch, 30.0)
     lams = 1e8 * (1.0 + np.arange(_LAM_BLOCK + 5) / 64.0)
-    mode_response_many(lams, 1.0, 0.5, 1.0, spec)
+    with pytest.raises(ContourResolutionError):
+        mode_response_many(lams, 1.0, 0.5, 1.0)
     lams[-1] = 0.0
     with pytest.raises(ContourResolutionError):
-        mode_response_many(lams, 1.0, 0.5, 1.0, spec)
+        mode_response_many(lams, 1.0, 0.5, 1.0)
 
 
-def full_contour_sum(lam, t, alpha, gamma, spec):
+def full_contour_sum(lam, t, alpha, gamma, nodes):
     """sum_k w_k exp(z_k t) / (z_k + lam (1 + gamma z_k^alpha)) over every
     node of the contour, lower half included, as a complex number."""
-    z, w = contour_nodes(spec)
+    z, w = nodes
     return (w * np.exp(z * t) / (z + lam * (1.0 + gamma * z**alpha))).sum()
 
 
-def test_rounding_check_is_no_looser_than_imaginary_residue():
+def test_rounding_check_is_no_looser_than_imaginary_residue(monkeypatch):
     # the full sum's imaginary part is pure rounding; wherever it exceeds
     # the tolerance the half-contour kernel must refuse the value
     flagged = 0
     for delta in (5.0, 10.0, 20.0, 30.0, 40.0):
-        spec = ContourSpec(delta=delta, radius=200.0)
+        use_hand_built_contour(monkeypatch, delta)
         for lam in (0.0, 1.0, 1e2, 1e4, 1e6, 1e8):
-            full = full_contour_sum(lam, 1.0, 0.5, 1.0, spec)
+            full = full_contour_sum(lam, 1.0, 0.5, 1.0, hand_built_contour(delta))
             if abs(full.imag) > 1e-10 * (1.0 + abs(full.real)):
                 flagged += 1
                 with pytest.raises(ContourResolutionError, match="smaller arc"):
-                    mode_response_many([lam], 1.0, 0.5, 1.0, spec)
+                    mode_response_many([lam], 1.0, 0.5, 1.0)
     assert flagged > 0
 
 
