@@ -35,11 +35,16 @@ the same solution; the steppers solve the transposed system
 solves are about 30 % faster on these factors (one right-hand side,
 M = 32 to 128, one BLAS thread), and the two solutions differ only by
 rounding (below 1e-15 relative).  Besides the solve, a step costs one
-CSR product: with K = [-A | tau S] built once per run,
+CSR product: with K = [-A | tau S | tau b | W U^0] built once per run,
 
-    rhs = K [z_n; g_n] + W U^0 + n tau b,   z_n = sum_{j<n} k_{n-j} U^j
+    rhs = K [z_n; g_n; n; 1] = W U^0 - A z_n + tau S g_n + n tau b,
 
-(K = -A and the vector is z_n alone when there is no source).
+    z_n = sum_{j<n} k_{n-j} U^j
+
+(the implicit scheme puts n + 1 in place of n, which carries the tau b of
+its current load; K = [-A | W U^0] and the vector is [z_n; 1] when there
+is no source).  A step's state is proven finite by one dot product, u.u,
+and scanned entry by entry only when that is not finite.
 
 The history z_n is split in two.  Lags up to n0 = 32 to 63 are exact;
 older states enter through a sum of exponentials, k_j ~ sum_k w_k
@@ -51,8 +56,9 @@ Gauss-Legendre rule in log s, 63 nodes at N = 5000 and 81 at N = 1e5
 U^(n0 b) .. U^(n0 b + n0 - 1)).  At each block start the stepper holds
 the previous block's n0 states and P accumulated vectors, one per node,
 and a single matrix product writes the history of all n0 steps of the
-block, from every state before it, into the block's own rows.  Each step then adds its in-block lags (16 on average) with one
-dot and overwrites its row with the new state; at the block boundary the
+block, from every state before it, into the block's own rows.  Each
+step then adds its in-block lags (16 on average) with one dot and
+overwrites its row with the new state; at the block boundary the
 n0 states that leave are folded into the accumulators with one more
 matrix product.  A run costs O(N P ndof) time instead of O(N^2 ndof), and
 holds O((2 n0 + P) ndof) history plus the snapshots it returns.  Runs
@@ -301,6 +307,35 @@ def _soe_tail(beta: float, N: int):
     return s, w
 
 
+def _rhs_matrix(A, tau_S, columns) -> sp.csr_matrix:
+    """K = [-A | tau_S | columns] in CSR, or [-A | columns] if tau_S is None.
+
+    ``columns`` are dense vectors, one column of K each, stored in full.
+    K is written straight from the index arrays of A and tau_S, because
+    sp.hstack takes dense columns through COO and then costs about 2.7
+    times as much at M = 64.
+    """
+    blocks = [(A, -1.0)] + ([] if tau_S is None else [(tau_S, 1.0)])
+    n = A.shape[0]
+    counts = [np.diff(B.indptr) for B, _ in blocks]
+    indptr = np.zeros(n + 1, dtype=A.indptr.dtype)
+    np.cumsum(sum(counts) + len(columns), out=indptr[1:])
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=indptr.dtype)
+    start = indptr[:-1].copy()  # where each row's next block begins
+    for j, ((B, sign), count) in enumerate(zip(blocks, counts)):
+        nnz = B.indptr[-1]
+        at = np.repeat(start - B.indptr[:-1], count) + np.arange(nnz)
+        data[at] = sign * B.data[:nnz]
+        indices[at] = B.indices[:nnz] + j * n
+        start += count
+    for c, column in enumerate(columns):
+        data[start + c] = column
+        indices[start + c] = len(blocks) * n + c
+    return sp.csr_matrix((data, indices, indptr),
+                         shape=(n, len(blocks) * n + len(columns)))
+
+
 def _advance(A, W, u0: np.ndarray, alpha: float, gamma: float, tau: float,
              N: int, steps: np.ndarray, source_of_prev, implicit_source=None,
              picard_tol: float = 1e-12, picard_maxit: int = 50) -> np.ndarray:
@@ -309,13 +344,20 @@ def _advance(A, W, u0: np.ndarray, alpha: float, gamma: float, tau: float,
     ``steps`` is a sorted array of step indices in 0..N; the result has one
     row per entry.  ``source_of_prev`` (linearized scheme) or
     ``implicit_source`` (implicit scheme) is the load object of
-    :func:`_source_builder`, or None for no source.  The running source sum
-    covers every accepted state before the step; the implicit scheme adds
-    the load at the current Picard iterate on top of it for each inner
-    solve.  Each Picard solve starts from :func:`_extrapolate` of the last
-    min(n, _PICARD_ORDER + 2) accepted states, a polynomial of degree up to
-    _PICARD_ORDER, and stops once an iterate moves by at most
-    ``picard_tol``.
+    :func:`_source_builder`, or None for no source.  Each step's right-hand
+    side is one CSR product,
+
+        rhs = K [z_n; g_n; n'; 1],   K = [-A | tau S | tau b | W U^0],
+
+    with the running sum g_n of f over every accepted state before the
+    step, and n' = n (linearized) or n + 1 (implicit, whose current load
+    tau (S f(U^n) + b) thereby has its tau b in rhs); without a source,
+    K = [-A | W U^0] and the vector is [z_n; 1].  Each Picard solve starts
+    from :func:`_extrapolate` of the last min(n, _PICARD_ORDER + 2)
+    accepted states, a polynomial of degree up to _PICARD_ORDER, solves
+    for rhs + tau S f(U) per iterate, and stops once an iterate moves by at
+    most ``picard_tol``.  A state with a non-finite entry raises
+    :class:`DivergedError` before f sees it.
     """
     ndof = u0.size
     out = np.zeros((steps.size, ndof))
@@ -329,17 +371,18 @@ def _advance(A, W, u0: np.ndarray, alpha: float, gamma: float, tau: float,
     beta = 1.0 - alpha
     frac_scale = gamma * tau ** beta
     lu = CompositeOperator(W, tau + frac_scale, A).factorize()
-    load = source_of_prev if implicit_source is None else implicit_source
+    implicit = implicit_source is not None
+    load = implicit_source if implicit else source_of_prev
     if load is None:
-        K = -A
-        zg = np.empty(ndof)
+        K = _rhs_matrix(A, None, [W @ u0])
+        zg = np.ones(ndof + 1)
     else:
-        K = sp.hstack([-A, tau * load.S], format="csr")
-        zg = np.zeros(2 * ndof)
-        g = zg[ndof:]
-        tau_b = tau * load.b
+        tau_S = tau * load.S
+        K = _rhs_matrix(A, tau_S, [tau * load.b, W @ u0])
+        zg = np.zeros(2 * ndof + 2)
+        zg[-1] = 1.0
+        g = zg[ndof : 2 * ndof]
     z = zg[:ndof]
-    base = W @ u0  # W U^0 + n tau b
 
     # k[m] weighs U^(n-m) in the history z_n of step n; k[0] = 1 adds the
     # block's own row i, which holds the history from before the block.
@@ -369,7 +412,7 @@ def _advance(A, W, u0: np.ndarray, alpha: float, gamma: float, tau: float,
     new[0] = u0
     lag = near + np.arange(m)
     coef = np.hstack([w * np.exp(-np.outer(lag, s)), k[lag[:, None] - np.arange(m)]])
-    if implicit_source is not None:
+    if implicit:
         diff = np.empty((_PICARD_ORDER + 2, ndof))
     if P:
         from scipy.linalg.blas import dgemm
@@ -377,47 +420,51 @@ def _advance(A, W, u0: np.ndarray, alpha: float, gamma: float, tau: float,
         decay = np.exp(-near * s)[:, None]
         fold = np.exp(-np.outer(s, near - np.arange(near)))
 
-    for n in range(1, N + 1):
-        i = n % near
-        if i == 0:
-            if n > near:
+    for n_b in range(0, N + 1, near):
+        if n_b:
+            if n_b > near:
                 # acc = decay * acc + fold @ old, accumulated in place by
                 # BLAS (on the transposes, which are Fortran-ordered).
                 acc *= decay
                 dgemm(1.0, old.T, fold.T, 1.0, acc.T, overwrite_c=True)
             old[...] = new
             np.matmul(coef, hist, out=new)
-        prev = buf[P + m + i - 1]
-        np.dot(k[i::-1], new[: i + 1], out=z)
-        if load is not None:
-            g += load.f(prev)
-            base += tau_b
-        rhs = K @ zg
-        rhs += base
+        for i in range(n_b == 0, min(near, N + 1 - n_b)):
+            n = n_b + i
+            np.dot(k[i::-1], new[: i + 1], out=z)
+            if load is not None:
+                g += load.f(buf[P + m + i - 1])  # U^(n-1)
+                zg[-2] = n + implicit
+            rhs = K @ zg
 
-        if implicit_source is None:
-            u = lu.solve(rhs, trans="T")
-        else:
-            # the accepted states U^(n-p) .. U^(n-1) are contiguous in buf:
-            # the previous block's old rows, then this block's new rows
-            p = min(n, _PICARD_ORDER + 2)
-            u = _extrapolate(buf[P + m + i - p : P + m + i], diff)
-            for _ in range(picard_maxit):
-                u_next = lu.solve(rhs + tau * load(u), trans="T")
-                increment = np.linalg.norm(u_next - u)
-                u = u_next
-                if not np.isfinite(u).all():
+            if not implicit:
+                u = lu.solve(rhs, trans="T")
+                # one dot proves u finite; only an overflow needs the scan
+                if not math.isfinite(u.dot(u)) and not np.isfinite(u).all():
                     raise DivergedError(n)
-                if increment <= picard_tol:
-                    break
             else:
-                raise PicardConvergenceError(n, picard_maxit, increment)
+                # the accepted states U^(n-p) .. U^(n-1) are contiguous in
+                # buf: the previous block's old rows, then this block's new
+                # rows
+                p = min(n, _PICARD_ORDER + 2)
+                u = _extrapolate(buf[P + m + i - p : P + m + i], diff)
+                for _ in range(picard_maxit):
+                    r = tau_S @ load.f(u)
+                    r += rhs
+                    u_next = lu.solve(r, trans="T")
+                    increment = np.linalg.norm(u_next - u)
+                    u = u_next
+                    # a finite increment proves both iterates finite
+                    if not math.isfinite(increment) and not np.isfinite(u).all():
+                        raise DivergedError(n)
+                    if increment <= picard_tol:
+                        break
+                else:
+                    raise PicardConvergenceError(n, picard_maxit, increment)
 
-        if not np.isfinite(u).all():
-            raise DivergedError(n)
-        new[i] = u
-        if n in row:
-            out[row[n]] = u
+            new[i] = u
+            if n in row:
+                out[row[n]] = u
     return out
 
 

@@ -214,7 +214,7 @@ def _problem(case: str, alpha: float, gamma: float, T: float) -> ProblemSpec:
 
 # Names the solver and the file layout behind a cached field.  Change it
 # whenever either changes what a run produces, so older files are not served.
-CACHE_FORMAT = "splu-soe-5"
+CACHE_FORMAT = "splu-soe-6"
 
 
 def _run_key(case, alpha, gamma, T, family, M, N, scheme, source_lumping):

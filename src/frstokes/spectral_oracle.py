@@ -50,6 +50,7 @@ __all__ = [
     "mode_response",
     "mode_response_many",
     "scalar_cq_response",
+    "laplacian_eigenvalue",
     "linear_exact_solution",
     "smoothing_probe",
 ]

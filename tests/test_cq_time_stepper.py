@@ -18,6 +18,7 @@ from frstokes.cq_time_stepper import (
     _advance,
     _extrapolate,
     _gauss_legendre,
+    _rhs_matrix,
     _soe_tail,
     _source_builder,
     _PICARD_ORDER,
@@ -516,6 +517,57 @@ def test_implicit_picard_failure_raises_after_warning():
             step_implicit(cfg, problem, mesh)
 
 
+def nan_at_call(k):
+    """A problem whose f returns NaN on its k-th call, and the list that
+    records, per call, whether f received a finite array."""
+    finite = []
+
+    def fn(u):
+        finite.append(bool(np.isfinite(u).all()))
+        return np.full_like(u, np.nan) if len(finite) == k else np.sqrt(1.0 + u * u)
+
+    problem = ProblemSpec(alpha=0.5, gamma=1.0, T=1.0,
+                          nonlinearity=Nonlinearity(fn, 1.0, "nan at call k"),
+                          initial_data=CaseAInitialData())
+    return problem, finite
+
+
+@pytest.mark.parametrize("variant", ["galerkin-linearized", "lumped-linearized"])
+@pytest.mark.parametrize("k", [1, 31, 32, 33, 64, 65])
+def test_non_finite_source_stops_the_run_at_its_step(variant, k):
+    # the k-th f value loads step k; the state it spoils is rejected before
+    # f sees it, on either side of the block starts 32 and 64 (the first
+    # fold); the lumped source makes no extra call at the boundary nodes
+    problem, finite = nan_at_call(k)
+    config = SchemeConfig(variant=variant, N=80, source_lumping=True)
+    with pytest.raises(DivergedError) as err:
+        step_linearized(config, problem, build_symmetric_mesh(6))
+    assert err.value.step == k
+    assert finite == [True] * k
+
+
+@pytest.mark.parametrize("k", [1, 40])
+def test_non_finite_source_stops_picard_before_f_sees_it(k):
+    problem, finite = nan_at_call(k)
+    config = SchemeConfig(variant="galerkin-implicit", N=80, source_lumping=True)
+    with pytest.raises(DivergedError) as err:
+        step_implicit(config, problem, build_symmetric_mesh(6))
+    # a NaN in the running sum of f spoils the first iterate, whose solve
+    # follows one more f call on the finite predictor
+    assert all(finite) and len(finite) in (k, k + 1)
+    if k == 1:
+        assert err.value.step == 1
+
+
+def test_state_whose_square_overflows_is_finite():
+    # u.dot(u) overflows for |u| ~ 1e200 (numpy warns); the entries are
+    # finite all the same, and the run goes on
+    with np.errstate(over="ignore"):
+        hist = _advance(one_by_one(1.0), sp.diags([1.0], format="csr"),
+                        np.array([1e200]), 0.5, 1.0, 0.01, 70, np.arange(71), None)
+    assert np.isfinite(hist).all() and 0 < hist[-1, 0] < 1e200
+
+
 def test_trajectory_stays_bounded():
     # f has linear growth at most, so a short run cannot blow up
     mesh = build_symmetric_mesh(8)
@@ -717,6 +769,28 @@ def test_source_evaluation_calls_f_once(monkeypatch, lumped):
     for _ in range(3):
         source(v)
     assert calls == [v.shape] * 3
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("source", ["galerkin", "lumped", "lumped source", "zero"])
+def test_rhs_matrix_equals_hstack(family, source):
+    mesh = FAMILIES[family](8)
+    problem = ProblemSpec(alpha=0.5, gamma=1.0, T=1.0,
+                          nonlinearity=sqrt_one_plus_u2(),
+                          initial_data=CaseAInitialData())
+    variant = "lumped-linearized" if source == "lumped" else "galerkin-linearized"
+    A, W, u0, _ = stepper_inputs(mesh, problem, variant)
+    load = _source_builder(mesh, problem, source == "lumped source")
+    tau = 0.37
+    w_u0 = W @ u0
+    if source == "zero":
+        got = _rhs_matrix(A, None, [w_u0])
+        want = sp.hstack([-A, w_u0[:, None]])
+    else:
+        got = _rhs_matrix(A, tau * load.S, [tau * load.b, w_u0])
+        want = sp.hstack([-A, tau * load.S, tau * load.b[:, None], w_u0[:, None]])
+    assert got.shape == want.shape
+    assert np.array_equal(got.toarray(), want.toarray())
 
 
 BLOCK_BOUNDARY_STEPS = [1, 31, 32, 33, 63, 64, 65, 97, 200]

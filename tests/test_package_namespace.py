@@ -56,6 +56,14 @@ def test_names_are_the_defining_modules_objects(module_name):
         assert getattr(frstokes, name) is getattr(module, name), name
 
 
+@pytest.mark.parametrize("module_name", sorted(PUBLIC))
+def test_submodule_all_matches_the_package_exports(module_name):
+    # `from frstokes import *` and `from frstokes.<module> import *` bind
+    # the same names of each submodule
+    module = importlib.import_module(f"frstokes.{module_name}")
+    assert sorted(module.__all__) == sorted(frstokes._EXPORTS[module_name])
+
+
 def test_dir_lists_every_public_name():
     listed = dir(frstokes)
     assert set(NAMES) <= set(listed)
