@@ -19,12 +19,14 @@ interior consistent mass (or the lumped diagonal) and b the fixed load of
 the boundary nodes, so the stepper carries the running sum g_n =
 sum_{j<n} f(U^j) of f values and f runs once per accepted state.  The
 linearized scheme uses this right-hand side as it is; the implicit scheme
-adds tau (S f(U^n) + b) and resolves it by Picard iteration.  Each Picard
-solve starts from a Newton backward-difference predictor: the polynomial
-through the last d + 1 accepted states, evaluated at the new step, with
-the degree d <= 7 chosen where the backward differences of those states
-stop shrinking (as Adams PECE codes choose their order).  A smooth
-trajectory then needs one or two iterates per step instead of three.
+adds tau (S f(U^n) + b) and resolves it by Picard iteration, to an
+increment of at most _PICARD_TOL = 1e-12 within _PICARD_MAXIT = 50
+iterates.  Each Picard solve starts from a Newton backward-difference
+predictor: the polynomial through the last d + 1 accepted states,
+evaluated at the new step, with the degree d <= 7 chosen where the
+backward differences of those states stop shrinking (as Adams PECE codes
+choose their order).  A smooth trajectory then needs one or two iterates
+per step instead of three.
 
 The step matrix W + c A is the same for every step of a run, so it is
 factored once (sparse LU, :meth:`CompositeOperator.factorize`) and each
@@ -43,8 +45,10 @@ CSR product: with K = [-A | tau S | tau b | W U^0] built once per run,
 
 (the implicit scheme puts n + 1 in place of n, which carries the tau b of
 its current load; K = [-A | W U^0] and the vector is [z_n; 1] when there
-is no source).  A step's state is proven finite by one dot product, u.u,
-and scanned entry by entry only when that is not finite.
+is no source).  K stores no zero entries: its tau b column holds only
+the interior nodes next to the boundary, and none for the lumped
+source.  A step's state is proven finite by one dot product, u.u, and
+scanned entry by entry only when that is not finite.
 
 The history z_n is split in two.  Lags up to n0 = 32 to 63 are exact;
 older states enter through a sum of exponentials, k_j ~ sum_k w_k
@@ -160,18 +164,12 @@ class SchemeConfig:
     variant: str
     N: int
     source_lumping: bool = False
-    picard_tol: float = 1e-12
-    picard_maxit: int = 50
     snapshot_stride: int | None = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
         _require_count("N", self.N)
-        if not _is_positive_real(self.picard_tol):
-            raise ValueError("picard_tol must be a finite number > 0, "
-                             f"got {self.picard_tol!r}")
-        _require_count("picard_maxit", self.picard_maxit)
         _require_bool("source_lumping", self.source_lumping)
         if self.snapshot_stride is not None and not _is_count(self.snapshot_stride):
             raise ValueError("snapshot_stride must be None or an integer >= 1, "
@@ -213,8 +211,11 @@ _SOE_NEAR = 32
 _SOE_ORDER = 10
 _SOE_PER_UNIT = 6
 _SOE_CUTOFF = 40.0
-# Highest degree of the polynomial that starts each Picard solve.
+# Highest degree of the polynomial that starts each Picard solve, the
+# increment at which an iterate is accepted, and the iterates allowed.
 _PICARD_ORDER = 7
+_PICARD_TOL = 1e-12
+_PICARD_MAXIT = 50
 
 
 @functools.lru_cache(maxsize=None)
@@ -307,57 +308,27 @@ def _soe_tail(beta: float, N: int):
     return s, w
 
 
-def _rhs_matrix(A, tau_S, columns) -> sp.csr_matrix:
-    """K = [-A | tau_S | columns] in CSR, or [-A | columns] if tau_S is None.
-
-    ``columns`` are dense vectors, one column of K each, stored in full.
-    K is written straight from the index arrays of A and tau_S, because
-    sp.hstack takes dense columns through COO and then costs about 2.7
-    times as much at M = 64.
-    """
-    blocks = [(A, -1.0)] + ([] if tau_S is None else [(tau_S, 1.0)])
-    n = A.shape[0]
-    counts = [np.diff(B.indptr) for B, _ in blocks]
-    indptr = np.zeros(n + 1, dtype=A.indptr.dtype)
-    np.cumsum(sum(counts) + len(columns), out=indptr[1:])
-    data = np.empty(indptr[-1])
-    indices = np.empty(indptr[-1], dtype=indptr.dtype)
-    start = indptr[:-1].copy()  # where each row's next block begins
-    for j, ((B, sign), count) in enumerate(zip(blocks, counts)):
-        nnz = B.indptr[-1]
-        at = np.repeat(start - B.indptr[:-1], count) + np.arange(nnz)
-        data[at] = sign * B.data[:nnz]
-        indices[at] = B.indices[:nnz] + j * n
-        start += count
-    for c, column in enumerate(columns):
-        data[start + c] = column
-        indices[start + c] = len(blocks) * n + c
-    return sp.csr_matrix((data, indices, indptr),
-                         shape=(n, len(blocks) * n + len(columns)))
-
-
 def _advance(A, W, u0: np.ndarray, alpha: float, gamma: float, tau: float,
-             N: int, steps: np.ndarray, source_of_prev, implicit_source=None,
-             picard_tol: float = 1e-12, picard_maxit: int = 50) -> np.ndarray:
+             N: int, steps: np.ndarray, load=None, implicit: bool = False) -> np.ndarray:
     """Run the update recursion; returns U^n for each n in ``steps``.
 
     ``steps`` is a sorted array of step indices in 0..N; the result has one
-    row per entry.  ``source_of_prev`` (linearized scheme) or
-    ``implicit_source`` (implicit scheme) is the load object of
-    :func:`_source_builder`, or None for no source.  Each step's right-hand
-    side is one CSR product,
+    row per entry.  ``load`` is the load object of :func:`_source_builder`,
+    or None for no source; ``implicit`` selects the implicit scheme, which
+    differs from the linearized one only when there is a load.  Each step's
+    right-hand side is one CSR product,
 
         rhs = K [z_n; g_n; n'; 1],   K = [-A | tau S | tau b | W U^0],
 
     with the running sum g_n of f over every accepted state before the
     step, and n' = n (linearized) or n + 1 (implicit, whose current load
     tau (S f(U^n) + b) thereby has its tau b in rhs); without a source,
-    K = [-A | W U^0] and the vector is [z_n; 1].  Each Picard solve starts
-    from :func:`_extrapolate` of the last min(n, _PICARD_ORDER + 2)
-    accepted states, a polynomial of degree up to _PICARD_ORDER, solves
-    for rhs + tau S f(U) per iterate, and stops once an iterate moves by at
-    most ``picard_tol``.  A state with a non-finite entry raises
-    :class:`DivergedError` before f sees it.
+    K = [-A | W U^0] and the vector is [z_n; 1].  K stores no zero
+    entries.  Each Picard solve starts from :func:`_extrapolate` of the
+    last min(n, _PICARD_ORDER + 2) accepted states, a polynomial of degree
+    up to _PICARD_ORDER, solves for rhs + tau S f(U) per iterate, and
+    stops once an iterate moves by at most _PICARD_TOL.  A state with a
+    non-finite entry raises :class:`DivergedError` before f sees it.
     """
     ndof = u0.size
     out = np.zeros((steps.size, ndof))
@@ -371,18 +342,16 @@ def _advance(A, W, u0: np.ndarray, alpha: float, gamma: float, tau: float,
     beta = 1.0 - alpha
     frac_scale = gamma * tau ** beta
     lu = CompositeOperator(W, tau + frac_scale, A).factorize()
-    implicit = implicit_source is not None
-    load = implicit_source if implicit else source_of_prev
     if load is None:
-        K = _rhs_matrix(A, None, [W @ u0])
-        zg = np.ones(ndof + 1)
+        implicit = False  # with f = 0 both schemes are one linear recursion
+        blocks, columns = [-A], [W @ u0]
     else:
         tau_S = tau * load.S
-        K = _rhs_matrix(A, tau_S, [tau * load.b, W @ u0])
-        zg = np.zeros(2 * ndof + 2)
-        zg[-1] = 1.0
-        g = zg[ndof : 2 * ndof]
-    z = zg[:ndof]
+        blocks, columns = [-A, tau_S], [tau * load.b, W @ u0]
+    K = sp.hstack([*blocks, sp.csr_matrix(np.column_stack(columns))], format="csr")
+    zg = np.zeros(K.shape[1])  # [z_n; g_n; n'; 1], or [z_n; 1] without a load
+    zg[-1] = 1.0
+    z, g = zg[:ndof], zg[ndof : 2 * ndof]
 
     # k[m] weighs U^(n-m) in the history z_n of step n; k[0] = 1 adds the
     # block's own row i, which holds the history from before the block.
@@ -448,7 +417,7 @@ def _advance(A, W, u0: np.ndarray, alpha: float, gamma: float, tau: float,
                 # rows
                 p = min(n, _PICARD_ORDER + 2)
                 u = _extrapolate(buf[P + m + i - p : P + m + i], diff)
-                for _ in range(picard_maxit):
+                for _ in range(_PICARD_MAXIT):
                     r = tau_S @ load.f(u)
                     r += rhs
                     u_next = lu.solve(r, trans="T")
@@ -457,10 +426,10 @@ def _advance(A, W, u0: np.ndarray, alpha: float, gamma: float, tau: float,
                     # a finite increment proves both iterates finite
                     if not math.isfinite(increment) and not np.isfinite(u).all():
                         raise DivergedError(n)
-                    if increment <= picard_tol:
+                    if increment <= _PICARD_TOL:
                         break
                 else:
-                    raise PicardConvergenceError(n, picard_maxit, increment)
+                    raise PicardConvergenceError(n, _PICARD_MAXIT, increment)
 
             new[i] = u
             if n in row:
@@ -512,7 +481,6 @@ def _source_builder(mesh: TriMesh, problem: ProblemSpec, lumped: bool):
 def _solve(config: SchemeConfig, problem: ProblemSpec, mesh: TriMesh) -> Trajectory:
     """Run ``config.variant`` on the mesh operators; the body of both steppers."""
     tau = problem.T / config.N
-    implicit = config.variant == "galerkin-implicit"
     A = mesh_operator(mesh, "stiffness")
     W = mesh_operator(mesh, "lumped_mass" if config.variant == "lumped-linearized"
                       else "mass")
@@ -521,9 +489,7 @@ def _solve(config: SchemeConfig, problem: ProblemSpec, mesh: TriMesh) -> Traject
     u0 = problem.initial_data.field(mesh).interior()
     steps = _snapshot_steps(config.N, config.snapshot_stride)
     rows = _advance(A, W, u0, problem.alpha, problem.gamma, tau, config.N, steps,
-                    None if implicit else source,
-                    implicit_source=source if implicit else None,
-                    picard_tol=config.picard_tol, picard_maxit=config.picard_maxit)
+                    source, implicit=config.variant == "galerkin-implicit")
     values = np.zeros((steps.size, mesh.n_nodes))
     values[:, mesh.interior_nodes] = rows
     return Trajectory(mesh=mesh, times=steps * tau, steps=steps,
@@ -543,8 +509,8 @@ def step_implicit(config: SchemeConfig, problem: ProblemSpec, mesh: TriMesh) -> 
     Each step iterates U <- (W + c A)^-1 (rhs + tau (S f(U) + b)) from a
     backward-difference extrapolation of the accepted states (U^0 at step
     1, 2 U^1 - U^0 at step 2, up to degree 7 later) until an iterate moves
-    by at most ``config.picard_tol``; after ``config.picard_maxit`` iterates
-    it raises :class:`PicardConvergenceError`.  Warns up front when
+    by at most _PICARD_TOL (1e-12); after _PICARD_MAXIT (50) iterates it
+    raises :class:`PicardConvergenceError`.  Warns up front when
     tau * Lipschitz(f) >= 1, in which case the inner fixed-point map is not
     guaranteed to contract.
     """

@@ -95,7 +95,8 @@ class StudyConfig:
         if self.family not in ("symmetric", "nonsymmetric"):
             raise ValueError(f"unknown family {self.family!r}")
         if self.axis not in ("spatial", "temporal"):
-            raise ValueError(f"prefactor axis must be spatial or temporal")
+            raise ValueError("prefactor axis must be spatial or temporal, "
+                             f"got {self.axis!r}")
         for name in ("alphas", "M_list", "N_list", "t_list"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
@@ -364,10 +365,9 @@ def _table(cfg: StudyConfig, kind: str, param_name: str, rows) -> list[Experimen
     (mesh, field) pairs, solving them as it goes.  A spatial ``mode`` study
     is measured against the exact kernel instead of its reference, which
     is None.  Every other table is checked, before the first solve, to
-    have a reference finer than its rows on the refined axis, and every
-    table that refines M on the nonsymmetric family to test only M
-    divisible by 4.  A row whose error is exactly 0 has no rate and is
-    rejected with its parameter.
+    have a reference finer than its rows on the refined axis, and to mesh
+    the nonsymmetric family only at M divisible by 4.  A row whose error
+    is exactly 0 has no rate and is rejected with its parameter.
     """
     exact = kind == "spatial" and cfg.case == "mode"
     ref_name, tested = {"spatial": ("M_ref", cfg.M_list),
@@ -378,11 +378,19 @@ def _table(cfg: StudyConfig, kind: str, param_name: str, rows) -> list[Experimen
     if not exact and getattr(cfg, ref_name) <= max(tested):
         raise ValueError(f"{ref_name} must exceed every tested {ref_name[0]} "
                          f"({max(tested)}) in a {kind} study, got {getattr(cfg, ref_name)}")
-    if ref_name == "M_ref" and "nonsymmetric" in (kind, cfg.family):
-        for M in tested:  # the rule of build_nonsymmetric_mesh
-            if M % 4:
-                raise ValueError(f"M must be a positive multiple of 4 on the "
-                                 f"nonsymmetric family, got {M}")
+    # a nonsymmetric study's reference is symmetric; a temporal table meshes only M
+    if kind == "nonsymmetric":
+        meshed = cfg.M_list
+    elif cfg.family != "nonsymmetric":
+        meshed = ()
+    elif ref_name == "N_ref":
+        meshed = (cfg.M,)
+    else:
+        meshed = tested if exact else (*tested, cfg.M_ref)
+    for M in meshed:  # the rule of build_nonsymmetric_mesh
+        if M % 4:
+            raise ValueError(f"M must be a positive multiple of 4 on the "
+                             f"nonsymmetric family, got {M}")
     reports = []
     for alpha in cfg.alphas:
         # u0 = sin sin = (1/2) phi_11 against the orthonormal eigenfunctions.

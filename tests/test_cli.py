@@ -266,6 +266,7 @@ def test_convergence_subcommand_rejects_non_integer_counts(tmp_path, capsys):
     ("T = true", "^T must be a number, got True"),
     ("alpha = 0.5,abc", "^alpha must be a number, got 'abc'"),
     ("t_list = 1e-3,abc", "^t_list must be a number, got 'abc'"),
+    ("axis = foo", "^prefactor axis must be spatial or temporal, got 'foo'$"),
 ])
 def test_convergence_subcommand_rejects_bad_scalar_values(tmp_path, capsys, line, message):
     cfg = tmp_path / "study.cfg"

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.special import binom
 
+from frstokes import cq_time_stepper
 from frstokes.cq_time_stepper import (
     DivergedError,
     PicardConvergenceError,
@@ -18,10 +19,11 @@ from frstokes.cq_time_stepper import (
     _advance,
     _extrapolate,
     _gauss_legendre,
-    _rhs_matrix,
     _soe_tail,
     _source_builder,
+    _PICARD_MAXIT,
     _PICARD_ORDER,
+    _PICARD_TOL,
     _SOE_NEAR,
 )
 from frstokes.fem_assembly import (
@@ -60,10 +62,10 @@ def brute_force_history(A, W, u0, alpha, gamma, tau, N, f=None, f_apply=None):
     return np.array(hist)
 
 
-def direct_sum_advance(A, W, u0, alpha, gamma, tau, N, source_of_prev,
-                       implicit_source=None, picard_tol=1e-12, picard_maxit=50):
+def direct_sum_advance(A, W, u0, alpha, gamma, tau, N, load=None, implicit=False):
     """The stepper with the history sum evaluated directly over every past
     step, O(N^2 ndof); returns the whole (N+1, ndof) history."""
+    lagged, current = (None, load) if implicit else (load, None)
     ndof = u0.size
     history = np.zeros((N + 1, ndof))
     history[0] = u0
@@ -73,26 +75,26 @@ def direct_sum_advance(A, W, u0, alpha, gamma, tau, N, source_of_prev,
     w_u0 = W @ u0
     sum_plain = np.zeros(ndof)
     sum_source = np.zeros(ndof)
-    if implicit_source is not None:
-        sum_source += implicit_source(u0)
+    if current is not None:
+        sum_source += current(u0)
     for n in range(1, N + 1):
         prev = history[n - 1]
         sum_plain += prev
-        if source_of_prev is not None:
-            sum_source += source_of_prev(prev)
+        if lagged is not None:
+            sum_source += lagged(prev)
         weighted = q[1 : n + 1][::-1].dot(history[:n])
         rhs = w_u0 - A @ (tau * sum_plain + frac_scale * weighted) + tau * sum_source
-        if implicit_source is None:
+        if current is None:
             u = lu.solve(rhs)
         else:
             u = 2.0 * prev - history[n - 2] if n >= 2 else prev
-            for _ in range(picard_maxit):
-                u_next = lu.solve(rhs + tau * implicit_source(u))
+            for _ in range(_PICARD_MAXIT):
+                u_next = lu.solve(rhs + tau * current(u))
                 increment = np.linalg.norm(u_next - u)
                 u = u_next
-                if increment <= picard_tol:
+                if increment <= _PICARD_TOL:
                     break
-            sum_source += implicit_source(u)
+            sum_source += current(u)
         history[n] = u
     return history
 
@@ -184,7 +186,7 @@ def test_scalar_first_step_closed_form():
     # (1 + tau + sqrt(tau)) U1 = 1 - (tau + sqrt(tau) * q_1), q_1 = 1/2
     hist = _advance(one_by_one(1.0), sp.diags([1.0], format="csr"), np.array([1.0]),
                     alpha=0.5, gamma=1.0, tau=0.5, N=2,
-                    steps=np.arange(3), source_of_prev=None)
+                    steps=np.arange(3))
     expect = (0.5 - math.sqrt(2.0) / 4.0) / (1.5 + math.sqrt(2.0) / 2.0)
     assert hist[1, 0] == pytest.approx(expect, abs=1e-15)
     ref = brute_force_history(1.0, 1.0, 1.0, 0.5, 1.0, 0.5, 2)
@@ -199,7 +201,7 @@ def test_scalar_trajectory_matches_double_sum():
         lam = rng.uniform(0.5, 40.0)
         hist = _advance(one_by_one(lam), sp.diags([1.0], format="csr"), np.array([1.0]),
                         alpha=alpha, gamma=gamma, tau=0.1, N=8,
-                        steps=np.arange(9), source_of_prev=None)
+                        steps=np.arange(9))
         ref = brute_force_history(lam, 1.0, 1.0, alpha, gamma, 0.1, 8)
         assert np.allclose(hist, ref, atol=1e-13)
 
@@ -253,14 +255,14 @@ def test_linearized_matches_double_sum_on_mesh(variant, source_lumping):
     assert np.allclose(got, ref, atol=1e-12)
 
 
-def test_implicit_matches_double_sum_fixed_point():
+def test_implicit_matches_double_sum_fixed_point(monkeypatch):
     # solve the inner fixed point by brute iteration on top of dense solves
+    monkeypatch.setattr(cq_time_stepper, "_PICARD_TOL", 1e-14)
     mesh = build_symmetric_mesh(4)
     problem = ProblemSpec(alpha=0.6, gamma=1.3, T=0.5,
                           nonlinearity=sqrt_one_plus_u2(),
                           initial_data=CaseAInitialData())
-    cfg = SchemeConfig(variant="galerkin-implicit", N=6, snapshot_stride=1,
-                       picard_tol=1e-14)
+    cfg = SchemeConfig(variant="galerkin-implicit", N=6, snapshot_stride=1)
     traj = step_implicit(cfg, problem, mesh)
 
     A, W, f_apply = variant_matrices(mesh, "galerkin-implicit", False)
@@ -425,20 +427,6 @@ def test_config_validation():
         SchemeConfig(variant="crank-nicolson", N=4)
     with pytest.raises(ValueError):
         SchemeConfig(variant="lumped-linearized", N=0)
-    with pytest.raises(ValueError):
-        SchemeConfig(variant="galerkin-implicit", N=4, picard_maxit=0)
-
-
-@pytest.mark.parametrize("maxit", [2.5, True, 0, -1])
-def test_config_rejects_bad_picard_maxit(maxit):
-    with pytest.raises(ValueError, match="picard_maxit"):
-        SchemeConfig(variant="galerkin-implicit", N=4, picard_maxit=maxit)
-
-
-@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
-def test_config_rejects_bad_picard_tol(tol):
-    with pytest.raises(ValueError, match="picard_tol"):
-        SchemeConfig(variant="galerkin-implicit", N=4, picard_tol=tol)
 
 
 @pytest.mark.parametrize("N", [2.5, 4.0, True, "4"])
@@ -513,8 +501,9 @@ def test_implicit_picard_failure_raises_after_warning():
                           nonlinearity=stiff, initial_data=CaseAInitialData())
     cfg = SchemeConfig(variant="galerkin-implicit", N=100)
     with pytest.warns(RuntimeWarning, match="may not contract"):
-        with pytest.raises((PicardConvergenceError, DivergedError)):
+        with pytest.raises(PicardConvergenceError) as err:
             step_implicit(cfg, problem, mesh)
+    assert err.value.step == 1 and err.value.iterations == _PICARD_MAXIT
 
 
 def nan_at_call(k):
@@ -660,10 +649,7 @@ def test_long_run_matches_direct_history_sum(variant, N):
                           initial_data=CaseAInitialData())
     A, W, u0, source = stepper_inputs(mesh, problem, variant)
     args = (A, W, u0, problem.alpha, problem.gamma, 1.0 / N, N)
-    if variant == "galerkin-implicit":
-        kw = dict(source_of_prev=None, implicit_source=source)
-    else:
-        kw = dict(source_of_prev=source)
+    kw = dict(load=source, implicit=variant == "galerkin-implicit")
     got = _advance(*args, steps=np.arange(N + 1), **kw)
     ref = direct_sum_advance(*args, **kw)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -773,24 +759,32 @@ def test_source_evaluation_calls_f_once(monkeypatch, lumped):
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("source", ["galerkin", "lumped", "lumped source", "zero"])
-def test_rhs_matrix_equals_hstack(family, source):
+def test_rhs_matrix_equals_hstack(monkeypatch, family, source):
+    # the K that _advance builds equals [-A | tau S | tau b | W U^0] entry
+    # for entry and stores no zeros (the lumped source has b = 0)
+    built = []
+    hstack = sp.hstack
+
+    def recording_hstack(blocks, **kw):
+        built.append(hstack(blocks, **kw))
+        return built[-1]
+
+    monkeypatch.setattr(sp, "hstack", recording_hstack)
     mesh = FAMILIES[family](8)
     problem = ProblemSpec(alpha=0.5, gamma=1.0, T=1.0,
                           nonlinearity=sqrt_one_plus_u2(),
                           initial_data=CaseAInitialData())
     variant = "lumped-linearized" if source == "lumped" else "galerkin-linearized"
     A, W, u0, _ = stepper_inputs(mesh, problem, variant)
-    load = _source_builder(mesh, problem, source == "lumped source")
+    load = None if source == "zero" else _source_builder(mesh, problem,
+                                                         source == "lumped source")
     tau = 0.37
-    w_u0 = W @ u0
-    if source == "zero":
-        got = _rhs_matrix(A, None, [w_u0])
-        want = sp.hstack([-A, w_u0[:, None]])
-    else:
-        got = _rhs_matrix(A, tau * load.S, [tau * load.b, w_u0])
-        want = sp.hstack([-A, tau * load.S, tau * load.b[:, None], w_u0[:, None]])
-    assert got.shape == want.shape
-    assert np.array_equal(got.toarray(), want.toarray())
+    _advance(A, W, u0, 0.5, 1.0, tau, 1, np.arange(2), load)
+    [K] = built
+    blocks = [-A.toarray()] + ([] if load is None else
+                               [tau * load.S.toarray(), tau * load.b[:, None]])
+    assert np.array_equal(K.toarray(), np.hstack(blocks + [(W @ u0)[:, None]]))
+    assert np.all(K.data != 0)
 
 
 BLOCK_BOUNDARY_STEPS = [1, 31, 32, 33, 63, 64, 65, 97, 200]
@@ -808,10 +802,7 @@ def test_block_boundaries_match_direct_history_sum(source, N):
     A, W, u0, load = stepper_inputs(mesh, problem, variant)
     if source == "lumped":
         load = _source_builder(mesh, problem, True)
-    kw = {"consistent": dict(source_of_prev=load),
-          "lumped": dict(source_of_prev=load),
-          "zero": dict(source_of_prev=None),
-          "implicit": dict(source_of_prev=None, implicit_source=load)}[source]
+    kw = dict(load=None if source == "zero" else load, implicit=source == "implicit")
     args = (A, W, u0, problem.alpha, problem.gamma, 1.0 / N, N)
     got = _advance(*args, steps=np.arange(N + 1), **kw)
     ref = direct_sum_advance(*args, **kw)

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -116,6 +117,15 @@ def test_solve_final_cache_hit(tmp_path):
     # a different parameter produces a second artifact
     solve_final(**{**kw, "alpha": 0.25})
     assert len(list((tmp_path / "runs").glob("run-*.npz"))) == 2
+
+
+def test_run_key_covers_every_scheme_setting():
+    # a SchemeConfig field that changes the field but not the key would let
+    # solve_final serve a stale run; snapshot_stride only picks what is kept
+    key = json.loads(harness._run_key("a", 0.5, 1.0, 1.0, "symmetric", 4, 4,
+                                      "lumped-linearized", False))
+    names = {f.name for f in dataclasses.fields(SchemeConfig)} - {"snapshot_stride"}
+    assert {"scheme" if n == "variant" else n for n in names} <= key.keys()
 
 
 def test_solve_final_recomputes_on_key_mismatch(tmp_path):
@@ -347,11 +357,20 @@ def test_nonsymmetric_M_is_checked_before_any_solve(monkeypatch):
         return solve_final(*args, **kwargs)
 
     monkeypatch.setattr(harness, "solve_final", recorded)
-    for run, family in ((run_nonsymmetric_study, "symmetric"),
-                        (run_spatial_study, "nonsymmetric")):
-        cfg = StudyConfig(case="a", family=family, M_list=(8, 6), M_ref=16, N=4)
+    rows = dict(M_list=(8, 6), M_ref=16, N=4)
+    nonsym = dict(case="a", family="nonsymmetric", N=4, N_list=(4,), N_ref=8,
+                  t_list=(1e-2,))
+    # the reference M_ref and the fixed M of temporal and prefactor tables
+    # were meshed unchecked, after the first solve
+    for run, cfg, bad in (
+            (run_nonsymmetric_study, StudyConfig(case="a", **rows), 6),
+            (run_spatial_study, StudyConfig(case="a", family="nonsymmetric", **rows), 6),
+            (run_spatial_study, StudyConfig(M_list=(8,), M_ref=18, **nonsym), 18),
+            (run_prefactor_study, StudyConfig(axis="spatial", M=8, M_ref=30, **nonsym), 30),
+            (run_prefactor_study, StudyConfig(axis="temporal", M=6, **nonsym), 6),
+            (run_temporal_study, StudyConfig(M=6, **nonsym), 6)):
         with pytest.raises(ValueError, match="^M must be a positive multiple of 4 "
-                           "on the nonsymmetric family, got 6$"):
+                           f"on the nonsymmetric family, got {bad}$"):
             run(cfg)
     assert calls == []
 

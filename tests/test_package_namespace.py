@@ -121,3 +121,44 @@ def test_no_unused_module_level_imports():
     modules = sorted(Path(frstokes.__file__).parent.glob("*.py"))
     assert len(modules) >= 9
     assert [hit for path in modules for hit in _unused_imports(path)] == []
+
+
+def _private_definitions(path: Path) -> dict[str, int]:
+    """Private (not dunder) functions, classes and constants that ``path``
+    defines at module level, with their lines."""
+    defined = {}
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = [t.id for t in (node.targets if isinstance(node, ast.Assign)
+                                      else [node.target])
+                       if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    return defined
+
+
+def _names_read(path: Path) -> set[str]:
+    """Every name ``path`` loads, as a bare name, an attribute or an import."""
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_no_unread_private_definitions():
+    # a private helper that only tests call is a dead hook in the package
+    modules = sorted(Path(frstokes.__file__).parent.glob("*.py"))
+    read = set().union(*map(_names_read, modules))
+    assert [f"{path.name}:{line}: {name}" for path in modules
+            for name, line in _private_definitions(path).items()
+            if name not in read] == []

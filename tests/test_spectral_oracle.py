@@ -639,7 +639,7 @@ def test_scalar_cq_matches_matrix_stepper():
         u = scalar_cq_response(lam, alpha, gamma, 1.0, N)
         hist = _advance(A1(lam), sp.diags([1.0], format="csr"), np.array([1.0]),
                         alpha=alpha, gamma=gamma, tau=1.0 / N, N=N,
-                        steps=np.arange(N + 1), source_of_prev=None)
+                        steps=np.arange(N + 1))
         assert np.allclose(u, hist[:, 0], atol=1e-13)
 
 
