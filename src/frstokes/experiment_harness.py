@@ -65,7 +65,7 @@ class StudyConfig:
     sin(pi x) sin(pi y) ("mode", with no source).  Construction rejects an
     empty ``alphas``, ``M_list``, ``N_list`` or ``t_list``, checks
     ``scheme`` and ``source_lumping`` as :class:`SchemeConfig` does, every
-    count as an integer >= 1, a ladder that repeats an entry, a
+    count as an integer >= 1, ``alphas`` or a ladder that repeats an entry, a
     ``cache_dir`` that is not None or a non-empty string, and ``alphas``,
     ``gamma``, ``T`` and every entry of ``t_list`` by building the
     :class:`ProblemSpec` of each run.  Each study checks that its
@@ -113,7 +113,7 @@ class StudyConfig:
         for alpha in self.alphas:
             for T in (self.T, *self.t_list):
                 _problem(self.case, alpha, self.gamma, T)
-        for name in ("M_list", "N_list", "t_list"):
+        for name in ("alphas", "M_list", "N_list", "t_list"):
             ladder = getattr(self, name)
             if len(set(ladder)) < len(ladder):
                 raise ValueError(f"{name} must not repeat an entry, got {ladder}")

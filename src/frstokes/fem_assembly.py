@@ -2,9 +2,10 @@
 
 Assembles stiffness, consistent mass and lumped (vertex-quadrature) mass
 matrices as ``scipy.sparse`` CSR matrices (the lumped mass is a diagonal
-one), load vectors for several triangle quadrature rules, and the L2
+one), load vectors by one degree-4 triangle quadrature rule, and the L2
 projection onto the space V_h of continuous piecewise linears vanishing on
-the boundary.  :func:`mesh_operator` memoizes the assembled operators on
+the boundary.  Every L2 measure checks that its nodal vector has one value
+per node.  :func:`mesh_operator` memoizes the assembled operators on
 the mesh, and the default realization of initial data is memoized there
 too, so a study that reuses one mesh assembles and projects once.  Also
 defines the problem description consumed by the time steppers: fractional
@@ -23,7 +24,7 @@ import numpy as np
 import numpy.typing as npt
 import scipy.sparse as sp
 
-from .mesh import TriMesh, _is_count, evaluate_p1
+from .mesh import TriMesh, _is_count, _nodal_values, evaluate_p1
 from .sparse_linalg import cg_solve
 
 __all__ = [
@@ -53,31 +54,15 @@ FloatArray = npt.NDArray[np.float64]
 
 _LOCAL_MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 
-# Quadrature rules on the reference triangle: (barycentric coords, weights),
-# weights summing to one (scaled by the triangle area on use).
+# The 6-point rule of Dunavant (IJNME 21, 1985), exact for polynomials of
+# degree 4: barycentric coordinates and weights summing to one (scaled by
+# the triangle area on use).  All points are interior, so an integrand that
+# jumps along a mesh line, such as the case-b indicator, is integrated exactly.
 _B1, _A1, _W1 = 0.091576213509771, 0.816847572980459, 0.109951743655322
 _B2, _A2, _W2 = 0.445948490915965, 0.108103018168070, 0.223381589678011
-QUAD_RULES: dict[str, tuple[np.ndarray, np.ndarray]] = {
-    "vertex": (np.eye(3), np.full(3, 1.0 / 3.0)),
-    "midpoint": (
-        np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]),
-        np.full(3, 1.0 / 3.0),
-    ),
-    # 6-point rule, exact for polynomials of degree 4; all nodes interior.
-    "order4": (
-        np.array(
-            [
-                [_A1, _B1, _B1],
-                [_B1, _A1, _B1],
-                [_B1, _B1, _A1],
-                [_A2, _B2, _B2],
-                [_B2, _A2, _B2],
-                [_B2, _B2, _A2],
-            ]
-        ),
-        np.array([_W1, _W1, _W1, _W2, _W2, _W2]),
-    ),
-}
+_QUAD_BARY = np.array([[_A1, _B1, _B1], [_B1, _A1, _B1], [_B1, _B1, _A1],
+                       [_A2, _B2, _B2], [_B2, _A2, _B2], [_B2, _B2, _A2]])
+_QUAD_WEIGHTS = np.array([_W1, _W1, _W1, _W2, _W2, _W2])
 
 
 @dataclass(frozen=True)
@@ -88,13 +73,7 @@ class NodalField:
     values: FloatArray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.mesh.n_nodes,):
-            raise ValueError(
-                f"{vals.shape[0] if vals.ndim else 0} values for "
-                f"{self.mesh.n_nodes} nodes"
-            )
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _nodal_values(self.mesh, self.values))
 
     @classmethod
     def zeros(cls, mesh: TriMesh) -> "NodalField":
@@ -103,8 +82,12 @@ class NodalField:
     @classmethod
     def from_interior(cls, mesh: TriMesh, interior_values) -> "NodalField":
         """Embed interior coefficients into a full vector, zero trace."""
+        inner = np.asarray(interior_values, dtype=float)
+        if inner.shape != (mesh.n_interior,):
+            raise ValueError(f"{inner.shape[0] if inner.ndim else 0} values for "
+                             f"{mesh.n_interior} interior nodes")
         vals = np.zeros(mesh.n_nodes)
-        vals[mesh.interior_nodes] = interior_values
+        vals[mesh.interior_nodes] = inner
         return cls(mesh, vals)
 
     @classmethod
@@ -209,44 +192,40 @@ def mesh_operator(mesh: TriMesh, kind: str, full: bool = False):
     return memo[key]
 
 
-def _quad_rule(rule: str) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        return QUAD_RULES[rule]
-    except KeyError:
-        raise ValueError(f"unknown quadrature rule {rule!r}") from None
+def _quadrature(mesh: TriMesh, fn):
+    """Yield (barycentric row, weight, fn at that point of every triangle)
+    for each point of the quadrature rule; ``fn`` is vectorized."""
+    p = mesh.nodes[mesh.triangles]  # (m, 3, 2)
+    for bary, weight in zip(_QUAD_BARY, _QUAD_WEIGHTS):
+        pts = np.einsum("j,mjd->md", bary, p)
+        yield bary, weight, np.asarray(fn(pts[:, 0], pts[:, 1]), dtype=float)
 
 
-def load_vector(mesh: TriMesh, g, rule: str = "order4") -> FloatArray:
+def load_vector(mesh: TriMesh, g) -> FloatArray:
     """Full-node load b_i ~ integral of g * phi_i, by triangle quadrature.
 
-    ``g`` must be vectorized over coordinate arrays.  Rules: ``vertex``
-    (degree 1), ``midpoint`` (edge midpoints, degree 2), ``order4``
-    (6 interior points, degree 4).
+    ``g`` must be vectorized over coordinate arrays.
     """
-    bary, weights = _quad_rule(rule)
     areas = mesh.triangle_areas()
-    p = mesh.nodes[mesh.triangles]  # (m, 3, 2)
     b = np.zeros(mesh.n_nodes)
-    for q in range(len(weights)):
-        pts = np.einsum("j,mjd->md", bary[q], p)
-        gvals = np.asarray(g(pts[:, 0], pts[:, 1]), dtype=float)
-        contrib = (weights[q] * areas * gvals)[:, None] * bary[q][None, :]
+    for bary, weight, gvals in _quadrature(mesh, g):
+        contrib = (weight * areas * gvals)[:, None] * bary[None, :]
         np.add.at(b, mesh.triangles.ravel(), contrib.ravel())
     return b
 
 
-def l2_project(mesh: TriMesh, g, rule: str = "order4") -> NodalField:
+def l2_project(mesh: TriMesh, g) -> NodalField:
     """L2 projection of g onto V_h (boundary values zero)."""
     if mesh.n_interior == 0:
         return NodalField.zeros(mesh)
-    b = load_vector(mesh, g, rule=rule)[mesh.interior_nodes]
+    b = load_vector(mesh, g)[mesh.interior_nodes]
     M = mesh_operator(mesh, "mass")
     return NodalField.from_interior(mesh, cg_solve(M, b))
 
 
 def l2_norm(mesh: TriMesh, fld) -> float:
     """L2(Omega) norm of a P1 field, via the full-node consistent mass."""
-    vals = np.asarray(getattr(fld, "values", fld), dtype=float)
+    vals = _nodal_values(mesh, fld)
     M = mesh_operator(mesh, "mass", full=True)
     return float(np.sqrt(max(vals.dot(M @ vals), 0.0)))
 
@@ -261,8 +240,8 @@ def l2_error_vs_reference(coarse: tuple[TriMesh, NodalField],
     """
     cmesh, cfield = coarse
     fmesh, ffield = fine
-    fvals = np.asarray(getattr(ffield, "values", ffield), dtype=float)
-    cvals = np.asarray(getattr(cfield, "values", cfield), dtype=float)
+    fvals = _nodal_values(fmesh, ffield)
+    cvals = _nodal_values(cmesh, cfield)
     if cmesh is fmesh or (
         cmesh.n_nodes == fmesh.n_nodes and np.array_equal(cmesh.nodes, fmesh.nodes)
     ):
@@ -272,21 +251,14 @@ def l2_error_vs_reference(coarse: tuple[TriMesh, NodalField],
     return l2_norm(fmesh, diff)
 
 
-def l2_error_vs_function(mesh: TriMesh, fld, fn, rule: str = "order4") -> float:
+def l2_error_vs_function(mesh: TriMesh, fld, fn) -> float:
     """L2 distance between a P1 field and a smooth function, by quadrature."""
-    vals = np.asarray(getattr(fld, "values", fld), dtype=float)
-    if vals.shape != (mesh.n_nodes,):
-        raise ValueError(f"{vals.shape[0] if vals.ndim else 0} values for "
-                         f"{mesh.n_nodes} nodes")
-    bary, weights = _quad_rule(rule)
+    v = _nodal_values(mesh, fld)[mesh.triangles]  # (m, 3)
     areas = mesh.triangle_areas()
-    p = mesh.nodes[mesh.triangles]
-    v = vals[mesh.triangles]  # (m, 3)
     acc = 0.0
-    for q in range(len(weights)):
-        pts = np.einsum("j,mjd->md", bary[q], p)
-        diff = v.dot(bary[q]) - np.asarray(fn(pts[:, 0], pts[:, 1]), dtype=float)
-        acc += weights[q] * np.sum(areas * diff**2)
+    for bary, weight, fvals in _quadrature(mesh, fn):
+        diff = v.dot(bary) - fvals
+        acc += weight * np.sum(areas * diff**2)
     return float(np.sqrt(max(acc, 0.0)))
 
 

@@ -188,27 +188,36 @@ def _cell_of(breaks: FloatArray, coord: FloatArray) -> IntArray:
     return np.clip(idx, 0, len(breaks) - 2)
 
 
+def _nodal_values(mesh: TriMesh, field) -> FloatArray:
+    """The nodal vector of ``field`` (an array, or an object with a
+    ``values`` attribute holding one) as floats; ValueError unless it has
+    one value per mesh node."""
+    values = np.asarray(getattr(field, "values", field), dtype=float)
+    if values.shape != (mesh.n_nodes,):
+        raise ValueError(f"{values.shape[0] if values.ndim else 0} values for "
+                         f"{mesh.n_nodes} nodes")
+    return values
+
+
 def evaluate_p1(mesh: TriMesh, field, points) -> np.ndarray | float:
     """Evaluate a P1 nodal field at arbitrary points of the closed square.
 
     ``field`` may be a full-length nodal value array or any object with a
     ``values`` attribute holding one.  ``points`` is an (n, 2) array or a
     single (x, y) pair.  Points on shared edges are resolved to either
-    neighbor; the interpolant is continuous so the value is the same.
+    neighbor; the interpolant is continuous so the value is the same.  A
+    point farther than ``_DOMAIN_TOL`` outside the square, or with a NaN
+    coordinate, raises :class:`OutOfDomainError`.
     """
-    values = np.asarray(getattr(field, "values", field), dtype=float)
-    if values.shape != (mesh.n_nodes,):
-        raise ValueError(
-            f"field has {values.shape} values, mesh has {mesh.n_nodes} nodes"
-        )
+    values = _nodal_values(mesh, field)
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
     x = pts[:, 0]
     y = pts[:, 1]
-    if np.any(x < -_DOMAIN_TOL) or np.any(x > 1 + _DOMAIN_TOL) or np.any(
-        y < -_DOMAIN_TOL
-    ) or np.any(y > 1 + _DOMAIN_TOL):
+    # stated as "inside", so that NaN, which fails every comparison, is out
+    lo, hi = -_DOMAIN_TOL, 1 + _DOMAIN_TOL
+    if not np.all((lo <= x) & (x <= hi) & (lo <= y) & (y <= hi)):
         raise OutOfDomainError("query point outside the unit square")
     x = np.clip(x, 0.0, 1.0)
     y = np.clip(y, 0.0, 1.0)

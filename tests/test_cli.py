@@ -267,6 +267,8 @@ def test_convergence_subcommand_rejects_non_integer_counts(tmp_path, capsys):
     ("alpha = 0.5,abc", "^alpha must be a number, got 'abc'"),
     ("t_list = 1e-3,abc", "^t_list must be a number, got 'abc'"),
     ("axis = foo", "^prefactor axis must be spatial or temporal, got 'foo'$"),
+    # a repeated alpha solved and wrote the whole table twice
+    ("alpha = 0.5,0.5", r"^alphas must not repeat an entry, got \(0\.5, 0\.5\)$"),
 ])
 def test_convergence_subcommand_rejects_bad_scalar_values(tmp_path, capsys, line, message):
     cfg = tmp_path / "study.cfg"

@@ -1,6 +1,7 @@
 """Each demo script runs to completion against the tree under test."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 
 from conftest import tree_env
 
-DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMO_DIR = ROOT / "demos"
 DEMOS = sorted(DEMO_DIR.glob("0*.py"))
 
 
@@ -37,3 +39,17 @@ def test_cli_tour_runs(tmp_path):
                           text=True, env=env, cwd=tmp_path, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "fitted_rate" in proc.stdout
+
+
+def test_readme_quick_start_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    section = readme[readme.index("## Library quick start"):]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=tree_env(), cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # the values its comments quote
+    printed = dict(line.rsplit(maxsplit=1) for line in proc.stdout.splitlines()
+                   if line.startswith(("mode amplitude", "kernel reference")))
+    assert printed["mode amplitude"].startswith("0.00725369")
+    assert printed["kernel reference"].startswith("0.00725436")

@@ -6,7 +6,8 @@ import pytest
 import scipy.sparse as sp
 
 from frstokes.fem_assembly import (
-    QUAD_RULES,
+    _QUAD_BARY,
+    _QUAD_WEIGHTS,
     CaseAInitialData,
     CaseBInitialData,
     CustomInitialData,
@@ -27,7 +28,7 @@ from frstokes.fem_assembly import (
     sqrt_one_plus_u2,
     zero_source,
 )
-from frstokes.mesh import build_nonsymmetric_mesh, build_symmetric_mesh
+from frstokes.mesh import build_nonsymmetric_mesh, build_symmetric_mesh, evaluate_p1
 from frstokes.sparse_linalg import CompositeOperator
 
 
@@ -164,37 +165,18 @@ def test_stiffness_stores_no_zeros(build, full):
 
 
 def test_quadrature_rule_tables():
-    for name, (bary, weights) in QUAD_RULES.items():
-        assert weights.sum() == pytest.approx(1.0, abs=1e-15)
-        assert np.allclose(bary.sum(axis=1), 1.0, atol=1e-15)
-        assert np.all(bary >= 0)
+    assert _QUAD_WEIGHTS.sum() == pytest.approx(1.0, abs=1e-15)
+    assert np.allclose(_QUAD_BARY.sum(axis=1), 1.0, atol=1e-15)
+    assert np.all(_QUAD_BARY >= 0)
     # the degree-4 rule keeps every node strictly inside the triangle
-    bary4, _ = QUAD_RULES["order4"]
-    assert np.all(bary4 > 1e-3)
+    assert np.all(_QUAD_BARY > 1e-3)
 
 
-@pytest.mark.parametrize(
-    "rule,g,exact",
-    [
-        ("vertex", lambda x, y: 2.0 * x + 3.0 * y - 1.0, 3.0 / 2.0),
-        ("midpoint", lambda x, y: x * x + x * y, 1.0 / 3.0 + 1.0 / 4.0),
-        ("order4", lambda x, y: (x + y) ** 4, 31.0 / 15.0),
-    ],
-)
-def test_quadrature_degrees_via_load_partition_of_unity(rule, g, exact):
+def test_quadrature_degrees_via_load_partition_of_unity():
     # summing the load over all hat functions applies the rule to g itself
     mesh = build_nonsymmetric_mesh(4)
-    b = load_vector(mesh, g, rule=rule)
-    assert b.sum() == pytest.approx(exact, rel=1e-13)
-
-
-def test_load_unknown_rule_rejected():
-    mesh = build_symmetric_mesh(2)
-    with pytest.raises(ValueError):
-        load_vector(mesh, lambda x, y: x, rule="order99")
-    # the error measure looks its rule up the same way (it raised KeyError)
-    with pytest.raises(ValueError, match="unknown quadrature rule 'bogus'"):
-        l2_error_vs_function(mesh, np.zeros(mesh.n_nodes), lambda x, y: x, rule="bogus")
+    b = load_vector(mesh, lambda x, y: (x + y) ** 4)
+    assert b.sum() == pytest.approx(31.0 / 15.0, rel=1e-13)
 
 
 def test_indicator_load_center_node_exact():
@@ -203,11 +185,9 @@ def test_indicator_load_center_node_exact():
     # x = 1/2 is a mesh line, hence the interior-point rule is exact.
     mesh = build_symmetric_mesh(2)
     chi = CaseBInitialData()
-    b = load_vector(mesh, chi.sample, rule="order4")
+    b = load_vector(mesh, chi.sample)
     center = mesh.interior_nodes[0]
     assert b[center] == pytest.approx(1.0 / 8.0, abs=1e-16)
-    # rules with nodes on the x = 1/2 line overcount the right-hand side
-    assert load_vector(mesh, chi.sample, rule="midpoint")[center] > 1.0 / 8.0 + 1e-3
 
 
 def test_projection_reproduces_mesh_functions():
@@ -216,7 +196,6 @@ def test_projection_reproduces_mesh_functions():
     target = NodalField.from_interior(mesh, rng.standard_normal(mesh.n_interior))
 
     def g(x, y):
-        from frstokes.mesh import evaluate_p1
         return evaluate_p1(mesh, target.values, np.column_stack([x, y]))
 
     proj = l2_project(mesh, g)
@@ -253,7 +232,6 @@ def test_l2_error_same_mesh_and_nested_mesh():
     same = l2_error_vs_reference((coarse, cf), (coarse, cf))
     assert same == 0.0
     # coarse P1 functions belong to the nested fine space
-    from frstokes.mesh import evaluate_p1
     ff = NodalField(fine, evaluate_p1(coarse, cf.values, fine.nodes))
     assert l2_error_vs_reference((coarse, cf), (fine, ff)) < 1e-13
 
@@ -284,6 +262,43 @@ def test_nodal_field_roundtrip_and_validation():
     assert np.all(fld.values[mesh.boundary_mask] == 0.0)
     with pytest.raises(ValueError):
         NodalField(mesh, np.zeros(mesh.n_nodes + 1))
+
+
+@pytest.mark.parametrize("k", [1, 8, 10])
+def test_from_interior_checks_length(k):
+    # 1 value filled all 9 interior nodes; 10 raised a numpy broadcast error
+    mesh = build_symmetric_mesh(4)
+    with pytest.raises(ValueError, match=f"^{k} values for 9 interior nodes$"):
+        NodalField.from_interior(mesh, np.full(k, 2.0))
+
+
+_COARSE, _FINE = build_symmetric_mesh(2), build_symmetric_mesh(8)
+_NODAL_READERS = {
+    "NodalField": NodalField,
+    "l2_norm": l2_norm,
+    "reference-coarse-same": lambda mesh, v: l2_error_vs_reference(
+        (mesh, v), (mesh, NodalField.zeros(mesh))),
+    "reference-fine-same": lambda mesh, v: l2_error_vs_reference(
+        (mesh, NodalField.zeros(mesh)), (mesh, v)),
+    "reference-coarse-across": lambda mesh, v: l2_error_vs_reference(
+        (mesh, v), (_FINE, NodalField.zeros(_FINE))),
+    "reference-fine-across": lambda mesh, v: l2_error_vs_reference(
+        (_COARSE, NodalField.zeros(_COARSE)), (mesh, v)),
+    "l2_error_vs_function": lambda mesh, v: l2_error_vs_function(
+        mesh, v, lambda x, y: x * 0 + 1.0),
+    "evaluate_p1": lambda mesh, v: evaluate_p1(mesh, v, (0.5, 0.5)),
+}
+
+
+@pytest.mark.parametrize("k", [0, 1, 24, 26])
+@pytest.mark.parametrize("reader", sorted(_NODAL_READERS))
+def test_every_nodal_reader_checks_length(reader, k):
+    # the same-mesh error with one value measured 1.0 by broadcasting, and
+    # l2_norm failed inside the matrix product
+    mesh = build_symmetric_mesh(4)
+    v = 1.0 if k == 0 else np.ones(k)
+    with pytest.raises(ValueError, match=f"^{k} values for 25 nodes$"):
+        _NODAL_READERS[reader](mesh, v)
 
 
 def test_sqrt_nonlinearity_properties():

@@ -151,6 +151,14 @@ def test_evaluate_p1_rejects_outside_points():
     assert evaluate_p1(mesh, values, (1.0, 1.0)) == 0.0
 
 
+@pytest.mark.parametrize("point", [(np.nan, 0.5), (0.5, np.nan), (np.inf, 0.5)])
+def test_evaluate_p1_rejects_non_finite_points(point):
+    # a NaN coordinate failed every "outside" comparison and evaluated to nan
+    mesh = build_symmetric_mesh(2)
+    with pytest.raises(OutOfDomainError):
+        evaluate_p1(mesh, np.zeros(mesh.n_nodes), point)
+
+
 def test_mesh_text_format():
     mesh = build_symmetric_mesh(1)
     text = format_mesh_text(mesh)
