@@ -32,7 +32,7 @@ _EXPORTS = {
         "solve_final",
     ),
     "fem_assembly": (
-        "CaseAInitialData", "CaseBInitialData", "CustomInitialData", "InitialData",
+        "CaseAInitialData", "CaseBInitialData", "InitialData",
         "NodalField", "Nonlinearity", "ProblemSpec", "SingleModeInitialData",
         "assemble_lumped_mass", "assemble_mass", "assemble_stiffness",
         "initial_data_for_case", "l2_error_vs_function", "l2_error_vs_reference",
@@ -47,7 +47,7 @@ _EXPORTS = {
     "spectral_oracle": (
         "ContourResolutionError", "laplacian_eigenvalue",
         "linear_exact_solution", "mode_response", "mode_response_many",
-        "scalar_cq_response", "smoothing_probe", "symbol_g",
+        "scalar_cq_response", "smoothing_probe",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -38,6 +38,10 @@ _STUDY_RUNNERS = {
     "prefactor": harness.run_prefactor_study,
     "nonsymmetric": harness.run_nonsymmetric_study,
 }
+# The axes each study holds fixed: a list there would build no ladder and
+# leave the StudyConfig default in its place.
+_FIXED_AXES = {"spatial": ("N",), "temporal": ("M",), "prefactor": ("M", "N"),
+               "nonsymmetric": ("N",)}
 
 
 def _coerce_scalar(text: str):
@@ -158,7 +162,7 @@ def _cmd_run(args) -> int:
             raise ValueError(f"{key} takes one value in a run config, got {value!r}")
     cfg = study_config_from_dict({"M": 16, "N": 100, **raw})
     (alpha,) = cfg.alphas
-    mesh, final = harness._solve_cfg(cfg, alpha, M=cfg.M, N=cfg.N, T=cfg.T)
+    mesh, final = harness._solve_cfg(cfg, alpha, (cfg.family, cfg.M, cfg.N, cfg.T))
     print(f"family={mesh.family} N={cfg.N} alpha={alpha} "
           f"case={cfg.case} scheme={cfg.scheme}")
     print(f"final_l2_norm={l2_norm(mesh, final):.12e}")
@@ -169,7 +173,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    cfg = study_config_from_dict(parse_config(args.config))
+    raw = parse_config(args.config)
+    cfg = study_config_from_dict(raw)
+    for key in _FIXED_AXES[args.study]:
+        if isinstance(raw.get(key), list):
+            raise ValueError(f"{key} takes one value in a {args.study} study, "
+                             f"got {raw[key]!r}")
     reports = _STUDY_RUNNERS[args.study](cfg)
     for report in reports:
         text = report.to_markdown() if args.md else report.to_csv()

@@ -190,9 +190,6 @@ class Trajectory:
     def final(self) -> NodalField:
         return NodalField(self.mesh, self.values[-1].copy())
 
-    def field_at(self, i: int) -> NodalField:
-        return NodalField(self.mesh, self.values[i].copy())
-
 
 def _snapshot_steps(N: int, stride: int | None) -> np.ndarray:
     if stride is None:

@@ -1,18 +1,20 @@
 """Convergence studies for the fully discrete schemes.
 
-Every study runs through one table loop: it first checks that the
-study's reference is finer than its rows on the refined axis, then, for
-each alpha, walks the rows of (param, run, reference) that the study
-names, measures each L2 error at the final time (a spatial study of
-single-mode data is measured against the contour-quadrature oracle
-instead of a reference solve), and fits rates.  Reports serialize to CSV
-with header ``param,error_l2,rate_pairwise`` and a ``fitted_rate``
-footer, plus a markdown mirror.  Final fields are cached
-content-addressed by the full run configuration, so references shared
-between studies are solved once.  Within a process, :func:`build_mesh`
-hands out one mesh per (family, M) while any caller holds it, so the
-runs and error measurements of a study share the mesh and the operators
-memoized on it.
+Every study is a plan: a list of (run, reference) pairs of
+(family, M, N, T), the same for every alpha.  One table loop takes the
+plan and, before the first solve, checks that every reference is finer
+than the runs on the refined axis and builds every mesh the plan names,
+so a bad M fails in the mesh builder before any work.  Then, for each
+alpha, it solves each distinct run once, measures each row's L2 error at
+the final time (a spatial study of single-mode data is measured against
+the contour-quadrature oracle instead of a reference solve), and fits
+rates.  Reports serialize to CSV with header
+``param,error_l2,rate_pairwise`` and a ``fitted_rate`` footer, plus a
+markdown mirror.  Final fields are cached content-addressed by the full
+run configuration, so references shared between studies are solved once.
+Within a process, :func:`build_mesh` hands out one mesh per (family, M)
+while any caller holds it, so the runs and error measurements of a study
+share the mesh and the operators memoized on it.
 """
 
 from __future__ import annotations
@@ -319,10 +321,11 @@ def _read_cached(path: str, key: str):
     return None
 
 
-def _solve_cfg(cfg: StudyConfig, alpha: float, *, M: int, N: int, T: float,
-               family: str | None = None):
-    return solve_final(cfg.case, alpha, cfg.gamma, T,
-                       family if family is not None else cfg.family, M, N,
+def _solve_cfg(cfg: StudyConfig, alpha: float, run: tuple):
+    """:func:`solve_final` of ``run`` = (family, M, N, T) under the case,
+    gamma, scheme and cache of ``cfg``."""
+    family, M, N, T = run
+    return solve_final(cfg.case, alpha, cfg.gamma, T, family, M, N,
                        scheme=cfg.scheme, source_lumping=cfg.source_lumping,
                        cache_dir=cfg.cache_dir)
 
@@ -358,51 +361,47 @@ def _theory(kind: str, case: str, alpha: float) -> float | None:
     return (1.0 - alpha) * (nu - 2.0) / 2.0
 
 
-def _table(cfg: StudyConfig, kind: str, param_name: str, rows) -> list[ExperimentReport]:
+def _table(cfg: StudyConfig, kind: str, param_name: str, plan) -> list[ExperimentReport]:
     """The one loop behind every study: one report per alpha.
 
-    ``rows(alpha)`` yields (param, run, reference) with run and reference
-    (mesh, field) pairs, solving them as it goes.  A spatial ``mode`` study
-    is measured against the exact kernel instead of its reference, which
-    is None.  Every other table is checked, before the first solve, to
-    have a reference finer than its rows on the refined axis, and to mesh
-    the nonsymmetric family only at M divisible by 4.  A row whose error
-    is exactly 0 has no rate and is rejected with its parameter.
+    ``plan`` lists the rows as (run, reference) pairs of (family, M, N, T),
+    the same for every alpha.  Before the first solve, every reference is
+    checked to be finer than every run on the refined axis (N in a
+    temporal table, M otherwise), and the mesh of every planned run is
+    built and held until the table is done.  A reference of None (the
+    spatial ``mode`` table) measures its run against the exact kernel.
+    Each distinct run is solved once per alpha.  The parameter column is
+    the run's mesh size h, its step T/N or its final time T, as
+    ``param_name`` ("h", "tau" or "t_N") says.  A row whose error is
+    exactly 0 has no rate and is rejected with its parameter.
     """
-    exact = kind == "spatial" and cfg.case == "mode"
-    ref_name, tested = {"spatial": ("M_ref", cfg.M_list),
-                        "nonsymmetric": ("M_ref", cfg.M_list),
-                        "temporal": ("N_ref", cfg.N_list),
-                        "prefactor-spatial": ("M_ref", (cfg.M,)),
-                        "prefactor-temporal": ("N_ref", (cfg.N,))}[kind]
-    if not exact and getattr(cfg, ref_name) <= max(tested):
-        raise ValueError(f"{ref_name} must exceed every tested {ref_name[0]} "
-                         f"({max(tested)}) in a {kind} study, got {getattr(cfg, ref_name)}")
-    # a nonsymmetric study's reference is symmetric; a temporal table meshes only M
-    if kind == "nonsymmetric":
-        meshed = cfg.M_list
-    elif cfg.family != "nonsymmetric":
-        meshed = ()
-    elif ref_name == "N_ref":
-        meshed = (cfg.M,)
-    else:
-        meshed = tested if exact else (*tested, cfg.M_ref)
-    for M in meshed:  # the rule of build_nonsymmetric_mesh
-        if M % 4:
-            raise ValueError(f"M must be a positive multiple of 4 on the "
-                             f"nonsymmetric family, got {M}")
+    axis, name = (2, "N") if kind.endswith("temporal") else (1, "M")
+    tested = max(run[axis] for run, _ in plan)
+    for _, ref in plan:
+        if ref is not None and ref[axis] <= tested:
+            raise ValueError(f"{name}_ref must exceed every tested {name} ({tested}) "
+                             f"in a {kind} study, got {ref[axis]}")
+    meshes = {run[:2]: build_mesh(*run[:2])
+              for pair in plan for run in pair if run is not None}
+    exact = any(ref is None for _, ref in plan)
     reports = []
     for alpha in cfg.alphas:
         # u0 = sin sin = (1/2) phi_11 against the orthonormal eigenfunctions.
         kernel = (linear_exact_solution([(1, 1, 0.5)], cfg.T, alpha, cfg.gamma)
                   if exact else None)
+        solved = {}
         params, errors = [], []
-        for param, run, ref in rows(alpha):
-            params.append(float(param))
-            errors.append(float(l2_error_vs_function(*run, kernel) if exact
-                                else l2_error_vs_reference(run, ref)))
+        for run, ref in plan:
+            for key in (ref, run):
+                if key is not None and key not in solved:
+                    solved[key] = _solve_cfg(cfg, alpha, key)
+            family, M, N, T = run
+            params.append(float({"h": meshes[family, M].h, "tau": T / N,
+                                 "t_N": T}[param_name]))
+            errors.append(float(l2_error_vs_function(*solved[run], kernel) if ref is None
+                                else l2_error_vs_reference(solved[run], solved[ref])))
             if errors[-1] == 0.0:
-                raise ValueError(f"{param_name} = {param:g}: the run equals its "
+                raise ValueError(f"{param_name} = {params[-1]:g}: the run equals its "
                                  "reference (L2 error 0), so it has no rate")
         pairwise = [None] + [float(np.log(errors[i - 1] / errors[i])
                                    / np.log(params[i - 1] / params[i]))
@@ -415,31 +414,18 @@ def _table(cfg: StudyConfig, kind: str, param_name: str, rows) -> list[Experimen
     return reports
 
 
-def _mesh_ladder(cfg: StudyConfig, family: str, ref_family: str | None):
-    """Rows over ``M_list`` on ``family`` against one ``M_ref`` solve on
-    ``ref_family`` (none when it is None), at fixed N; param is h."""
-    def rows(alpha):
-        ref = (None if ref_family is None else
-               _solve_cfg(cfg, alpha, M=cfg.M_ref, N=cfg.N, T=cfg.T, family=ref_family))
-        for M in cfg.M_list:
-            mesh, fld = _solve_cfg(cfg, alpha, M=M, N=cfg.N, T=cfg.T, family=family)
-            yield mesh.h, (mesh, fld), ref
-    return rows
-
-
 def run_spatial_study(cfg: StudyConfig) -> list[ExperimentReport]:
     """Mesh refinement at fixed N; param column is the mesh size h."""
-    ref_family = None if cfg.case == "mode" else cfg.family
-    return _table(cfg, "spatial", "h", _mesh_ladder(cfg, cfg.family, ref_family))
+    ref = None if cfg.case == "mode" else (cfg.family, cfg.M_ref, cfg.N, cfg.T)
+    return _table(cfg, "spatial", "h",
+                  [((cfg.family, M, cfg.N, cfg.T), ref) for M in cfg.M_list])
 
 
 def run_temporal_study(cfg: StudyConfig) -> list[ExperimentReport]:
     """Step refinement at fixed mesh; param column is the step size tau."""
-    def rows(alpha):
-        ref = _solve_cfg(cfg, alpha, M=cfg.M, N=cfg.N_ref, T=cfg.T)
-        for N in cfg.N_list:
-            yield cfg.T / N, _solve_cfg(cfg, alpha, M=cfg.M, N=N, T=cfg.T), ref
-    return _table(cfg, "temporal", "tau", rows)
+    ref = (cfg.family, cfg.M, cfg.N_ref, cfg.T)
+    return _table(cfg, "temporal", "tau",
+                  [((cfg.family, cfg.M, N, cfg.T), ref) for N in cfg.N_list])
 
 
 def run_prefactor_study(cfg: StudyConfig) -> list[ExperimentReport]:
@@ -450,16 +436,15 @@ def run_prefactor_study(cfg: StudyConfig) -> list[ExperimentReport]:
     fitted slope exposes the singular-prefactor behavior as t -> 0.
     """
     ref_M, ref_N = (cfg.M, cfg.N_ref) if cfg.axis == "temporal" else (cfg.M_ref, cfg.N)
-
-    def rows(alpha):
-        for t in cfg.t_list:
-            run = _solve_cfg(cfg, alpha, M=cfg.M, N=cfg.N, T=t)
-            yield t, run, _solve_cfg(cfg, alpha, M=ref_M, N=ref_N, T=t)
-    return _table(cfg, f"prefactor-{cfg.axis}", "t_N", rows)
+    plan = [((cfg.family, cfg.M, cfg.N, t), (cfg.family, ref_M, ref_N, t))
+            for t in cfg.t_list]
+    return _table(cfg, f"prefactor-{cfg.axis}", "t_N", plan)
 
 
 def run_nonsymmetric_study(cfg: StudyConfig) -> list[ExperimentReport]:
     """Refinement over the alternating-width family, referenced against a
     fine symmetric mesh (the meshes are non-nested, so the coarse fields
     are evaluated at the fine nodes through point location)."""
-    return _table(cfg, "nonsymmetric", "h", _mesh_ladder(cfg, "nonsymmetric", "symmetric"))
+    ref = ("symmetric", cfg.M_ref, cfg.N, cfg.T)
+    return _table(cfg, "nonsymmetric", "h",
+                  [(("nonsymmetric", M, cfg.N, cfg.T), ref) for M in cfg.M_list])

@@ -45,7 +45,6 @@ __all__ = [
     "CaseAInitialData",
     "CaseBInitialData",
     "SingleModeInitialData",
-    "CustomInitialData",
     "initial_data_for_case",
     "ProblemSpec",
 ]
@@ -341,14 +340,6 @@ class SingleModeInitialData(InitialData):
         vals = fld.values.copy()
         vals[mesh.boundary_mask] = 0.0
         return NodalField(mesh, vals)
-
-
-class CustomInitialData(InitialData):
-    def __init__(self, fn):
-        self._fn = fn
-
-    def sample(self, x, y):
-        return self._fn(x, y)
 
 
 def _require_bool(name: str, value) -> None:

@@ -172,7 +172,8 @@ def build_nonsymmetric_mesh(M: int) -> TriMesh:
     M divisible by 4 (which is required).
     """
     if not _is_count(M, least=4) or M % 4 != 0:
-        raise ValueError(f"M must be a positive multiple of 4, got {M!r}")
+        raise ValueError("M must be a positive multiple of 4 on the nonsymmetric "
+                         f"family, got {M!r}")
     k = np.arange(M + 1)
     # Break k = (wide count)*4/(3M) + (narrow count)*2/(3M); computed
     # directly per index so that the midpoint break is exactly 0.5.

@@ -46,7 +46,6 @@ from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "ContourResolutionError",
-    "symbol_g",
     "mode_response",
     "mode_response_many",
     "scalar_cq_response",
@@ -112,15 +111,6 @@ def _check_alpha_gamma(alpha: float, gamma: float) -> None:
     _require_finite("gamma", gamma)
     if not gamma >= 0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
-
-
-def symbol_g(z: complex, alpha: float, gamma: float) -> complex:
-    """Laplace symbol g(z) = z / (1 + gamma z^alpha), principal branch."""
-    if z == 0:
-        raise ValueError("symbol is evaluated away from z = 0")
-    _check_alpha_gamma(alpha, gamma)
-    z = complex(z)
-    return z / (1.0 + gamma * z**alpha)
 
 
 @functools.cache

@@ -1,7 +1,7 @@
 """Acceptance suite: eight end-to-end checks, one summary line each.
 
-The convergence studies dominate the runtime (eight to nine minutes all
-told); run this file alone with ``pytest tests/test_acceptance.py -v -s``
+The convergence studies dominate the runtime (about a minute all told on
+two cores); run this file alone with ``pytest tests/test_acceptance.py -v -s``
 to watch the [PASS]/[FAIL] lines as they land.
 
 Check 3 pins the short-time growth of the temporal error, t^0.50 for the

@@ -366,6 +366,7 @@ def _key_value_text(value) -> str:
 @example(command="prefactor", key="N_ref", value=4, as_json=False)
 @example(command="temporal", key="cache_dir", value=5, as_json=False)
 @example(command="temporal", key="cache_dir", value=True, as_json=True)
+@example(command="temporal", key="M", value=[2, 4], as_json=False)
 @given(command=st.sampled_from(sorted(_BASE_CONFIGS)), key=st.sampled_from(_CONFIG_KEYS),
        value=st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3)), as_json=st.booleans())
 def _config_runs_or_exits_2(command, key, value, as_json):
@@ -420,6 +421,30 @@ def test_convergence_subcommand_rejects_empty_ladders(tmp_path, capsys, line, na
                    f"cache_dir = {tmp_path / 'cache'}\n")
     assert_rejected(capsys, ["convergence", "temporal", "--config", str(cfg)],
                     f"^{name} must not be empty$")
+    assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("study,axes,message", [
+    ("temporal", "M = 4,8\nN = 2,4", "M takes one value in a temporal study, got [4, 8]"),
+    ("spatial", "M = 2,4\nN = 2,4", "N takes one value in a spatial study, got [2, 4]"),
+    ("nonsymmetric", "M = 4\nN = 2,4",
+     "N takes one value in a nonsymmetric study, got [2, 4]"),
+    ("prefactor", "M = 4,8\nN = 4", "M takes one value in a prefactor study, got [4, 8]"),
+    ("prefactor", "M = 4\nN = 4,8", "N takes one value in a prefactor study, got [4, 8]"),
+], ids=["temporal-M", "spatial-N", "nonsymmetric-N", "prefactor-M", "prefactor-N"])
+def test_study_rejects_a_ladder_on_a_fixed_axis(tmp_path, capsys, monkeypatch, study,
+                                                axes, message):
+    # a temporal study given M = 4,8 used to run its whole table at the
+    # StudyConfig default M = 128, and a list N in a spatial study at N = 200
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a study with a dropped ladder")
+
+    monkeypatch.setattr(cli.harness, "solve_final", no_solve)
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(f"case = a\n{axes}\nM_ref = 16\nN_ref = 16\n"
+                   f"cache_dir = {tmp_path / 'cache'}\n")
+    assert_rejected(capsys, ["convergence", study, "--config", str(cfg)],
+                    f"^{re.escape(message)}$")
     assert not (tmp_path / "cache").exists()
 
 

@@ -418,7 +418,7 @@ def test_snapshot_bookkeeping():
     assert np.array_equal(full.steps, np.arange(6))
     fld = full.final()
     assert np.array_equal(fld.values, full.values[-1])
-    assert np.array_equal(full.field_at(0).values,
+    assert np.array_equal(full.values[0],
                           problem.initial_data.field(mesh).values)
 
 

@@ -10,7 +10,7 @@ from frstokes.fem_assembly import (
     _QUAD_WEIGHTS,
     CaseAInitialData,
     CaseBInitialData,
-    CustomInitialData,
+    InitialData,
     NodalField,
     Nonlinearity,
     ProblemSpec,
@@ -344,11 +344,6 @@ def test_single_mode_field_is_nodal_interpolant():
     assert np.allclose(fld.values[inter], want[inter], atol=1e-15)
 
 
-def test_custom_initial_data_wraps_callable():
-    data = CustomInitialData(lambda x, y: x * y)
-    assert data.sample(0.25, 0.5) == 0.125
-
-
 @pytest.mark.parametrize("kind,full", [(k, f) for k in ("stiffness", "mass", "lumped_mass")
                                        for f in (False, True)])
 def test_mesh_operator_is_memoized_fresh_assembly(kind, full):
@@ -388,8 +383,15 @@ def test_initial_data_projected_once_per_object_and_mesh(monkeypatch):
     assert np.array_equal(second.values, project(mesh, a.sample).values)
 
     # two functions: two entries, two projections
-    xy = CustomInitialData(lambda x, y: x * y)
-    xxy = CustomInitialData(lambda x, y: x * x * y)
+    class XY(InitialData):
+        def sample(self, x, y):
+            return x * y
+
+    class XXY(InitialData):
+        def sample(self, x, y):
+            return x * x * y
+
+    xy, xxy = XY(), XXY()
     assert not np.array_equal(xy.field(mesh).values, xxy.field(mesh).values)
     assert len(calls) == 3
     # another mesh is another entry; an entry goes with its data object

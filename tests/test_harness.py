@@ -375,6 +375,29 @@ def test_nonsymmetric_M_is_checked_before_any_solve(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("run,fields,per_alpha", [
+    (run_temporal_study, dict(M=4, N_list=(2, 4, 8), N_ref=16), 4),
+    (run_spatial_study, dict(M_list=(2, 4), M_ref=8, N=4), 3),
+    (run_nonsymmetric_study, dict(M_list=(4, 8), M_ref=16, N=4), 3),
+    (run_spatial_study, dict(case="mode", M_list=(2, 4, 8), N=4), 3),
+    (run_prefactor_study, dict(M=4, N=4, N_ref=8, t_list=(1e-2, 1e-3)), 4),
+])
+def test_each_run_of_a_table_is_solved_once_per_alpha(monkeypatch, run, fields, per_alpha):
+    # without a cache_dir, a reference shared by every row is still solved
+    # once per alpha, and no row is solved twice
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_final(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "solve_final", counted)
+    cfg = StudyConfig(**{"case": "a", **fields, "alphas": (0.25, 0.5)})
+    assert len(run(cfg)) == 2
+    assert len(calls) == 2 * per_alpha
+    assert len(set(calls)) == len(calls)
+
+
 def test_temporal_study_first_order(tmp_path):
     cfg = StudyConfig(case="a", alphas=(0.5,), M=8, N_list=(4, 8, 16),
                       N_ref=128, cache_dir=str(tmp_path))

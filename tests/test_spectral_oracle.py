@@ -1,4 +1,3 @@
-import cmath
 import functools
 import math
 import subprocess
@@ -30,7 +29,6 @@ from frstokes.spectral_oracle import (
     mode_response_many,
     scalar_cq_response,
     smoothing_probe,
-    symbol_g,
 )
 
 
@@ -61,21 +59,6 @@ def grid_eigenvalues(M):
     k = np.arange(1, M)
     s2 = np.sin(k * np.pi / (2 * M)) ** 2
     return (4.0 * M * M * (s2[:, None] + s2[None, :])).ravel()
-
-
-def test_symbol_values():
-    assert symbol_g(1.0, 0.5, 0.0) == pytest.approx(1.0)
-    assert symbol_g(1.0, 0.5, 3.0) == pytest.approx(0.25)
-    z = 1j
-    want = z / (1.0 + cmath.exp(0.5j * cmath.pi / 2.0))
-    got = symbol_g(z, 0.5, 1.0)
-    assert abs(got - want) < 1e-15
-    with pytest.raises(ValueError):
-        symbol_g(0.0, 0.5, 1.0)
-    with pytest.raises(ValueError):
-        symbol_g(1.0, 1.5, 1.0)
-    with pytest.raises(ValueError):
-        symbol_g(1.0, 0.5, -1.0)
 
 
 @pytest.mark.parametrize("t,nodes_per_ray,match", [
@@ -112,8 +95,8 @@ def test_mode_response_rejects_bad_arguments(args, match):
 @pytest.mark.parametrize("call", [
     lambda alpha, gamma: mode_response(1.0, 1.0, alpha, gamma),
     lambda alpha, gamma: scalar_cq_response(1.0, alpha, gamma, 1.0, 4),
-    lambda alpha, gamma: symbol_g(1.0, alpha, gamma),
-], ids=["mode_response", "scalar_cq_response", "symbol_g"])
+    lambda alpha, gamma: smoothing_probe(alpha, gamma, 0, [1.0], [1.0]),
+], ids=["mode_response", "scalar_cq_response", "smoothing_probe"])
 @pytest.mark.parametrize("alpha,gamma,name", [
     ("0.5", 1.0, "alpha"), (None, 1.0, "alpha"), (True, 1.0, "alpha"),
     ([0.5], 1.0, "alpha"), (0.5, "1", "gamma"), (0.5, None, "gamma"),
