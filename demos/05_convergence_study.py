@@ -9,12 +9,13 @@ import tempfile
 
 from frstokes.experiment_harness import StudyConfig, run_spatial_study
 
-# N is generous so the first-order temporal error stays below the
-# spatial error even at M = 16
+# A spatial study refines M and holds N fixed, so N is one value; it is
+# generous so the first-order temporal error stays below the spatial error
+# even at M = 16
 cfg = StudyConfig(
     case="mode",
     alphas=(0.5,),
-    M_list=(2, 4, 8, 16),
+    M=(2, 4, 8, 16),
     N=1024,
     scheme="lumped-linearized",
     cache_dir=tempfile.mkdtemp(prefix="frs-demo-"),

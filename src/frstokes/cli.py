@@ -8,19 +8,24 @@ Subcommands:
 * ``frs convergence {spatial,temporal,prefactor,nonsymmetric} --config study.cfg [--md] [--out base]``
 
 Config files are either JSON objects or flat ``key=value`` lines (``#``
-comments allowed).  List-valued keys take comma-separated values, e.g.
+comments allowed), each key given once.  The keys are the
+:class:`StudyConfig` fields, with ``alpha`` for ``alphas``, and it checks
+them.  List-valued keys take comma-separated values, e.g.
 ``alpha=0.25,0.5,0.75`` or ``M=8,16,32,64``.
 
 Errors are one line on stderr, ``frs: <message>``: bad input, including a
-config file that cannot be read, exits with 2, and a solve that diverges,
-a Picard iteration that stalls or an unresolved contour exits with 1.
+config file that cannot be read or an ``--out`` that cannot be written,
+exits with 2, and a solve that diverges, a Picard iteration that stalls
+or an unresolved contour exits with 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from dataclasses import fields
 
 # Imported eagerly even though `frs oracle` and `frs mesh` need no solver:
 # the harness pulls in scipy.sparse (about 0.2 s), and a caller that imports
@@ -38,10 +43,8 @@ _STUDY_RUNNERS = {
     "prefactor": harness.run_prefactor_study,
     "nonsymmetric": harness.run_nonsymmetric_study,
 }
-# The axes each study holds fixed: a list there would build no ladder and
-# leave the StudyConfig default in its place.
-_FIXED_AXES = {"spatial": ("N",), "temporal": ("M",), "prefactor": ("M", "N"),
-               "nonsymmetric": ("N",)}
+_CONFIG_KEYS = {"alpha" if f.name == "alphas" else f.name
+                for f in fields(harness.StudyConfig)}
 
 
 def _coerce_scalar(text: str):
@@ -63,77 +66,55 @@ def _coerce(text: str, scalar=_coerce_scalar):
 
 
 def parse_config(path: str) -> dict:
-    """Read a JSON or flat key=value configuration file."""
+    """Read a JSON or flat key=value configuration file; a key given twice
+    is rejected, not overwritten."""
     try:
         with open(path) as fh:
             content = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read config {path}: {exc.strerror or exc}") from exc
     if content.lstrip().startswith("{"):
-        return json.loads(content)
+        items = [(path, key, value)
+                 for key, value in json.loads(content, object_pairs_hook=list)]
+    else:
+        items = []
+        for lineno, raw in enumerate(content.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            # a path stays a string: "cache_dir = 2024" names the directory 2024
+            scalar = str.strip if key == "cache_dir" else _coerce_scalar
+            items.append((f"{path}:{lineno}", key, _coerce(value, scalar)))
     out: dict = {}
-    for lineno, raw in enumerate(content.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        # a path stays a string: "cache_dir = 2024" names the directory 2024
-        out[key] = _coerce(value, str.strip if key == "cache_dir" else _coerce_scalar)
+    for where, key, value in items:
+        if key in out:
+            raise ValueError(f"{where}: {key} given twice")
+        out[key] = value
     return out
 
 
-def _as_tuple(value) -> tuple:
-    if isinstance(value, (list, tuple)):
-        return tuple(value)
-    return (value,)
-
-
-def _real(key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def study_config_from_dict(raw: dict) -> harness.StudyConfig:
-    """Translate CLI config keys into a StudyConfig."""
-    kwargs: dict = {}
-    raw = dict(raw)
-    if "alpha" in raw:
-        kwargs["alphas"] = tuple(_real("alpha", a) for a in _as_tuple(raw.pop("alpha")))
-    # counts pass through unconverted, so StudyConfig rejects 2.5 or "abc"
-    for key in ("M", "N"):
-        if key in raw:
-            value = raw.pop(key)
-            if isinstance(value, list):
-                kwargs[f"{key}_list"] = tuple(value)
-            else:
-                kwargs[key] = value
-                kwargs[f"{key}_list"] = (value,)
-    if "t_list" in raw:
-        kwargs["t_list"] = tuple(_real("t_list", t) for t in _as_tuple(raw.pop("t_list")))
-    for key in ("case", "gamma", "T", "family", "M_ref", "N_ref", "axis",
-                "scheme", "source_lumping", "cache_dir"):
-        if key in raw:
-            value = raw.pop(key)
-            if isinstance(value, list):
-                raise ValueError(f"{key} takes one value, got {value!r}")
-            kwargs[key] = value
-    if raw:
-        raise ValueError(f"unknown config keys: {sorted(raw)}")
-    for key in ("gamma", "T"):
-        if key in kwargs:
-            kwargs[key] = _real(key, kwargs[key])
-    return harness.StudyConfig(**kwargs)
+def study_config_from_dict(raw: dict, keys=_CONFIG_KEYS) -> harness.StudyConfig:
+    """Translate config keys, each one of ``keys``, into a StudyConfig,
+    which checks the values."""
+    unknown = sorted(set(raw) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown config keys: {unknown}")
+    return harness.StudyConfig(**{"alphas" if key == "alpha" else key: value
+                                  for key, value in raw.items()})
 
 
 def _write(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _cmd_mesh(args) -> int:
@@ -153,32 +134,21 @@ _RUN_KEYS = ("case", "scheme", "family", "M", "N", "alpha", "gamma", "T",
 
 
 def _cmd_run(args) -> int:
-    raw = parse_config(args.config)
-    unknown = sorted(set(raw) - set(_RUN_KEYS))
-    if unknown:
-        raise ValueError(f"unknown config keys: {unknown}")
-    for key, value in raw.items():
-        if isinstance(value, list):
-            raise ValueError(f"{key} takes one value in a run config, got {value!r}")
-    cfg = study_config_from_dict({"M": 16, "N": 100, **raw})
-    (alpha,) = cfg.alphas
-    mesh, final = harness._solve_cfg(cfg, alpha, (cfg.family, cfg.M, cfg.N, cfg.T))
-    print(f"family={mesh.family} N={cfg.N} alpha={alpha} "
-          f"case={cfg.case} scheme={cfg.scheme}")
-    print(f"final_l2_norm={l2_norm(mesh, final):.12e}")
-    if args.out:
+    cfg = study_config_from_dict({"M": 16, "N": 100, **parse_config(args.config)},
+                                 _RUN_KEYS)
+    alpha, M, N = harness._fixed(cfg, "a run config", "alphas", "M", "N")
+    mesh, final = harness._solve_cfg(cfg, alpha, (cfg.family, M, N, cfg.T))
+    if args.out:  # before the summary, so a failed write prints nothing
         lines = [f"{i} {v:.17g}" for i, v in enumerate(final.values)]
         _write("\n".join(lines) + "\n", args.out)
+    print(f"family={mesh.family} N={N} alpha={alpha} "
+          f"case={cfg.case} scheme={cfg.scheme}")
+    print(f"final_l2_norm={l2_norm(mesh, final):.12e}")
     return 0
 
 
 def _cmd_convergence(args) -> int:
-    raw = parse_config(args.config)
-    cfg = study_config_from_dict(raw)
-    for key in _FIXED_AXES[args.study]:
-        if isinstance(raw.get(key), list):
-            raise ValueError(f"{key} takes one value in a {args.study} study, "
-                             f"got {raw[key]!r}")
+    cfg = study_config_from_dict(parse_config(args.config))
     reports = _STUDY_RUNNERS[args.study](cfg)
     for report in reports:
         text = report.to_markdown() if args.md else report.to_csv()
@@ -232,7 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out = getattr(args, "out", None)
     try:
+        # before any work, so an --out in a missing directory costs no solve
+        if out and out != "-" and not os.path.isdir(os.path.dirname(out) or "."):
+            raise ValueError(f"cannot write {out}: no such directory")
         return args.fn(args)
     except ValueError as exc:
         print(f"frs: {exc}", file=sys.stderr)

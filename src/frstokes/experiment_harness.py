@@ -25,7 +25,7 @@ import json
 import os
 import weakref
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -57,21 +57,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Shared knobs for the convergence studies.
+    """Shared knobs for the convergence studies, one field per axis.
 
-    Spatial studies sweep ``M_list`` against ``M_ref`` at fixed ``N``;
-    temporal studies sweep ``N_list`` against ``N_ref`` on the fixed mesh
-    ``M``; prefactor studies sweep the final time over ``t_list`` along the
-    chosen ``axis``.  ``case`` selects the initial data: the smooth bump
-    ("a"), the half-square indicator ("b"), or the sine mode
-    sin(pi x) sin(pi y) ("mode", with no source).  Construction rejects an
-    empty ``alphas``, ``M_list``, ``N_list`` or ``t_list``, checks
-    ``scheme`` and ``source_lumping`` as :class:`SchemeConfig` does, every
-    count as an integer >= 1, ``alphas`` or a ladder that repeats an entry, a
-    ``cache_dir`` that is not None or a non-empty string, and ``alphas``,
-    ``gamma``, ``T`` and every entry of ``t_list`` by building the
-    :class:`ProblemSpec` of each run.  Each study checks that its
-    reference is finer than its rows before its first solve.
+    Spatial studies sweep the meshes ``M`` against ``M_ref`` at one ``N``;
+    temporal studies sweep ``N`` against ``N_ref`` on one ``M``; prefactor
+    studies fix both and sweep the final time over ``t_list`` along
+    ``axis``.  A ladder field (``alphas``, ``M``, ``N``, ``t_list``) takes
+    one value or a list and stores a tuple; the ``M`` and ``N`` defaults are
+    ladders, so a study states each axis it holds fixed.  ``case`` selects
+    the initial data: the smooth bump ("a"), the half-square indicator
+    ("b"), or the sine mode sin(pi x) sin(pi y) ("mode", with no source).
+    Construction rejects a list for any other field, an empty or repeating
+    ladder, a non-number in ``alphas``, ``t_list``, ``gamma`` or ``T``
+    (stored as floats), a count that is not an integer >= 1, ``scheme`` and
+    ``source_lumping`` as :class:`SchemeConfig` does, a ``cache_dir`` that
+    is not None or a non-empty string, and each run's :class:`ProblemSpec`.
     """
 
     case: str = "a"
@@ -79,11 +79,9 @@ class StudyConfig:
     gamma: float = 1.0
     T: float = 1.0
     family: str = "symmetric"
-    M_list: tuple = (8, 16, 32, 64)
+    M: tuple = (8, 16, 32, 64)
     M_ref: int = 128
-    M: int = 128
-    N: int = 200
-    N_list: tuple = (5, 10, 20, 40, 80)
+    N: tuple = (5, 10, 20, 40, 80)
     N_ref: int = 640
     t_list: tuple = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
     axis: str = "temporal"
@@ -92,6 +90,24 @@ class StudyConfig:
     cache_dir: str | None = None
 
     def __post_init__(self):
+        for name in (f.name for f in fields(self)):
+            value = getattr(self, name)
+            if name in ("alphas", "M", "N", "t_list"):
+                value = tuple(value) if isinstance(value, (list, tuple)) else (value,)
+                if not value:
+                    raise ValueError(f"{name} must not be empty")
+            elif isinstance(value, (list, tuple)):
+                raise ValueError(f"{name} takes one value, got {value!r}")
+            if name in ("alphas", "t_list"):
+                value = tuple(_real("alpha" if name == "alphas" else name, v) for v in value)
+            elif name in ("gamma", "T"):
+                value = _real(name, value)
+            elif name in ("M", "N"):
+                for count in value:
+                    _require_count(f"every entry of {name}", count)
+            if isinstance(value, tuple) and len(set(value)) < len(value):
+                raise ValueError(f"{name} must not repeat an entry, got {value}")
+            object.__setattr__(self, name, value)
         if self.case not in ("a", "b", "mode"):
             raise ValueError(f"unknown case {self.case!r}")
         if self.family not in ("symmetric", "nonsymmetric"):
@@ -99,26 +115,32 @@ class StudyConfig:
         if self.axis not in ("spatial", "temporal"):
             raise ValueError("prefactor axis must be spatial or temporal, "
                              f"got {self.axis!r}")
-        for name in ("alphas", "M_list", "N_list", "t_list"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must not be empty")
         if self.cache_dir is not None and not (isinstance(self.cache_dir, str)
                                                and self.cache_dir):
             raise ValueError("cache_dir must be a non-empty path string, "
                              f"got {self.cache_dir!r}")
-        SchemeConfig(variant=self.scheme, N=self.N, source_lumping=self.source_lumping)
-        for name in ("M", "M_ref", "N_ref"):
+        for name in ("M_ref", "N_ref"):
             _require_count(name, getattr(self, name))
-        for name in ("M_list", "N_list"):
-            for value in getattr(self, name):
-                _require_count(f"every entry of {name}", value)
+        SchemeConfig(variant=self.scheme, N=self.N[0], source_lumping=self.source_lumping)
         for alpha in self.alphas:
             for T in (self.T, *self.t_list):
                 _problem(self.case, alpha, self.gamma, T)
-        for name in ("alphas", "M_list", "N_list", "t_list"):
-            ladder = getattr(self, name)
-            if len(set(ladder)) < len(ladder):
-                raise ValueError(f"{name} must not repeat an entry, got {ladder}")
+
+
+def _real(key: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _fixed(cfg: StudyConfig, where: str, *names: str) -> list:
+    """The one value of each ladder in ``names`` that ``where`` (such as "a
+    temporal study") holds fixed, checked before any mesh or solve."""
+    for name in names:
+        if len(getattr(cfg, name)) > 1:
+            raise ValueError(f"{'alpha' if name == 'alphas' else name} takes one value "
+                             f"in {where}, got {list(getattr(cfg, name))}")
+    return [getattr(cfg, name)[0] for name in names]
 
 
 @dataclass(frozen=True)
@@ -416,16 +438,18 @@ def _table(cfg: StudyConfig, kind: str, param_name: str, plan) -> list[Experimen
 
 def run_spatial_study(cfg: StudyConfig) -> list[ExperimentReport]:
     """Mesh refinement at fixed N; param column is the mesh size h."""
-    ref = None if cfg.case == "mode" else (cfg.family, cfg.M_ref, cfg.N, cfg.T)
+    (N,) = _fixed(cfg, "a spatial study", "N")
+    ref = None if cfg.case == "mode" else (cfg.family, cfg.M_ref, N, cfg.T)
     return _table(cfg, "spatial", "h",
-                  [((cfg.family, M, cfg.N, cfg.T), ref) for M in cfg.M_list])
+                  [((cfg.family, M, N, cfg.T), ref) for M in cfg.M])
 
 
 def run_temporal_study(cfg: StudyConfig) -> list[ExperimentReport]:
     """Step refinement at fixed mesh; param column is the step size tau."""
-    ref = (cfg.family, cfg.M, cfg.N_ref, cfg.T)
+    (M,) = _fixed(cfg, "a temporal study", "M")
+    ref = (cfg.family, M, cfg.N_ref, cfg.T)
     return _table(cfg, "temporal", "tau",
-                  [((cfg.family, cfg.M, N, cfg.T), ref) for N in cfg.N_list])
+                  [((cfg.family, M, N, cfg.T), ref) for N in cfg.N])
 
 
 def run_prefactor_study(cfg: StudyConfig) -> list[ExperimentReport]:
@@ -435,9 +459,9 @@ def run_prefactor_study(cfg: StudyConfig) -> list[ExperimentReport]:
     spatial axis compares M against M_ref at the same step count.  The
     fitted slope exposes the singular-prefactor behavior as t -> 0.
     """
-    ref_M, ref_N = (cfg.M, cfg.N_ref) if cfg.axis == "temporal" else (cfg.M_ref, cfg.N)
-    plan = [((cfg.family, cfg.M, cfg.N, t), (cfg.family, ref_M, ref_N, t))
-            for t in cfg.t_list]
+    M, N = _fixed(cfg, "a prefactor study", "M", "N")
+    ref_M, ref_N = (M, cfg.N_ref) if cfg.axis == "temporal" else (cfg.M_ref, N)
+    plan = [((cfg.family, M, N, t), (cfg.family, ref_M, ref_N, t)) for t in cfg.t_list]
     return _table(cfg, f"prefactor-{cfg.axis}", "t_N", plan)
 
 
@@ -445,6 +469,7 @@ def run_nonsymmetric_study(cfg: StudyConfig) -> list[ExperimentReport]:
     """Refinement over the alternating-width family, referenced against a
     fine symmetric mesh (the meshes are non-nested, so the coarse fields
     are evaluated at the fine nodes through point location)."""
-    ref = ("symmetric", cfg.M_ref, cfg.N, cfg.T)
+    (N,) = _fixed(cfg, "a nonsymmetric study", "N")
+    ref = ("symmetric", cfg.M_ref, N, cfg.T)
     return _table(cfg, "nonsymmetric", "h",
-                  [(("nonsymmetric", M, cfg.N, cfg.T), ref) for M in cfg.M_list])
+                  [(("nonsymmetric", M, N, cfg.T), ref) for M in cfg.M])

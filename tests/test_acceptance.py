@@ -108,7 +108,7 @@ def test_1_spatial_rates_symmetric(cache_dir):
     mags_ok = True
     for case in ("a", "b"):
         cfg = StudyConfig(case=case, alphas=(0.25, 0.5, 0.75),
-                          M_list=(8, 16, 32, 64), M_ref=128, N=200,
+                          M=(8, 16, 32, 64), M_ref=128, N=200,
                           scheme="galerkin-linearized", cache_dir=cache_dir)
         for rep in run_spatial_study(cfg):
             rates[(case, rep.alpha)] = rep.fitted_rate
@@ -161,7 +161,7 @@ def _rough_data_transient():
 
 def test_2_temporal_rates(cache_dir):
     cfg = StudyConfig(case="a", alphas=(0.25, 0.5, 0.75), M=128,
-                      N_list=(5, 10, 20, 40, 80), N_ref=640,
+                      N=(5, 10, 20, 40, 80), N_ref=640,
                       scheme="galerkin-linearized", cache_dir=cache_dir)
     reports_a = run_temporal_study(cfg)
     rates_a = {rep.alpha: rep.fitted_rate for rep in reports_a}
@@ -175,7 +175,7 @@ def test_2_temporal_rates(cache_dir):
     # smooth-data band; pinned here: monotone decay plus a first-order
     # floor, with the transient's own rate checked against the oracle.
     cfg_b = StudyConfig(case="b", alphas=(0.25, 0.5, 0.75), M=128,
-                        N_list=(5, 10, 20, 40, 80), N_ref=640,
+                        N=(5, 10, 20, 40, 80), N_ref=640,
                         scheme="galerkin-linearized", cache_dir=cache_dir)
     reports_b = run_temporal_study(cfg_b)
     rates_b = {rep.alpha: rep.fitted_rate for rep in reports_b}
@@ -241,7 +241,7 @@ def test_5_nonsymmetric_lumped_rates(cache_dir):
     mags_ok = True
     for case in ("a", "b"):
         cfg = StudyConfig(case=case, alphas=(0.5,), family="nonsymmetric",
-                          M_list=(8, 16, 32, 64), M_ref=128, N=200,
+                          M=(8, 16, 32, 64), M_ref=128, N=200,
                           scheme="lumped-linearized", cache_dir=cache_dir)
         (rep,) = run_nonsymmetric_study(cfg)
         rates[case] = rep.fitted_rate

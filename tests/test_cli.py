@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -16,7 +17,7 @@ from frstokes import cli
 from frstokes.cli import main, parse_config, study_config_from_dict
 from frstokes.cq_time_stepper import (DivergedError, PicardConvergenceError,
                                       SchemeConfig, step_linearized)
-from frstokes.experiment_harness import build_mesh, _problem
+from frstokes.experiment_harness import StudyConfig, build_mesh, _problem, run_temporal_study
 from frstokes.fem_assembly import l2_norm
 from frstokes.mesh import format_mesh_text
 from frstokes.spectral_oracle import ContourResolutionError, mode_response
@@ -32,6 +33,14 @@ def assert_rejected(capsys, argv, message):
     (line,) = captured.err.splitlines()
     assert line.startswith("frs: ")
     assert re.search(message, line[len("frs: "):]), line
+
+
+def with_line(base: str, line: str) -> str:
+    """The key=value lines ``base`` with ``line`` in place of the line that
+    sets its key: a config may set a key once."""
+    key = line.split("=", 1)[0].strip()
+    kept = [l for l in base.splitlines() if l.split("=", 1)[0].strip() != key]
+    return "\n".join([*kept, line]) + "\n"
 
 
 def test_parse_config_key_value(tmp_path):
@@ -69,17 +78,38 @@ def test_study_config_from_dict_mappings():
         {"alpha": [0.25, 0.75], "M": [8, 16], "N": 100, "case": "b",
          "M_ref": 32, "T": 2, "gamma": 2})
     assert cfg.alphas == (0.25, 0.75)
-    assert cfg.M_list == (8, 16)
-    assert cfg.N == 100 and cfg.N_list == (100,)
+    assert cfg.M == (8, 16)
+    assert cfg.N == (100,)
     assert cfg.case == "b" and cfg.M_ref == 32
     assert cfg.T == 2.0 and cfg.gamma == 2.0
 
     scalar = study_config_from_dict({"alpha": 0.5, "M": 64})
     assert scalar.alphas == (0.5,)
-    assert scalar.M == 64 and scalar.M_list == (64,)
+    assert scalar.M == (64,)
 
     with pytest.raises(ValueError, match="unknown config keys"):
         study_config_from_dict({"beta": 1})
+
+
+def test_study_config_from_dict_accepts_every_field_key():
+    defaults = StudyConfig()
+    for key, field in zip(_CONFIG_KEYS, dataclasses.fields(StudyConfig)):
+        value = getattr(defaults, field.name)
+        assert study_config_from_dict({key: value}) == defaults, key
+
+
+@pytest.mark.parametrize("name,text,message", [
+    ("study.cfg", "case = a\nM = 4\n# again\nM = 8\n", ":4: M given twice"),
+    ("study.json", '{"case": "a", "M": 4, "M": 8}', ": M given twice"),
+], ids=["key-value", "json"])
+def test_parse_config_rejects_a_repeated_key(tmp_path, capsys, name, text, message):
+    # the last value won, so M = 4 followed by M = 8 silently ran at M = 8
+    cfg = tmp_path / name
+    cfg.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(cfg) + message)}$"):
+        parse_config(str(cfg))
+    assert_rejected(capsys, ["run", "--config", str(cfg)],
+                    f"^{re.escape(str(cfg) + message)}$")
 
 
 def test_mesh_subcommand(tmp_path, capsys):
@@ -216,7 +246,7 @@ def test_run_fields_agree_across_blas_thread_counts(tmp_path):
 ])
 def test_run_subcommand_rejects_bad_values(tmp_path, capsys, line, message):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"case = a\nM = 4\nN = 4\n{line}\n")
+    cfg.write_text(with_line("case = a\nM = 4\nN = 4", line))
     assert_rejected(capsys, ["run", "--config", str(cfg)], message)
 
 
@@ -253,7 +283,7 @@ def test_convergence_subcommand_rejects_non_integer_counts(tmp_path, capsys):
     cfg.write_text("case = mode\nalpha = 0.5\nM = 8\nN = 5,7.5\nN_ref = 40\n"
                    f"cache_dir = {tmp_path / 'cache'}\n")
     assert_rejected(capsys, ["convergence", "temporal", "--config", str(cfg)],
-                    "N_list must be a positive integer")
+                    "^every entry of N must be a positive integer, got 7.5$")
     assert not (tmp_path / "cache").exists()
 
 
@@ -326,10 +356,11 @@ def test_zero_error_row_names_its_parameter(tmp_path, capsys):
 
 
 def test_prefactor_reference_must_be_finer(tmp_path, capsys):
-    # with the defaults M = M_ref = 128 this ran every solve of the table and
-    # then died in a ZeroDivisionError traceback
+    # with M = M_ref = 128 this ran every solve of the table and then died
+    # in a ZeroDivisionError traceback
     cfg = tmp_path / "study.cfg"
-    cfg.write_text(f"case = a\naxis = spatial\ncache_dir = {tmp_path / 'cache'}\n")
+    cfg.write_text(f"case = a\naxis = spatial\nM = 128\nN = 200\n"
+                   f"cache_dir = {tmp_path / 'cache'}\n")
     assert_rejected(capsys, ["convergence", "prefactor", "--config", str(cfg)],
                     r"^M_ref must exceed every tested M \(128\) in a "
                     r"prefactor-spatial study, got 128$")
@@ -346,8 +377,9 @@ _BASE_CONFIGS = {
                   "t_list": [1e-2, 1e-3]},
     "nonsymmetric": {"case": "a", "M": [4], "N": 4, "M_ref": 8, "N_ref": 8},
 }
-_CONFIG_KEYS = ("case", "alpha", "gamma", "T", "family", "M", "N", "M_ref", "N_ref",
-                "t_list", "axis", "scheme", "source_lumping", "cache_dir")
+# Every StudyConfig field, under its config key, so a new field is fuzzed too.
+_CONFIG_KEYS = tuple("alpha" if f.name == "alphas" else f.name
+                     for f in dataclasses.fields(StudyConfig))
 _SCALARS = st.one_of(
     st.booleans(), st.none(), st.integers(-2, 8),
     st.sampled_from([0.0, -1.0, 1e-3, 0.25, 0.5, 2.5, math.nan, math.inf, -math.inf]),
@@ -405,20 +437,20 @@ def test_config_out_key_is_rejected(tmp_path, capsys, command):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
-@pytest.mark.parametrize("raw,name", [({"M": []}, "M_list"), ({"N": []}, "N_list"),
+@pytest.mark.parametrize("raw,name", [({"M": []}, "M"), ({"N": []}, "N"),
                                       ({"t_list": []}, "t_list")])
 def test_study_config_rejects_empty_ladders(raw, name):
     with pytest.raises(ValueError, match=f"^{name} must not be empty"):
         study_config_from_dict(raw)
 
 
-@pytest.mark.parametrize("line,name", [("M = ,", "M_list"), ("N = ,", "N_list"),
+@pytest.mark.parametrize("line,name", [("M = ,", "M"), ("N = ,", "N"),
                                        ("t_list = ,", "t_list")])
 def test_convergence_subcommand_rejects_empty_ladders(tmp_path, capsys, line, name):
     # "N = ," used to reach the study and fail in max() of an empty sequence
     cfg = tmp_path / "study.cfg"
-    cfg.write_text(f"case = a\nM = 4\nN = 4\nN_ref = 8\n{line}\n"
-                   f"cache_dir = {tmp_path / 'cache'}\n")
+    cfg.write_text(with_line(f"case = a\nM = 4\nN = 4\nN_ref = 8\n"
+                             f"cache_dir = {tmp_path / 'cache'}", line))
     assert_rejected(capsys, ["convergence", "temporal", "--config", str(cfg)],
                     f"^{name} must not be empty$")
     assert not (tmp_path / "cache").exists()
@@ -446,6 +478,58 @@ def test_study_rejects_a_ladder_on_a_fixed_axis(tmp_path, capsys, monkeypatch, s
     assert_rejected(capsys, ["convergence", study, "--config", str(cfg)],
                     f"^{re.escape(message)}$")
     assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("line,fields,message,run_message", [
+    ("alpha = 0.5,abc", dict(alphas=(0.5, "abc")), "alpha must be a number, got 'abc'",
+     None),
+    ("gamma = 1,2", dict(gamma=[1, 2]), "gamma takes one value, got [1, 2]", None),
+    ("M = 4,8", dict(M=[4, 8]), "M takes one value in a temporal study, got [4, 8]",
+     "M takes one value in a run config, got [4, 8]"),
+], ids=["ladder", "scalar", "fixed-axis"])
+def test_library_and_cli_reject_a_value_with_one_message(tmp_path, capsys, monkeypatch,
+                                                         line, fields, message,
+                                                         run_message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a rejected config")
+
+    monkeypatch.setattr(cli.harness, "solve_final", no_solve)
+    base = dict(case="a", M=4, N=(2, 4), N_ref=8)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_temporal_study(StudyConfig(**{**base, **fields}))
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(with_line("case = a\nM = 4\nN = 2,4\nN_ref = 8", line))
+    assert_rejected(capsys, ["convergence", "temporal", "--config", str(cfg)],
+                    f"^{re.escape(message)}$")
+    cfg.write_text(with_line("case = a\nM = 4\nN = 4", line))
+    assert_rejected(capsys, ["run", "--config", str(cfg)],
+                    f"^{re.escape(run_message or message)}$")
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["mesh", "--family", "symmetric", "--M", "2"], None),
+    (["run"], "case = a\nM = 4\nN = 4\n"),
+    (["convergence", "spatial"], "case = mode\nM = 2,4\nN = 4\n"),
+], ids=["mesh", "run", "convergence"])
+def test_out_that_cannot_be_written_is_one_line(tmp_path, capsys, monkeypatch, argv,
+                                                config):
+    # each ended in a FileNotFoundError traceback; convergence only after
+    # every solve of its study, and run after printing its summary
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved with an --out that cannot be written")
+
+    if config is not None:
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    out = tmp_path / "missing" / "x"
+    with monkeypatch.context() as patched:
+        patched.setattr(cli.harness, "solve_final", no_solve)
+        assert_rejected(capsys, argv + ["--out", str(out)],
+                        f"^cannot write {re.escape(str(out))}: ")
+    if argv[0] != "convergence":  # a directory in the way fails the write itself
+        assert_rejected(capsys, argv + ["--out", str(tmp_path)],
+                        f"^cannot write {re.escape(str(tmp_path))}: Is a directory$")
 
 
 @pytest.mark.parametrize("command", [["run"], ["convergence", "spatial"]])

@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import os
+import re
 import weakref
 
 import numpy as np
@@ -260,8 +261,8 @@ def test_temporal_study_builds_mesh_and_operators_once(monkeypatch):
                  "l2_project"):
         counted(fem_assembly, name)
 
-    N_list = (2, 3, 4, 5, 6)
-    cfg = StudyConfig(case="a", alphas=(0.5,), M=12, N_list=N_list, N_ref=24,
+    steps = (2, 3, 4, 5, 6)
+    cfg = StudyConfig(case="a", alphas=(0.5,), M=12, N=steps, N_ref=24,
                       scheme="galerkin-linearized")
     (report,) = run_temporal_study(cfg)
     assert sorted(calls) == [("assemble_mass", True), ("assemble_stiffness", True),
@@ -291,7 +292,7 @@ def test_temporal_study_builds_mesh_and_operators_once(monkeypatch):
     _, ref_again = solve_final("a", 0.5, 1.0, 1.0, "symmetric", 12, 24,
                                scheme="galerkin-linearized")
     assert np.array_equal(ref_again.values, ref)
-    for N, err in zip(N_list, report.errors):
+    for N, err in zip(steps, report.errors):
         diff = fresh_final(N) - ref
         assert err == np.sqrt(max(diff.dot(mass @ diff), 0.0))
 
@@ -305,7 +306,7 @@ def test_solve_final_deterministic_without_cache():
 
 
 def test_spatial_study_single_mode_against_oracle(tmp_path):
-    cfg = StudyConfig(case="mode", alphas=(0.5,), M_list=(2, 4, 8), N=128,
+    cfg = StudyConfig(case="mode", alphas=(0.5,), M=(2, 4, 8), N=128,
                       cache_dir=str(tmp_path))
     (rep,) = run_spatial_study(cfg)
     assert rep.kind == "spatial" and rep.param_name == "h"
@@ -328,9 +329,9 @@ def test_spatial_study_requires_finer_reference(monkeypatch):
 
     monkeypatch.setattr(harness, "solve_final", no_solve)
     tables = [
-        (run_spatial_study, dict(M_list=(4, 8)), "M_ref", "spatial"),
-        (run_nonsymmetric_study, dict(M_list=(4, 8)), "M_ref", "nonsymmetric"),
-        (run_temporal_study, dict(M=4, N_list=(4, 8)), "N_ref", "temporal"),
+        (run_spatial_study, dict(M=(4, 8), N=8), "M_ref", "spatial"),
+        (run_nonsymmetric_study, dict(M=(4, 8), N=8), "M_ref", "nonsymmetric"),
+        (run_temporal_study, dict(M=4, N=(4, 8)), "N_ref", "temporal"),
         (run_prefactor_study, dict(M=8, N=8, axis="temporal"), "N_ref",
          "prefactor-temporal"),
         (run_prefactor_study, dict(M=8, N=8, axis="spatial"), "M_ref",
@@ -344,7 +345,48 @@ def test_spatial_study_requires_finer_reference(monkeypatch):
                 run(cfg)
     # the spatial mode table is measured against the exact kernel instead
     with pytest.raises(AssertionError, match="solved before"):
-        run_spatial_study(StudyConfig(case="mode", M_list=(4, 8), M_ref=4))
+        run_spatial_study(StudyConfig(case="mode", M=(4, 8), M_ref=4, N=8))
+
+
+@pytest.mark.parametrize("run,fields,message", [
+    (run_temporal_study, dict(M=(4, 8), N=(2, 4), N_ref=8),
+     "M takes one value in a temporal study, got [4, 8]"),
+    (run_spatial_study, dict(M=(4, 8), N=(2, 4), M_ref=16),
+     "N takes one value in a spatial study, got [2, 4]"),
+    # an axis a study holds fixed and does not state keeps its default ladder
+    (run_nonsymmetric_study, dict(M=(4, 8), M_ref=16),
+     "N takes one value in a nonsymmetric study, got [5, 10, 20, 40, 80]"),
+    (run_prefactor_study, dict(N=4),
+     "M takes one value in a prefactor study, got [8, 16, 32, 64]"),
+], ids=["temporal-M", "spatial-N", "nonsymmetric-default-N", "prefactor-default-M"])
+def test_library_study_rejects_a_ladder_on_a_fixed_axis(tmp_path, monkeypatch, run,
+                                                        fields, message):
+    # with M and N given as M_list/N_list, a temporal study solved at the
+    # default M = 128 and a spatial one at the default N = 200
+    def no_work(*args, **kwargs):
+        raise AssertionError("meshed or solved a study with a dropped ladder")
+
+    monkeypatch.setattr(harness, "solve_final", no_work)
+    monkeypatch.setattr(harness, "build_mesh", no_work)
+    cfg = StudyConfig(case="a", cache_dir=str(tmp_path / "cache"), **fields)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run(cfg)
+    assert not (tmp_path / "cache").exists()
+
+
+def test_study_config_stores_each_ladder_as_a_tuple_of_its_type():
+    cfg = StudyConfig(alphas=0.5, M=[4, 8], N=16, t_list=[1, 2], gamma=2, T=3)
+    assert (cfg.alphas, cfg.M, cfg.N, cfg.t_list) == ((0.5,), (4, 8), (16,), (1.0, 2.0))
+    assert all(type(t) is float for t in (*cfg.t_list, cfg.gamma, cfg.T))
+    assert len(dataclasses.fields(StudyConfig)) == 14
+    for kwargs, message in [(dict(M_ref=[8, 16]), "M_ref takes one value, got [8, 16]"),
+                            (dict(case=("a",)), "case takes one value, got ('a',)"),
+                            (dict(N=()), "N must not be empty"),
+                            (dict(M=(4, 4)), "M must not repeat an entry, got (4, 4)"),
+                            (dict(t_list=(1e-3, "x")), "t_list must be a number, got 'x'"),
+                            (dict(T=True), "T must be a number, got True")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            StudyConfig(**kwargs)
 
 
 def test_nonsymmetric_M_is_checked_before_any_solve(monkeypatch):
@@ -357,15 +399,15 @@ def test_nonsymmetric_M_is_checked_before_any_solve(monkeypatch):
         return solve_final(*args, **kwargs)
 
     monkeypatch.setattr(harness, "solve_final", recorded)
-    rows = dict(M_list=(8, 6), M_ref=16, N=4)
-    nonsym = dict(case="a", family="nonsymmetric", N=4, N_list=(4,), N_ref=8,
+    rows = dict(M=(8, 6), M_ref=16, N=4)
+    nonsym = dict(case="a", family="nonsymmetric", N=4, N_ref=8,
                   t_list=(1e-2,))
     # the reference M_ref and the fixed M of temporal and prefactor tables
     # were meshed unchecked, after the first solve
     for run, cfg, bad in (
             (run_nonsymmetric_study, StudyConfig(case="a", **rows), 6),
             (run_spatial_study, StudyConfig(case="a", family="nonsymmetric", **rows), 6),
-            (run_spatial_study, StudyConfig(M_list=(8,), M_ref=18, **nonsym), 18),
+            (run_spatial_study, StudyConfig(M=(8,), M_ref=18, **nonsym), 18),
             (run_prefactor_study, StudyConfig(axis="spatial", M=8, M_ref=30, **nonsym), 30),
             (run_prefactor_study, StudyConfig(axis="temporal", M=6, **nonsym), 6),
             (run_temporal_study, StudyConfig(M=6, **nonsym), 6)):
@@ -376,10 +418,10 @@ def test_nonsymmetric_M_is_checked_before_any_solve(monkeypatch):
 
 
 @pytest.mark.parametrize("run,fields,per_alpha", [
-    (run_temporal_study, dict(M=4, N_list=(2, 4, 8), N_ref=16), 4),
-    (run_spatial_study, dict(M_list=(2, 4), M_ref=8, N=4), 3),
-    (run_nonsymmetric_study, dict(M_list=(4, 8), M_ref=16, N=4), 3),
-    (run_spatial_study, dict(case="mode", M_list=(2, 4, 8), N=4), 3),
+    (run_temporal_study, dict(M=4, N=(2, 4, 8), N_ref=16), 4),
+    (run_spatial_study, dict(M=(2, 4), M_ref=8, N=4), 3),
+    (run_nonsymmetric_study, dict(M=(4, 8), M_ref=16, N=4), 3),
+    (run_spatial_study, dict(case="mode", M=(2, 4, 8), N=4), 3),
     (run_prefactor_study, dict(M=4, N=4, N_ref=8, t_list=(1e-2, 1e-3)), 4),
 ])
 def test_each_run_of_a_table_is_solved_once_per_alpha(monkeypatch, run, fields, per_alpha):
@@ -399,7 +441,7 @@ def test_each_run_of_a_table_is_solved_once_per_alpha(monkeypatch, run, fields, 
 
 
 def test_temporal_study_first_order(tmp_path):
-    cfg = StudyConfig(case="a", alphas=(0.5,), M=8, N_list=(4, 8, 16),
+    cfg = StudyConfig(case="a", alphas=(0.5,), M=8, N=(4, 8, 16),
                       N_ref=128, cache_dir=str(tmp_path))
     (rep,) = run_temporal_study(cfg)
     assert rep.param_name == "tau"
@@ -430,7 +472,7 @@ def test_prefactor_study_reports_theory(tmp_path):
 
 def test_nonsymmetric_study_converges(tmp_path):
     cfg = StudyConfig(case="a", alphas=(0.5,), family="nonsymmetric",
-                      M_list=(4, 8), M_ref=32, N=32, cache_dir=str(tmp_path))
+                      M=(4, 8), M_ref=32, N=32, cache_dir=str(tmp_path))
     (rep,) = run_nonsymmetric_study(cfg)
     assert rep.kind == "nonsymmetric"
     assert rep.theoretical_rate == 2.0
@@ -438,7 +480,7 @@ def test_nonsymmetric_study_converges(tmp_path):
     assert rep.pairwise[1] > 1.2
 
     cfg_b = StudyConfig(case="b", alphas=(0.5,), family="nonsymmetric",
-                        M_list=(4,), M_ref=32, N=32, cache_dir=str(tmp_path))
+                        M=(4,), M_ref=32, N=32, cache_dir=str(tmp_path))
     (rep_b,) = run_nonsymmetric_study(cfg_b)
     assert rep_b.theoretical_rate == 1.5
     assert rep_b.fitted_rate is None  # one row cannot be fitted
@@ -459,7 +501,7 @@ def test_lumping_gap_shrinks_at_second_order():
 
 def test_mode_case_skips_spatial_reference_guard(tmp_path):
     # the oracle-referenced study has no M_ref constraint
-    cfg = StudyConfig(case="mode", alphas=(0.5,), M_list=(2, 4), M_ref=2,
+    cfg = StudyConfig(case="mode", alphas=(0.5,), M=(2, 4), M_ref=2,
                       N=32, cache_dir=str(tmp_path))
     (rep,) = run_spatial_study(cfg)
     assert len(rep.errors) == 2
