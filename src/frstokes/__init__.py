@@ -27,7 +27,7 @@ _EXPORTS = {
         "cq_fractional_integral", "cq_weights", "step_implicit", "step_linearized",
     ),
     "experiment_harness": (
-        "ExperimentReport", "StudyConfig", "fit_rate", "run_nonsymmetric_study",
+        "ExperimentReport", "Run", "StudyConfig", "fit_rate", "run_nonsymmetric_study",
         "run_prefactor_study", "run_spatial_study", "run_temporal_study",
         "solve_final",
     ),

@@ -5,7 +5,7 @@ Subcommands:
 * ``frs mesh --family symmetric --M 8 [--out mesh.txt]``
 * ``frs oracle --lambda 19.739 --alpha 0.5 --gamma 1.0 --t 1.0``
 * ``frs run --config run.cfg [--out field.txt]``
-* ``frs convergence {spatial,temporal,prefactor,nonsymmetric} --config study.cfg [--md] [--out base]``
+* ``frs convergence {spatial,temporal,prefactor,nonsymmetric} --config study.cfg [--md] [--out base|-]``
 
 Config files are either JSON objects or flat ``key=value`` lines (``#``
 comments allowed), each key given once.  The keys are the
@@ -129,15 +129,15 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-_RUN_KEYS = ("case", "scheme", "family", "M", "N", "alpha", "gamma", "T",
-             "source_lumping")
+_RUN_KEYS = tuple(f.name for f in fields(harness.Run))
 
 
 def _cmd_run(args) -> int:
     cfg = study_config_from_dict({"M": 16, "N": 100, **parse_config(args.config)},
                                  _RUN_KEYS)
     alpha, M, N = harness._fixed(cfg, "a run config", "alphas", "M", "N")
-    mesh, final = harness._solve_cfg(cfg, alpha, (cfg.family, M, N, cfg.T))
+    mesh, final = harness.solve_final(harness.Run(
+        cfg.case, alpha, cfg.gamma, cfg.T, cfg.family, M, N, cfg.scheme, cfg.source_lumping))
     if args.out:  # before the summary, so a failed write prints nothing
         lines = [f"{i} {v:.17g}" for i, v in enumerate(final.values)]
         _write("\n".join(lines) + "\n", args.out)
@@ -152,7 +152,7 @@ def _cmd_convergence(args) -> int:
     reports = _STUDY_RUNNERS[args.study](cfg)
     for report in reports:
         text = report.to_markdown() if args.md else report.to_csv()
-        if args.out:
+        if args.out and args.out != "-":
             suffix = ".md" if args.md else ".csv"
             path = f"{args.out}-{report.kind}-{report.case}-alpha{report.alpha}{suffix}"
             _write(text, path)
@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--md", action="store_true",
                         help="markdown table instead of CSV")
     p_conv.add_argument("--out", default=None,
-                        help="base path; one file per (study, case, alpha)")
+                        help="base path, one file per (study, case, alpha); - for stdout")
     p_conv.set_defaults(fn=_cmd_convergence)
     return parser
 

@@ -1,7 +1,7 @@
 """Convergence studies for the fully discrete schemes.
 
 Every study is a plan: a list of (run, reference) pairs of
-(family, M, N, T), the same for every alpha.  One table loop takes the
+(T, family, M, N), the same for every alpha.  One table loop takes the
 plan and, before the first solve, checks that every reference is finer
 than the runs on the refined axis and builds every mesh the plan names,
 so a bad M fails in the mesh builder before any work.  Then, for each
@@ -10,8 +10,8 @@ the final time (a spatial study of single-mode data is measured against
 the contour-quadrature oracle instead of a reference solve), and fits
 rates.  Reports serialize to CSV with header
 ``param,error_l2,rate_pairwise`` and a ``fitted_rate`` footer, plus a
-markdown mirror.  Final fields are cached content-addressed by the full
-run configuration, so references shared between studies are solved once.
+markdown mirror.  Each solve is a :class:`Run`, and every field of it keys
+the cached final field, so references shared between studies are solved once.
 Within a process, :func:`build_mesh` hands out one mesh per (family, M)
 while any caller holds it, so the runs and error measurements of a study
 share the mesh and the operators memoized on it.
@@ -44,6 +44,7 @@ from .mesh import TriMesh, build_nonsymmetric_mesh, build_symmetric_mesh
 from .spectral_oracle import linear_exact_solution
 
 __all__ = [
+    "Run",
     "StudyConfig",
     "ExperimentReport",
     "fit_rate",
@@ -231,6 +232,22 @@ def build_mesh(family: str, M: int) -> TriMesh:
 _case_data = functools.cache(initial_data_for_case)
 
 
+@dataclass(frozen=True)
+class Run:
+    """Every input of one solve, unchecked until :func:`solve_final`: N steps
+    of T / N of ``scheme`` on the ``family`` mesh at M, from ``case`` data."""
+
+    case: str
+    alpha: float
+    gamma: float
+    T: float
+    family: str
+    M: int
+    N: int
+    scheme: str = "lumped-linearized"
+    source_lumping: bool = False
+
+
 def _problem(case: str, alpha: float, gamma: float, T: float) -> ProblemSpec:
     source = zero_source() if case == "mode" else sqrt_one_plus_u2()
     return ProblemSpec(alpha=alpha, gamma=gamma, T=T, nonlinearity=source,
@@ -238,24 +255,16 @@ def _problem(case: str, alpha: float, gamma: float, T: float) -> ProblemSpec:
 
 
 # Names the solver and the file layout behind a cached field.  Change it
-# whenever either changes what a run produces, so older files are not served.
+# whenever either changes what a run produces (tests/test_golden_runs.py
+# fails then), so older files are not served.
 CACHE_FORMAT = "splu-soe-6"
 
 
-def _run_key(case, alpha, gamma, T, family, M, N, scheme, source_lumping):
-    payload = {
-        "format": CACHE_FORMAT,
-        "case": case,
-        "alpha": repr(float(alpha)),
-        "gamma": repr(float(gamma)),
-        "T": repr(float(T)),
-        "family": family,
-        "M": int(M),
-        "N": int(N),
-        "scheme": scheme,
-        "source_lumping": bool(source_lumping),
-    }
-    return json.dumps(payload, sort_keys=True)
+def _run_key(run: Run) -> str:
+    # each field as its annotation says; int and bool take numpy scalars too
+    as_key = {"float": lambda v: repr(float(v)), "int": int, "bool": bool, "str": str}
+    payload = {f.name: as_key[f.type](getattr(run, f.name)) for f in fields(Run)}
+    return json.dumps({"format": CACHE_FORMAT, **payload}, sort_keys=True)
 
 
 @functools.cache
@@ -275,15 +284,12 @@ def _blas_config() -> tuple[str, str]:
     return blas_name, json.dumps(threads, sort_keys=True)
 
 
-def solve_final(case: str, alpha: float, gamma: float, T: float, family: str,
-                M: int, N: int, scheme: str = "lumped-linearized",
-                source_lumping: bool = False,
-                cache_dir: str | None = None) -> tuple[TriMesh, NodalField]:
-    """Final-time field of one fully discrete run, cached when possible.
+def solve_final(run: Run, cache_dir: str | None = None) -> tuple[TriMesh, NodalField]:
+    """Mesh and final-time field of ``run``, cached when possible.
 
-    ``case`` names the initial data and source as in :class:`StudyConfig`
-    ("a", "b" or "mode"); the run takes N steps of T / N on the mesh of
-    ``family`` at resolution M.
+    :class:`SchemeConfig`, the mesh builder and, on a cache miss,
+    :class:`ProblemSpec` check the run's values, in that order.  The cache
+    key holds every field of the run and :data:`CACHE_FORMAT`.
 
     A cache file is served only when it reads back whole, the key stored
     in it equals the key of the request and its values fit the mesh; any
@@ -297,10 +303,10 @@ def solve_final(case: str, alpha: float, gamma: float, T: float, family: str,
     file, raises ``ValueError`` before the solve.  This is the one place
     that picks the stepper for a scheme.
     """
-    config = SchemeConfig(variant=scheme, N=N, source_lumping=source_lumping,
-                          snapshot_stride=N)
-    mesh = build_mesh(family, M)
-    key = _run_key(case, alpha, gamma, T, family, M, N, scheme, source_lumping)
+    config = SchemeConfig(variant=run.scheme, N=run.N, source_lumping=run.source_lumping,
+                          snapshot_stride=run.N)
+    mesh = build_mesh(run.family, run.M)
+    key = _run_key(run)
     path = None
     if cache_dir is not None:
         try:  # before the solve, so that a file in the way costs no solve
@@ -314,9 +320,8 @@ def solve_final(case: str, alpha: float, gamma: float, T: float, family: str,
         if values is not None and values.shape == (mesh.n_nodes,):
             return mesh, NodalField(mesh, values)
 
-    problem = _problem(case, alpha, gamma, T)
-    stepper = step_implicit if scheme == "galerkin-implicit" else step_linearized
-    final = stepper(config, problem, mesh).final()
+    stepper = step_implicit if run.scheme == "galerkin-implicit" else step_linearized
+    final = stepper(config, _problem(run.case, run.alpha, run.gamma, run.T), mesh).final()
     if path is not None:
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
@@ -341,15 +346,6 @@ def _read_cached(path: str, key: str):
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
         pass
     return None
-
-
-def _solve_cfg(cfg: StudyConfig, alpha: float, run: tuple):
-    """:func:`solve_final` of ``run`` = (family, M, N, T) under the case,
-    gamma, scheme and cache of ``cfg``."""
-    family, M, N, T = run
-    return solve_final(cfg.case, alpha, cfg.gamma, T, family, M, N,
-                       scheme=cfg.scheme, source_lumping=cfg.source_lumping,
-                       cache_dir=cfg.cache_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -386,24 +382,25 @@ def _theory(kind: str, case: str, alpha: float) -> float | None:
 def _table(cfg: StudyConfig, kind: str, param_name: str, plan) -> list[ExperimentReport]:
     """The one loop behind every study: one report per alpha.
 
-    ``plan`` lists the rows as (run, reference) pairs of (family, M, N, T),
-    the same for every alpha.  Before the first solve, every reference is
-    checked to be finer than every run on the refined axis (N in a
-    temporal table, M otherwise), and the mesh of every planned run is
-    built and held until the table is done.  A reference of None (the
-    spatial ``mode`` table) measures its run against the exact kernel.
-    Each distinct run is solved once per alpha.  The parameter column is
-    the run's mesh size h, its step T/N or its final time T, as
-    ``param_name`` ("h", "tau" or "t_N") says.  A row whose error is
+    ``plan`` lists the rows as (run, reference) pairs of (T, family, M, N),
+    the :class:`Run` fields that a table varies, the same for every alpha.
+    Before the first solve, every reference is checked to be finer than
+    every run on the refined axis (N in a temporal table, M otherwise),
+    and the mesh of every planned run is built and held until the table
+    is done.  A reference of None (the spatial ``mode`` table) measures
+    its run against the exact kernel.  Each distinct entry is solved once
+    per alpha, under the case, gamma, scheme and cache of ``cfg``.  The
+    parameter column is the run's mesh size h, its step T/N or its final
+    time T, as ``param_name`` ("h", "tau" or "t_N") says.  A row whose error is
     exactly 0 has no rate and is rejected with its parameter.
     """
-    axis, name = (2, "N") if kind.endswith("temporal") else (1, "M")
+    axis, name = (3, "N") if kind.endswith("temporal") else (2, "M")
     tested = max(run[axis] for run, _ in plan)
     for _, ref in plan:
         if ref is not None and ref[axis] <= tested:
             raise ValueError(f"{name}_ref must exceed every tested {name} ({tested}) "
                              f"in a {kind} study, got {ref[axis]}")
-    meshes = {run[:2]: build_mesh(*run[:2])
+    meshes = {run[1:3]: build_mesh(*run[1:3])
               for pair in plan for run in pair if run is not None}
     exact = any(ref is None for _, ref in plan)
     reports = []
@@ -416,8 +413,10 @@ def _table(cfg: StudyConfig, kind: str, param_name: str, plan) -> list[Experimen
         for run, ref in plan:
             for key in (ref, run):
                 if key is not None and key not in solved:
-                    solved[key] = _solve_cfg(cfg, alpha, key)
-            family, M, N, T = run
+                    solved[key] = solve_final(Run(cfg.case, alpha, cfg.gamma, *key,
+                                                  cfg.scheme, cfg.source_lumping),
+                                              cfg.cache_dir)
+            T, family, M, N = run
             params.append(float({"h": meshes[family, M].h, "tau": T / N,
                                  "t_N": T}[param_name]))
             errors.append(float(l2_error_vs_function(*solved[run], kernel) if ref is None
@@ -439,17 +438,17 @@ def _table(cfg: StudyConfig, kind: str, param_name: str, plan) -> list[Experimen
 def run_spatial_study(cfg: StudyConfig) -> list[ExperimentReport]:
     """Mesh refinement at fixed N; param column is the mesh size h."""
     (N,) = _fixed(cfg, "a spatial study", "N")
-    ref = None if cfg.case == "mode" else (cfg.family, cfg.M_ref, N, cfg.T)
+    ref = None if cfg.case == "mode" else (cfg.T, cfg.family, cfg.M_ref, N)
     return _table(cfg, "spatial", "h",
-                  [((cfg.family, M, N, cfg.T), ref) for M in cfg.M])
+                  [((cfg.T, cfg.family, M, N), ref) for M in cfg.M])
 
 
 def run_temporal_study(cfg: StudyConfig) -> list[ExperimentReport]:
     """Step refinement at fixed mesh; param column is the step size tau."""
     (M,) = _fixed(cfg, "a temporal study", "M")
-    ref = (cfg.family, M, cfg.N_ref, cfg.T)
+    ref = (cfg.T, cfg.family, M, cfg.N_ref)
     return _table(cfg, "temporal", "tau",
-                  [((cfg.family, M, N, cfg.T), ref) for N in cfg.N])
+                  [((cfg.T, cfg.family, M, N), ref) for N in cfg.N])
 
 
 def run_prefactor_study(cfg: StudyConfig) -> list[ExperimentReport]:
@@ -461,7 +460,7 @@ def run_prefactor_study(cfg: StudyConfig) -> list[ExperimentReport]:
     """
     M, N = _fixed(cfg, "a prefactor study", "M", "N")
     ref_M, ref_N = (M, cfg.N_ref) if cfg.axis == "temporal" else (cfg.M_ref, N)
-    plan = [((cfg.family, M, N, t), (cfg.family, ref_M, ref_N, t)) for t in cfg.t_list]
+    plan = [((t, cfg.family, M, N), (t, cfg.family, ref_M, ref_N)) for t in cfg.t_list]
     return _table(cfg, f"prefactor-{cfg.axis}", "t_N", plan)
 
 
@@ -470,6 +469,6 @@ def run_nonsymmetric_study(cfg: StudyConfig) -> list[ExperimentReport]:
     fine symmetric mesh (the meshes are non-nested, so the coarse fields
     are evaluated at the fine nodes through point location)."""
     (N,) = _fixed(cfg, "a nonsymmetric study", "N")
-    ref = ("symmetric", cfg.M_ref, N, cfg.T)
+    ref = (cfg.T, "symmetric", cfg.M_ref, N)
     return _table(cfg, "nonsymmetric", "h",
-                  [(("nonsymmetric", M, N, cfg.T), ref) for M in cfg.M])
+                  [((cfg.T, "nonsymmetric", M, N), ref) for M in cfg.M])

@@ -547,7 +547,7 @@ def test_solver_failures_exit_1_with_one_line(tmp_path, capsys, monkeypatch, err
     def fail(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(cli.harness, "_solve_cfg", fail)
+    monkeypatch.setattr(cli.harness, "solve_final", fail)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(run_config_text())
     assert main(["run", "--config", str(cfg)]) == 1
@@ -618,6 +618,24 @@ def test_convergence_subcommand_files_and_markdown(tmp_path, capsys):
     assert main(["convergence", "spatial", "--config", str(cfg), "--md"]) == 0
     md = capsys.readouterr().out
     assert "| h | error_l2 | rate |" in md
+
+
+@pytest.mark.parametrize("md", [False, True], ids=["csv", "md"])
+def test_convergence_out_dash_prints_like_no_out(tmp_path, capsys, monkeypatch, md):
+    # `--out -` used to write a file named `--spatial-mode-alpha0.5.csv` in
+    # the working directory; `frs run` and `frs mesh` read `-` as stdout
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("case = mode\nalpha = 0.25,0.5\nM = 2,4\nN = 32\n")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    argv = ["convergence", "spatial", "--config", str(cfg)] + (["--md"] if md else [])
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert main(argv + ["--out", "-"]) == 0
+    assert capsys.readouterr() == plain
+    assert plain.out.count("| h | error_l2 | rate |" if md else "param,error_l2,") == 2
+    assert list(work.iterdir()) == []
 
 
 def test_parser_requires_subcommand():

@@ -12,6 +12,7 @@ import pytest
 from frstokes import experiment_harness as harness
 from frstokes.experiment_harness import (
     ExperimentReport,
+    Run,
     StudyConfig,
     build_mesh,
     fit_rate,
@@ -97,14 +98,15 @@ def test_build_mesh_dispatch():
         build_mesh("kagome", 4)
 
 
+RUN = Run(case="a", alpha=0.5, gamma=1.0, T=1.0, family="symmetric", M=4, N=4)
+
+
 def test_solve_final_cache_hit(tmp_path):
     cache = str(tmp_path / "runs")
-    kw = dict(case="a", alpha=0.5, gamma=1.0, T=1.0, family="symmetric",
-              M=4, N=4, cache_dir=cache)
-    mesh1, f1 = solve_final(**kw)
+    mesh1, f1 = solve_final(RUN, cache)
     files = list((tmp_path / "runs").glob("run-*.npz"))
     assert len(files) == 1
-    mesh2, f2 = solve_final(**kw)
+    mesh2, f2 = solve_final(RUN, cache)
     assert np.array_equal(f1.values, f2.values)
     assert len(list((tmp_path / "runs").glob("run-*.npz"))) == 1
 
@@ -112,34 +114,46 @@ def test_solve_final_cache_hit(tmp_path):
     with np.load(files[0]) as data:
         key = data["key"]
     np.savez(files[0], values=np.full(mesh1.n_nodes, 7.0), key=key)
-    _, f3 = solve_final(**kw)
+    _, f3 = solve_final(RUN, cache)
     assert np.all(f3.values == 7.0)
 
     # a different parameter produces a second artifact
-    solve_final(**{**kw, "alpha": 0.25})
+    solve_final(dataclasses.replace(RUN, alpha=0.25), cache)
     assert len(list((tmp_path / "runs").glob("run-*.npz"))) == 2
 
 
 def test_run_key_covers_every_scheme_setting():
     # a SchemeConfig field that changes the field but not the key would let
     # solve_final serve a stale run; snapshot_stride only picks what is kept
-    key = json.loads(harness._run_key("a", 0.5, 1.0, 1.0, "symmetric", 4, 4,
-                                      "lumped-linearized", False))
+    run_fields = {f.name for f in dataclasses.fields(Run)}
+    assert run_fields <= json.loads(harness._run_key(RUN)).keys()
     names = {f.name for f in dataclasses.fields(SchemeConfig)} - {"snapshot_stride"}
-    assert {"scheme" if n == "variant" else n for n in names} <= key.keys()
+    assert {"scheme" if n == "variant" else n for n in names} <= run_fields
+
+
+def test_run_key_bytes_are_pinned():
+    # the key of RUN as the key function of format splu-soe-6 wrote it before
+    # Run existed, so a cache directory filled then is still served
+    want = ('{"M": 4, "N": 4, "T": "1.0", "alpha": "0.5", "case": "a", '
+            '"family": "symmetric", "format": "splu-soe-6", "gamma": "1.0", '
+            '"scheme": "lumped-linearized", "source_lumping": false}')
+    want = want.replace('"splu-soe-6"', json.dumps(harness.CACHE_FORMAT))
+    assert harness._run_key(RUN) == want
+    # numpy scalars and an integer gamma give the same key, not a new one
+    same = dataclasses.replace(RUN, M=np.int64(4), N=np.int64(4), gamma=1,
+                               alpha=np.float64(0.5))
+    assert harness._run_key(same) == want
 
 
 def test_solve_final_recomputes_on_key_mismatch(tmp_path):
     cache = str(tmp_path / "runs")
-    kw = dict(case="a", alpha=0.5, gamma=1.0, T=1.0, family="symmetric",
-              M=4, N=4, cache_dir=cache)
-    mesh, fresh = solve_final(**kw)
+    mesh, fresh = solve_final(RUN, cache)
     (path,) = (tmp_path / "runs").glob("run-*.npz")
     with np.load(path) as data:
         key = str(data["key"])
     # a file at the digest path written by another solver or format
     np.savez(path, values=np.full(mesh.n_nodes, 7.0), key=np.array("stale"))
-    _, again = solve_final(**kw)
+    _, again = solve_final(RUN, cache)
     assert np.array_equal(again.values, fresh.values)
     with np.load(path) as data:
         assert str(data["key"]) == key
@@ -147,11 +161,10 @@ def test_solve_final_recomputes_on_key_mismatch(tmp_path):
 
 
 def _one_run_file(tmp_path):
-    kw = dict(case="a", alpha=0.5, gamma=1.0, T=1.0, family="symmetric",
-              M=4, N=4, cache_dir=str(tmp_path / "runs"))
-    mesh, fresh = solve_final(**kw)
+    args = (RUN, str(tmp_path / "runs"))
+    mesh, fresh = solve_final(*args)
     (path,) = (tmp_path / "runs").glob("run-*.npz")
-    return kw, mesh, fresh, path
+    return args, mesh, fresh, path
 
 
 def _assert_replaced(path, fresh):
@@ -162,20 +175,20 @@ def _assert_replaced(path, fresh):
 
 @pytest.mark.parametrize("keep", [0.5, 0.0])
 def test_solve_final_recomputes_unreadable_file(tmp_path, keep):
-    kw, _, fresh, path = _one_run_file(tmp_path)
+    args, _, fresh, path = _one_run_file(tmp_path)
     whole = path.read_bytes()
     path.write_bytes(whole[: int(keep * len(whole))])  # an interrupted write
-    _, again = solve_final(**kw)
+    _, again = solve_final(*args)
     assert np.array_equal(again.values, fresh.values)
     _assert_replaced(path, fresh)
 
 
 def test_solve_final_recomputes_wrong_shape(tmp_path):
-    kw, mesh, fresh, path = _one_run_file(tmp_path)
+    args, mesh, fresh, path = _one_run_file(tmp_path)
     with np.load(path) as data:
         key = data["key"]
     np.savez(path, values=np.full(mesh.n_nodes + 3, 7.0), key=key)
-    _, again = solve_final(**kw)
+    _, again = solve_final(*args)
     assert np.array_equal(again.values, fresh.values)
     _assert_replaced(path, fresh)
 
@@ -188,8 +201,7 @@ def test_solve_final_interrupted_write_leaves_no_file(tmp_path, monkeypatch):
     monkeypatch.setattr(np, "savez", interrupted)
     cache = tmp_path / "runs"
     with pytest.raises(RuntimeError, match="interrupted"):
-        solve_final(case="a", alpha=0.5, gamma=1.0, T=1.0, family="symmetric",
-                    M=4, N=4, cache_dir=str(cache))
+        solve_final(RUN, str(cache))
     assert list(cache.iterdir()) == []
 
 
@@ -217,7 +229,7 @@ def test_cache_file_records_blas_configuration(tmp_path, monkeypatch):
 
 def test_cache_file_without_blas_entries_is_served(tmp_path, monkeypatch):
     # the layout written before the BLAS entries: values and key only
-    kw, mesh, fresh, path = _one_run_file(tmp_path)
+    args, mesh, fresh, path = _one_run_file(tmp_path)
     with np.load(path) as data:
         key = data["key"]
     np.savez(path, values=fresh.values, key=key)
@@ -226,7 +238,7 @@ def test_cache_file_without_blas_entries_is_served(tmp_path, monkeypatch):
         raise AssertionError("a cached field was solved again")
 
     monkeypatch.setattr(harness, "step_linearized", no_solve)
-    _, served = solve_final(**kw)
+    _, served = solve_final(*args)
     assert np.array_equal(served.values, fresh.values)
 
 
@@ -289,8 +301,8 @@ def test_temporal_study_builds_mesh_and_operators_once(monkeypatch):
 
     mass = assemble_mass(fresh, full=True)
     ref = fresh_final(24)
-    _, ref_again = solve_final("a", 0.5, 1.0, 1.0, "symmetric", 12, 24,
-                               scheme="galerkin-linearized")
+    _, ref_again = solve_final(Run("a", 0.5, 1.0, 1.0, "symmetric", 12, 24,
+                                   scheme="galerkin-linearized"))
     assert np.array_equal(ref_again.values, ref)
     for N, err in zip(steps, report.errors):
         diff = fresh_final(N) - ref
@@ -298,10 +310,9 @@ def test_temporal_study_builds_mesh_and_operators_once(monkeypatch):
 
 
 def test_solve_final_deterministic_without_cache():
-    kw = dict(case="b", alpha=0.5, gamma=1.0, T=1.0, family="symmetric",
-              M=4, N=4)
-    _, f1 = solve_final(**kw)
-    _, f2 = solve_final(**kw)
+    run = dataclasses.replace(RUN, case="b")
+    _, f1 = solve_final(run)
+    _, f2 = solve_final(run)
     assert np.array_equal(f1.values, f2.values)
 
 
@@ -489,10 +500,10 @@ def test_nonsymmetric_study_converges(tmp_path):
 def test_lumping_gap_shrinks_at_second_order():
     gaps = []
     for M in (8, 16, 32):
-        mesh, g = solve_final("a", 0.5, 1.0, 1.0, "symmetric", M, 16,
-                              scheme="galerkin-linearized")
-        _, l = solve_final("a", 0.5, 1.0, 1.0, "symmetric", M, 16,
-                           scheme="lumped-linearized")
+        mesh, g = solve_final(Run("a", 0.5, 1.0, 1.0, "symmetric", M, 16,
+                                  scheme="galerkin-linearized"))
+        _, l = solve_final(Run("a", 0.5, 1.0, 1.0, "symmetric", M, 16,
+                               scheme="lumped-linearized"))
         gaps.append(l2_norm(mesh, g.values - l.values))
     assert gaps[0] > gaps[1] > gaps[2]
     rate = fit_rate([1.0 / 8, 1.0 / 16, 1.0 / 32], gaps)

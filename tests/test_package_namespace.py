@@ -17,7 +17,7 @@ PUBLIC = {
         "cq_fractional_integral", "cq_weights", "step_implicit", "step_linearized",
     ),
     "experiment_harness": (
-        "ExperimentReport", "StudyConfig", "fit_rate", "run_nonsymmetric_study",
+        "ExperimentReport", "Run", "StudyConfig", "fit_rate", "run_nonsymmetric_study",
         "run_prefactor_study", "run_spatial_study", "run_temporal_study",
         "solve_final",
     ),
@@ -44,7 +44,7 @@ NAMES = sorted([*PUBLIC, *(n for names in PUBLIC.values() for n in names)])
 
 
 def test_all_lists_the_public_names():
-    assert len(NAMES) == 56
+    assert len(NAMES) == 57
     assert frstokes.__all__ == NAMES
 
 
