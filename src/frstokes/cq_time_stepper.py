@@ -81,9 +81,8 @@ import numpy as np
 import numpy.typing as npt
 import scipy.sparse as sp
 
-from .fem_assembly import (NodalField, Nonlinearity, ProblemSpec, _is_positive_real,
-                           _require_bool, _require_count, mesh_operator)
-from .mesh import TriMesh, _is_count
+from .fem_assembly import NodalField, Nonlinearity, ProblemSpec, mesh_operator
+from .mesh import TriMesh, _count, _flag, _is_count, _real
 from .sparse_linalg import CompositeOperator
 
 __all__ = [
@@ -124,10 +123,8 @@ class PicardConvergenceError(RuntimeError):
 def cq_weights(beta: float, N: int) -> npt.NDArray[np.float64]:
     """Coefficients q_j^{(beta)} of (1-zeta)^(-beta), j = 0..N, as a read-only
     array, via the stable recursion q_0 = 1, q_j = q_{j-1} (j-1+beta)/j."""
-    if not _is_positive_real(beta):
-        raise ValueError(f"beta must be a finite number > 0, got {beta!r}")
-    if not _is_count(N, least=0):
-        raise ValueError(f"N must be an integer >= 0, got {N!r}")
+    beta = _real("beta", beta, "> 0")
+    N = _count("N", N, least=0)
     j = np.arange(1, N + 1)
     q = np.cumprod(np.concatenate([[1.0], (j - 1 + beta) / j]))
     q.setflags(write=False)
@@ -143,8 +140,7 @@ def cq_fractional_integral(samples, beta: float, tau: float) -> float:
     phi = np.asarray(samples, dtype=float)
     if phi.ndim != 1 or phi.size == 0:
         raise ValueError("samples must be a nonempty 1-d array")
-    if not _is_positive_real(tau):
-        raise ValueError(f"tau must be a finite number > 0, got {tau!r}")
+    tau, beta = _real("tau", tau, "> 0"), _real("beta", beta, "> 0")
     q = cq_weights(beta, phi.size - 1)
     return float(tau**beta * q[::-1].dot(phi))
 
@@ -169,8 +165,8 @@ class SchemeConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
-        _require_count("N", self.N)
-        _require_bool("source_lumping", self.source_lumping)
+        for name, check in (("N", _count), ("source_lumping", _flag)):
+            object.__setattr__(self, name, check(name, getattr(self, name)))
         if self.snapshot_stride is not None and not _is_count(self.snapshot_stride):
             raise ValueError("snapshot_stride must be None or an integer >= 1, "
                              f"got {self.snapshot_stride!r}")

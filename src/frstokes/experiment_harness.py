@@ -31,16 +31,16 @@ import numpy as np
 
 from .cq_time_stepper import SchemeConfig, step_implicit, step_linearized
 from .fem_assembly import (
+    _PROBLEM_BOUNDS,
     NodalField,
     ProblemSpec,
-    _require_count,
     initial_data_for_case,
     l2_error_vs_function,
     l2_error_vs_reference,
     sqrt_one_plus_u2,
     zero_source,
 )
-from .mesh import TriMesh, build_nonsymmetric_mesh, build_symmetric_mesh
+from .mesh import TriMesh, _count, _flag, _real, build_nonsymmetric_mesh, build_symmetric_mesh
 from .spectral_oracle import linear_exact_solution
 
 __all__ = [
@@ -56,6 +56,20 @@ __all__ = [
 ]
 
 
+_LADDERS = ("alphas", "M", "N", "t_list")
+# The check of each number and flag of StudyConfig, applied to every entry
+# of a ladder: the name its message gives, the check and the check's rule.
+_STUDY_CHECKS = {
+    "alphas": ("alpha", _real, _PROBLEM_BOUNDS["alpha"]),
+    "gamma": ("gamma", _real, _PROBLEM_BOUNDS["gamma"]),
+    "T": ("T", _real, _PROBLEM_BOUNDS["T"]),
+    "t_list": ("t_list", _real, _PROBLEM_BOUNDS["T"]),
+    "M": ("every entry of M", _count), "M_ref": ("M_ref", _count),
+    "N": ("every entry of N", _count), "N_ref": ("N_ref", _count),
+    "source_lumping": ("source_lumping", _flag),
+}
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Shared knobs for the convergence studies, one field per axis.
@@ -64,15 +78,16 @@ class StudyConfig:
     temporal studies sweep ``N`` against ``N_ref`` on one ``M``; prefactor
     studies fix both and sweep the final time over ``t_list`` along
     ``axis``.  A ladder field (``alphas``, ``M``, ``N``, ``t_list``) takes
-    one value or a list and stores a tuple; the ``M`` and ``N`` defaults are
-    ladders, so a study states each axis it holds fixed.  ``case`` selects
-    the initial data: the smooth bump ("a"), the half-square indicator
-    ("b"), or the sine mode sin(pi x) sin(pi y) ("mode", with no source).
-    Construction rejects a list for any other field, an empty or repeating
-    ladder, a non-number in ``alphas``, ``t_list``, ``gamma`` or ``T``
-    (stored as floats), a count that is not an integer >= 1, ``scheme`` and
-    ``source_lumping`` as :class:`SchemeConfig` does, a ``cache_dir`` that
-    is not None or a non-empty string, and each run's :class:`ProblemSpec`.
+    one value, a list or a 1-d array and stores a tuple; the ``M`` and ``N``
+    defaults are ladders, so a study states each axis it holds fixed.
+    ``case`` selects the initial data: the smooth bump ("a"), the
+    half-square indicator ("b"), or the sine mode sin(pi x) sin(pi y)
+    ("mode", with no source).  Construction rejects a list for any other
+    field, an empty or repeating ladder, an unknown ``scheme``, a
+    ``cache_dir`` that is not None, a non-empty string or a path object,
+    and every number that a run's :class:`ProblemSpec` or
+    :class:`SchemeConfig` would reject; it stores Python floats, ints and
+    bools, numpy numbers included, and ``cache_dir`` as a string.
     """
 
     case: str = "a"
@@ -93,22 +108,19 @@ class StudyConfig:
     def __post_init__(self):
         for name in (f.name for f in fields(self)):
             value = getattr(self, name)
-            if name in ("alphas", "M", "N", "t_list"):
-                value = tuple(value) if isinstance(value, (list, tuple)) else (value,)
-                if not value:
-                    raise ValueError(f"{name} must not be empty")
-            elif isinstance(value, (list, tuple)):
+            many = (isinstance(value, (list, tuple))
+                    or isinstance(value, np.ndarray) and value.ndim == 1)
+            if many and name not in _LADDERS:
                 raise ValueError(f"{name} takes one value, got {value!r}")
-            if name in ("alphas", "t_list"):
-                value = tuple(_real("alpha" if name == "alphas" else name, v) for v in value)
-            elif name in ("gamma", "T"):
-                value = _real(name, value)
-            elif name in ("M", "N"):
-                for count in value:
-                    _require_count(f"every entry of {name}", count)
-            if isinstance(value, tuple) and len(set(value)) < len(value):
-                raise ValueError(f"{name} must not repeat an entry, got {value}")
-            object.__setattr__(self, name, value)
+            values = tuple(value) if many else (value,)
+            if not values:
+                raise ValueError(f"{name} must not be empty")
+            if name in _STUDY_CHECKS:
+                label, check, *rule = _STUDY_CHECKS[name]
+                values = tuple(check(label, v, *rule) for v in values)
+            if len(values) > 1 and len(set(values)) < len(values):
+                raise ValueError(f"{name} must not repeat an entry, got {values}")
+            object.__setattr__(self, name, values if name in _LADDERS else values[0])
         if self.case not in ("a", "b", "mode"):
             raise ValueError(f"unknown case {self.case!r}")
         if self.family not in ("symmetric", "nonsymmetric"):
@@ -116,22 +128,14 @@ class StudyConfig:
         if self.axis not in ("spatial", "temporal"):
             raise ValueError("prefactor axis must be spatial or temporal, "
                              f"got {self.axis!r}")
-        if self.cache_dir is not None and not (isinstance(self.cache_dir, str)
-                                               and self.cache_dir):
-            raise ValueError("cache_dir must be a non-empty path string, "
-                             f"got {self.cache_dir!r}")
-        for name in ("M_ref", "N_ref"):
-            _require_count(name, getattr(self, name))
-        SchemeConfig(variant=self.scheme, N=self.N[0], source_lumping=self.source_lumping)
-        for alpha in self.alphas:
-            for T in (self.T, *self.t_list):
-                _problem(self.case, alpha, self.gamma, T)
-
-
-def _real(key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
+        if self.cache_dir is not None:
+            path = self.cache_dir
+            path = os.fspath(path) if isinstance(path, os.PathLike) else path
+            if not (isinstance(path, str) and path):
+                raise ValueError("cache_dir must be a non-empty path string, "
+                                 f"got {self.cache_dir!r}")
+            object.__setattr__(self, "cache_dir", path)
+        SchemeConfig(variant=self.scheme, N=self.N[0])
 
 
 def _fixed(cfg: StudyConfig, where: str, *names: str) -> list:

@@ -6,17 +6,17 @@ one), load vectors by one degree-4 triangle quadrature rule, and the L2
 projection onto the space V_h of continuous piecewise linears vanishing on
 the boundary.  Every L2 measure checks that its nodal vector has one value
 per node.  :func:`mesh_operator` memoizes the assembled operators on
-the mesh, and the default realization of initial data is memoized there
-too, so a study that reuses one mesh assembles and projects once.  Also
-defines the problem description consumed by the time steppers: fractional
-order alpha, damping gamma, a Lipschitz nonlinearity and an initial-data
-descriptor.
+the mesh, so the runs on one mesh assemble once.  The default realization
+of initial data is memoized there too, under the data instance: runs that
+share one :class:`InitialData` object project it once per mesh, while two
+equal instances project twice (the harness holds one instance per case).
+Also defines the problem description consumed by the time steppers:
+fractional order alpha, damping gamma, a Lipschitz nonlinearity and an
+initial-data descriptor.
 """
 
 from __future__ import annotations
 
-import math
-import numbers
 import weakref
 from dataclasses import dataclass, field
 
@@ -24,7 +24,7 @@ import numpy as np
 import numpy.typing as npt
 import scipy.sparse as sp
 
-from .mesh import TriMesh, _is_count, _nodal_values, evaluate_p1
+from .mesh import TriMesh, _nodal_values, _real, evaluate_p1
 from .sparse_linalg import cg_solve
 
 __all__ = [
@@ -342,24 +342,6 @@ class SingleModeInitialData(InitialData):
         return NodalField(mesh, vals)
 
 
-def _require_bool(name: str, value) -> None:
-    """Reject anything but a bool, such as the string "false"."""
-    if not isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must be a bool, got {value!r}")
-
-
-def _is_positive_real(value) -> bool:
-    """True for a finite real number > 0 that is not a bool."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value) and value > 0)
-
-
-def _require_count(name: str, value) -> None:
-    """Reject anything but an integer >= 1, such as 2.5, 4.0, True or "4"."""
-    if not _is_count(value):
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-
-
 def initial_data_for_case(case: str) -> InitialData:
     if case == "a":
         return CaseAInitialData()
@@ -370,9 +352,17 @@ def initial_data_for_case(case: str) -> InitialData:
     raise ValueError(f"unknown problem case {case!r}")
 
 
+# The range of each number of a ProblemSpec, as a bound of ``mesh._real``.
+_PROBLEM_BOUNDS = {"alpha": "in (0, 1)", "gamma": "> 0", "T": "> 0"}
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Continuous problem data for d_t u - (1 + gamma d_t^alpha) Lap u = f(u)."""
+    """Continuous problem data for d_t u - (1 + gamma d_t^alpha) Lap u = f(u).
+
+    alpha lies in (0, 1), gamma and T are > 0 (all three stored as floats),
+    and the Lipschitz constant of f is a finite number >= 0.
+    """
 
     alpha: float
     gamma: float
@@ -381,13 +371,6 @@ class ProblemSpec:
     initial_data: InitialData = field(default_factory=CaseAInitialData)
 
     def __post_init__(self):
-        if not (_is_positive_real(self.alpha) and self.alpha < 1.0):
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        for name in ("gamma", "T"):
-            value = getattr(self, name)
-            if not _is_positive_real(value):
-                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
-        lipschitz = self.nonlinearity.lipschitz
-        if not (math.isfinite(lipschitz) and lipschitz >= 0):
-            raise ValueError("Lipschitz constant must be a finite number >= 0, "
-                             f"got {lipschitz!r}")
+        for name, bound in _PROBLEM_BOUNDS.items():
+            object.__setattr__(self, name, _real(name, getattr(self, name), bound))
+        _real("Lipschitz constant", self.nonlinearity.lipschitz, ">= 0")

@@ -12,10 +12,15 @@ Nodes are ordered lexicographically by (y, x), triangles are oriented
 counterclockwise, and meshes are immutable once built.  Operators that
 depend only on the mesh are memoized on it (see ``fem_assembly``), so they
 are built once and live exactly as long as the mesh.
+
+Needing numpy alone, this module also holds the package's input rules, a
+count, a finite real in a range and a flag (``_count``, ``_real`` and
+``_flag``), so every entry point accepts the same numbers.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -150,16 +155,51 @@ def _build_tensor_mesh(x_breaks: FloatArray, y_breaks: FloatArray, family: str) 
     return mesh
 
 
+# The input rules, one wording each: numpy integers and reals pass as
+# Python's do, and a bool is never a number.
+
 def _is_count(value, least: int = 1) -> bool:
     """True for an integer >= ``least`` that is not a bool."""
     return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
             and value >= least)
 
 
+def _count(name: str, value, least: int = 1) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is an
+    integer >= ``least``, such as 2.5, 4.0, True or "4"."""
+    if not _is_count(value, least):
+        what = "a positive integer" if least == 1 else f"an integer >= {least}"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return int(value)
+
+
+# The ranges a real input is held to, keyed by the words that state them.
+_BOUNDS = {"": lambda x: True, "> 0": lambda x: x > 0, ">= 0": lambda x: x >= 0,
+           "in (0, 1)": lambda x: 0 < x < 1}
+
+
+def _real(name: str, value, bound: str = "") -> float:
+    """``value`` as a float; ValueError naming ``name`` unless it is a finite
+    real number in ``bound`` (a key of ``_BOUNDS``), such as not nan, inf,
+    True or "1"."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and _BOUNDS[bound](value)):
+        raise ValueError(f"{name} must be a finite number {bound}".rstrip()
+                         + f", got {value!r}")
+    return float(value)
+
+
+def _flag(name: str, value) -> bool:
+    """``value`` as a bool; ValueError naming ``name`` unless it is a Python
+    or numpy bool, such as the string "false" or the number 0."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
 def build_symmetric_mesh(M: int) -> TriMesh:
     """Uniform mesh of 2*M^2 right triangles with legs of length 1/M."""
-    if not _is_count(M):
-        raise ValueError(f"M must be a positive integer, got {M!r}")
+    M = _count("M", M)
     breaks = np.arange(M + 1) / M
     return _build_tensor_mesh(breaks, breaks, f"symmetric({M})")
 

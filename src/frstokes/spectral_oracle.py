@@ -36,13 +36,14 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 
 import numpy as np
 # numpy loads fft and polynomial on first attribute access; importing them
 # here keeps that cost in the import instead of the first oracle call.
 from numpy.fft import irfft, rfft
 from numpy.polynomial.legendre import leggauss
+
+from .mesh import _count, _real
 
 __all__ = [
     "ContourResolutionError",
@@ -97,22 +98,6 @@ class ContourResolutionError(RuntimeError):
     """
 
 
-def _require_finite(name: str, value) -> None:
-    """Reject anything but a finite real number, such as nan, inf or "1"."""
-    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value)):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-
-
-def _check_alpha_gamma(alpha: float, gamma: float) -> None:
-    _require_finite("alpha", alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    _require_finite("gamma", gamma)
-    if not gamma >= 0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
-
-
 @functools.cache
 def _gauss_legendre():
     """The _GL_ORDER-point Gauss-Legendre rule on [-1, 1], built on first
@@ -148,9 +133,7 @@ def contour_nodes(t: float, nodes_per_ray: int = _NODES_PER_RAY):
     denominator z + lam + lam gamma z^alpha has a positive imaginary part
     for 0 < arg z < pi, so it has no zeros in the cut plane.
     """
-    _require_finite("t", t)
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    t = _real("t", t, "> 0")
     radius = _TRUNC_LOG / (abs(np.cos(_THETA)) * t)
     return _contour(1.0 / t, radius, nodes_per_ray)
 
@@ -159,11 +142,7 @@ def _contour(delta: float, radius: float, nodes_per_ray: int):
     """Nodes and weights of the rays at +/- _THETA from radius delta out to
     ``radius``, joined by the arc of radius delta, with ``nodes_per_ray``
     // _GL_ORDER panels on each ray, geometric in the distance from 0."""
-    if (not isinstance(nodes_per_ray, numbers.Integral)
-            or isinstance(nodes_per_ray, bool) or nodes_per_ray < _GL_ORDER):
-        raise ValueError(f"nodes_per_ray must be an integer >= {_GL_ORDER}, "
-                         f"got {nodes_per_ray!r}")
-    panels = nodes_per_ray // _GL_ORDER
+    panels = _count("nodes_per_ray", nodes_per_ray, least=_GL_ORDER) // _GL_ORDER
     s, ws = _panel_nodes(np.log(delta), np.log(radius), panels)
     rho = np.exp(s)
     up = rho * np.exp(1j * _THETA)
@@ -233,7 +212,7 @@ def mode_response_many(lams, t: float, alpha: float, gamma: float) -> np.ndarray
     if not np.all((lams >= 0) & (lams < np.inf)):
         raise ValueError("eigenvalues must be finite and nonnegative")
     z, w = contour_nodes(t)
-    _check_alpha_gamma(alpha, gamma)
+    alpha, gamma = _real("alpha", alpha, "in (0, 1)"), _real("gamma", gamma, ">= 0")
     distinct, where = np.unique(lams, return_inverse=True)
     # lam - p does not overflow where lam * sigma would; such an eigenvalue
     # is still out of the quadrature's range, and so is a gamma for which
@@ -347,16 +326,9 @@ def scalar_cq_response(lam: float, alpha: float, gamma: float, T: float,
     sum-of-exponentials history there) and the weights have their own
     code, so this path is an independent check of it.
     """
-    if not (isinstance(lam, numbers.Real) and not isinstance(lam, bool)
-            and 0 <= lam < math.inf):
-        raise ValueError(f"eigenvalue must be finite and nonnegative, got lam={lam!r}")
-    _check_alpha_gamma(alpha, gamma)
-    _require_finite("T", T)
-    if not T > 0:
-        raise ValueError(f"T must be positive, got {T}")
-    if not isinstance(N, numbers.Integral) or isinstance(N, bool) or N < 1:
-        raise ValueError(f"N must be a positive integer, got {N!r}")
-    _require_finite("u0", u0)
+    lam = _real("lam", lam, ">= 0")
+    alpha, gamma = _real("alpha", alpha, "in (0, 1)"), _real("gamma", gamma, ">= 0")
+    T, N, u0 = _real("T", T, "> 0"), _count("N", N), _real("u0", u0)
     tau = T / N
     beta = 1.0 - alpha
     frac_scale = gamma * tau**beta

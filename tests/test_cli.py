@@ -292,10 +292,13 @@ def test_convergence_subcommand_rejects_non_integer_counts(tmp_path, capsys):
     ("gamma = 1,2", r"^gamma takes one value, got \[1, 2\]"),
     ("T = 1,2", r"^T takes one value, got \[1, 2\]"),
     ("cache_dir = a,b", r"^cache_dir takes one value, got \['a', 'b'\]"),
-    ("gamma = abc", "^gamma must be a number, got 'abc'"),
-    ("T = true", "^T must be a number, got True"),
-    ("alpha = 0.5,abc", "^alpha must be a number, got 'abc'"),
-    ("t_list = 1e-3,abc", "^t_list must be a number, got 'abc'"),
+    # these two ids keep the messages' wording before the rules were shared
+    pytest.param("gamma = abc", "^gamma must be a finite number > 0, got 'abc'",
+                 id="gamma = abc-^gamma must be a number, got 'abc'"),
+    pytest.param("T = true", "^T must be a finite number > 0, got True",
+                 id="T = true-^T must be a number, got True"),
+    ("alpha = 0.5,abc", r"^alpha must be a finite number in \(0, 1\), got 'abc'"),
+    ("t_list = 1e-3,abc", "^t_list must be a finite number > 0, got 'abc'"),
     ("axis = foo", "^prefactor axis must be spatial or temporal, got 'foo'$"),
     # a repeated alpha solved and wrote the whole table twice
     ("alpha = 0.5,0.5", r"^alphas must not repeat an entry, got \(0\.5, 0\.5\)$"),
@@ -481,8 +484,8 @@ def test_study_rejects_a_ladder_on_a_fixed_axis(tmp_path, capsys, monkeypatch, s
 
 
 @pytest.mark.parametrize("line,fields,message,run_message", [
-    ("alpha = 0.5,abc", dict(alphas=(0.5, "abc")), "alpha must be a number, got 'abc'",
-     None),
+    ("alpha = 0.5,abc", dict(alphas=(0.5, "abc")),
+     "alpha must be a finite number in (0, 1), got 'abc'", None),
     ("gamma = 1,2", dict(gamma=[1, 2]), "gamma takes one value, got [1, 2]", None),
     ("M = 4,8", dict(M=[4, 8]), "M takes one value in a temporal study, got [4, 8]",
      "M takes one value in a run config, got [4, 8]"),
@@ -574,7 +577,7 @@ def test_bad_oracle_argument_is_one_line_in_a_subprocess():
          "--alpha", "0.5"], capture_output=True, text=True, env=tree_env())
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr == "frs: t must be a finite number, got nan\n"
+    assert proc.stderr == "frs: t must be a finite number > 0, got nan\n"
 
 
 def test_study_config_has_no_snapshot_stride_key():

@@ -417,7 +417,7 @@ def test_problem_spec_validation():
         with pytest.raises(ValueError):
             ProblemSpec(**kw)
     # a nan constant also silenced the implicit stepper's tau * L >= 1 warning
-    for lipschitz in (float("nan"), float("inf"), -1.0):
+    for lipschitz in (float("nan"), float("inf"), -1.0, "1", True):
         with pytest.raises(ValueError, match="Lipschitz constant must be a finite number >= 0"):
             ProblemSpec(alpha=0.5, gamma=1.0, T=1.0,
                         nonlinearity=Nonlinearity(lambda u: u, lipschitz))

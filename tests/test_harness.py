@@ -84,7 +84,7 @@ def test_study_config_validation():
             (dict(gamma=-1.0), "gamma"), (dict(gamma=math.nan), "gamma"),
             (dict(gamma=math.inf), "gamma"), (dict(case="mode", gamma=0.0), "gamma"),
             (dict(T=-1.0), "T"), (dict(T=math.nan), "T"),
-            (dict(t_list=(1e-3, -1.0)), "T"), (dict(t_list=(math.inf,)), "T"),
+            (dict(t_list=(1e-3, -1.0)), "t_list"), (dict(t_list=(math.inf,)), "t_list"),
             (dict(alphas=(0.5, 1.5)), "alpha"), (dict(alphas=(math.nan,)), "alpha"),
             (dict(scheme="crank-nicolson"), "variant")]:
         with pytest.raises(ValueError, match=field):
@@ -394,10 +394,32 @@ def test_study_config_stores_each_ladder_as_a_tuple_of_its_type():
                             (dict(case=("a",)), "case takes one value, got ('a',)"),
                             (dict(N=()), "N must not be empty"),
                             (dict(M=(4, 4)), "M must not repeat an entry, got (4, 4)"),
-                            (dict(t_list=(1e-3, "x")), "t_list must be a number, got 'x'"),
-                            (dict(T=True), "T must be a number, got True")]:
+                            (dict(t_list=(1e-3, "x")),
+                             "t_list must be a finite number > 0, got 'x'"),
+                            (dict(T=True), "T must be a finite number > 0, got True")]:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             StudyConfig(**kwargs)
+
+
+def test_study_config_takes_numpy_numbers_arrays_and_paths(tmp_path):
+    # gamma=np.int64(1) and alphas=np.array([...]) were rejected as not
+    # numbers, and a pathlib.Path cache_dir as not a string, though
+    # solve_final takes one
+    plain = StudyConfig(gamma=1, alphas=[0.25, 0.5], M=[4, 8], N_ref=16,
+                        cache_dir=str(tmp_path))
+    numpy = StudyConfig(gamma=np.int64(1), alphas=np.array([0.25, 0.5]),
+                        M=np.array([4, 8]), N_ref=np.int64(16), cache_dir=tmp_path)
+    # the repr shows each stored value with its type
+    assert repr(numpy) == repr(plain)
+
+    def key(cfg):
+        return harness._run_key(Run(cfg.case, cfg.alphas[1], cfg.gamma, cfg.T,
+                                    cfg.family, cfg.M[1], cfg.N_ref))
+
+    assert key(numpy) == key(plain)
+    for bad in (2024, True, "", b"cache"):
+        with pytest.raises(ValueError, match="^cache_dir must be a non-empty path string"):
+            StudyConfig(cache_dir=bad)
 
 
 def test_nonsymmetric_M_is_checked_before_any_solve(monkeypatch):

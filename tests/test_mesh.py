@@ -1,8 +1,12 @@
+import math
 import pickle
 
 import numpy as np
 import pytest
 
+from frstokes.cq_time_stepper import SchemeConfig, cq_weights
+from frstokes.experiment_harness import StudyConfig
+from frstokes.fem_assembly import CaseAInitialData, Nonlinearity, ProblemSpec
 from frstokes.mesh import (
     OutOfDomainError,
     build_nonsymmetric_mesh,
@@ -10,6 +14,7 @@ from frstokes.mesh import (
     evaluate_p1,
     format_mesh_text,
 )
+from frstokes.spectral_oracle import contour_nodes, scalar_cq_response
 
 
 def brute_force_eval(mesh, values, x, y):
@@ -187,3 +192,31 @@ def test_mesh_pickles_without_its_memo():
     assert copy._memo == {}
     assert np.array_equal(mesh_operator(copy, "mass").toarray(), mass.toarray())
     assert mesh_operator(mesh, "mass") is mass
+
+
+# One numeric parameter of each public entry point: the call, the name its
+# messages give, a Python number and a numpy scalar of the same kind and value.
+ENTRY_POINTS = {
+    "build_symmetric_mesh": (build_symmetric_mesh, "M", 4, np.int64(4)),
+    "SchemeConfig": (lambda N: SchemeConfig("lumped-linearized", N), "N", 8, np.int64(8)),
+    "ProblemSpec": (lambda gamma: ProblemSpec(0.5, gamma, 1.0, Nonlinearity(np.sin, 1.0),
+                                              CaseAInitialData()),
+                    "gamma", 2.0, np.float64(2.0)),
+    "StudyConfig": (lambda T: StudyConfig(T=T), "T", 0.5, np.float32(0.5)),
+    "cq_weights": (lambda beta: cq_weights(beta, 6), "beta", 0.25, np.float32(0.25)),
+    "scalar_cq_response": (lambda T: scalar_cq_response(20.0, 0.5, 1.0, T, 8), "T",
+                           0.5, np.float64(0.5)),
+    "contour_nodes": (contour_nodes, "t", 0.5, np.float32(0.5)),
+}
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_every_entry_point_takes_the_same_numbers(entry):
+    # each boundary checks its numbers with the rules of mesh.py: a numpy
+    # scalar gives what the Python number gives, down to the stored types,
+    # and a bool, a string or nan is rejected with a message naming it
+    call, name, plain, scalar = ENTRY_POINTS[entry]
+    assert pickle.dumps(call(scalar)) == pickle.dumps(call(plain))
+    for bad in (True, "1", math.nan):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            call(bad)

@@ -162,3 +162,16 @@ def test_no_unread_private_definitions():
     assert [f"{path.name}:{line}: {name}" for path in modules
             for name, line in _private_definitions(path).items()
             if name not in read] == []
+
+
+def _imports_numbers(path: Path) -> bool:
+    return any(isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names)
+               or isinstance(node, ast.ImportFrom) and node.module == "numbers"
+               for node in ast.walk(ast.parse(path.read_text(), filename=str(path))))
+
+
+def test_only_mesh_states_the_input_rules():
+    # a count, a finite real and a flag are checked by mesh.py alone; another
+    # module reaching for numbers.Real would state a rule a second time
+    modules = sorted(Path(frstokes.__file__).parent.glob("*.py"))
+    assert [path.name for path in modules if _imports_numbers(path)] == ["mesh.py"]

@@ -66,7 +66,7 @@ def grid_eigenvalues(M):
     pytest.param(1.0, True, "nodes_per_ray", id="nodes_per_ray=True"),
     pytest.param(1.0, "160", "nodes_per_ray", id="nodes_per_ray='160'"),
     pytest.param(1.0, 4, "nodes_per_ray must be an integer >= 8", id="nodes_per_ray=4"),
-    pytest.param(0.0, 80, "t must be positive", id="t=0"),
+    pytest.param(0.0, 80, "t must be a finite number > 0", id="t=0"),
 ])
 def test_contour_nodes_rejects_bad_arguments(t, nodes_per_ray, match):
     with pytest.raises(ValueError, match=match):
@@ -85,7 +85,10 @@ def test_contour_for_time_rejects_non_finite_time(t):
     ((1.0, 0.5, 0.5, math.inf), "gamma must be a finite number"),
     ((1.0, 0.5, 0.5, math.nan), "gamma must be a finite number"),
     ((1.0, 0.5, math.nan, 1.0), "alpha"),
-    ((1.0, -0.5, 0.5, 1.0), "t must be positive"),
+    # the ids of this and the next test keep the messages' wording before
+    # the rules were shared
+    pytest.param((1.0, -0.5, 0.5, 1.0), "t must be a finite number > 0",
+                 id="args5-t must be positive"),
 ])
 def test_mode_response_rejects_bad_arguments(args, match):
     with pytest.raises(ValueError, match=match):
@@ -103,7 +106,8 @@ def test_mode_response_rejects_bad_arguments(args, match):
 ])
 def test_oracle_rejects_non_number_alpha_and_gamma(call, alpha, gamma, name):
     # a string or None alpha used to raise a TypeError from the comparison
-    with pytest.raises(ValueError, match=f"^{name} must be a finite number, got "):
+    with pytest.raises(ValueError,
+                       match=f"^{name} must be a finite number (in \\(0, 1\\)|>= 0), got "):
         call(alpha, gamma)
 
 
@@ -677,21 +681,30 @@ def test_product_weights_match_gamma_ratio_asymptotics(beta):
     ((20.0, 1.2, 1.0, 1.0, 4), "alpha"),
     ((20.0, 0.0, 1.0, 1.0, 4), "alpha"),
     ((20.0, 0.5, -1.0, 1.0, 4), "gamma"),
-    ((-20.0, 0.5, 1.0, 1.0, 4), "eigenvalue"),
-    ((float("nan"), 0.5, 1.0, 1.0, 4), "eigenvalue"),
-    ((20.0, 0.5, 1.0, -1.0, 4), "T must be positive"),
-    ((20.0, 0.5, 1.0, 0.0, 4), "T must be positive"),
+    pytest.param((-20.0, 0.5, 1.0, 1.0, 4), "lam must be a finite number >= 0",
+                 id="args3-eigenvalue"),
+    pytest.param((float("nan"), 0.5, 1.0, 1.0, 4), "lam must be a finite number >= 0",
+                 id="args4-eigenvalue"),
+    pytest.param((20.0, 0.5, 1.0, -1.0, 4), "T must be a finite number > 0",
+                 id="args5-T must be positive"),
+    pytest.param((20.0, 0.5, 1.0, 0.0, 4), "T must be a finite number > 0",
+                 id="args6-T must be positive"),
     ((20.0, 0.5, 1.0, 1.0, 0), "N must be a positive integer"),
     ((20.0, 0.5, 1.0, 1.0, 4.0), "N must be a positive integer"),
-    ((math.inf, 0.5, 1.0, 1.0, 4), "eigenvalue must be finite"),
+    pytest.param((math.inf, 0.5, 1.0, 1.0, 4), "lam must be a finite number >= 0",
+                 id="args9-eigenvalue must be finite"),
     ((20.0, 0.5, math.inf, 1.0, 4), "gamma must be a finite number"),
     ((20.0, 0.5, 1.0, math.inf, 4), "T must be a finite number"),
     ((20.0, 0.5, 1.0, math.nan, 4), "T must be a finite number"),
     ((20.0, 0.5, 1.0, 1.0, 4, math.nan), "u0 must be a finite number"),
     ((20.0, 0.5, 1.0, 1.0, 4, math.inf), "u0 must be a finite number"),
-    ((True, 0.5, 1.0, 1.0, 4), "got lam=True"),
-    (("1", 0.5, 1.0, 1.0, 4), "got lam='1'"),
-    ((1 + 0j, 0.5, 1.0, 1.0, 4), "got lam=\\(1\\+0j\\)"),
+    pytest.param((True, 0.5, 1.0, 1.0, 4), "lam must be a finite number >= 0, got True",
+                 id="args15-got lam=True"),
+    pytest.param(("1", 0.5, 1.0, 1.0, 4), "lam must be a finite number >= 0, got '1'",
+                 id="args16-got lam='1'"),
+    pytest.param((1 + 0j, 0.5, 1.0, 1.0, 4),
+                 "lam must be a finite number >= 0, got \\(1\\+0j\\)",
+                 id="args17-got lam=\\(1\\+0j\\)"),
     ((20.0, 0.5, 1.0, 1.0, True), "N must be a positive integer, got True"),
     ((20.0, 0.5, 1.0, 1.0, np.True_), "N must be a positive integer"),
 ])
