@@ -32,10 +32,9 @@ _EXPORTS = {
         "solve_final",
     ),
     "fem_assembly": (
-        "CaseAInitialData", "CaseBInitialData", "InitialData",
-        "NodalField", "Nonlinearity", "ProblemSpec", "SingleModeInitialData",
+        "InitialData", "NodalField", "Nonlinearity", "ProblemSpec",
         "assemble_lumped_mass", "assemble_mass", "assemble_stiffness",
-        "initial_data_for_case", "l2_error_vs_function", "l2_error_vs_reference",
+        "l2_error_vs_function", "l2_error_vs_reference",
         "l2_norm", "l2_project", "load_vector", "mesh_operator",
         "sqrt_one_plus_u2", "zero_source",
     ),

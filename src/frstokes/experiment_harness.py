@@ -32,9 +32,9 @@ import numpy as np
 from .cq_time_stepper import SchemeConfig, step_implicit, step_linearized
 from .fem_assembly import (
     _PROBLEM_BOUNDS,
+    InitialData,
     NodalField,
     ProblemSpec,
-    initial_data_for_case,
     l2_error_vs_function,
     l2_error_vs_reference,
     sqrt_one_plus_u2,
@@ -121,8 +121,7 @@ class StudyConfig:
             if len(values) > 1 and len(set(values)) < len(values):
                 raise ValueError(f"{name} must not repeat an entry, got {values}")
             object.__setattr__(self, name, values if name in _LADDERS else values[0])
-        if self.case not in ("a", "b", "mode"):
-            raise ValueError(f"unknown case {self.case!r}")
+        InitialData(self.case)
         if self.family not in ("symmetric", "nonsymmetric"):
             raise ValueError(f"unknown family {self.family!r}")
         if self.axis not in ("spatial", "temporal"):
@@ -232,10 +231,6 @@ def build_mesh(family: str, M: int) -> TriMesh:
     return mesh
 
 
-# One data object per case, so each mesh projects it once for every run.
-_case_data = functools.cache(initial_data_for_case)
-
-
 @dataclass(frozen=True)
 class Run:
     """Every input of one solve, unchecked until :func:`solve_final`: N steps
@@ -255,7 +250,7 @@ class Run:
 def _problem(case: str, alpha: float, gamma: float, T: float) -> ProblemSpec:
     source = zero_source() if case == "mode" else sqrt_one_plus_u2()
     return ProblemSpec(alpha=alpha, gamma=gamma, T=T, nonlinearity=source,
-                       initial_data=_case_data(case))
+                       initial_data=InitialData(case))
 
 
 # Names the solver and the file layout behind a cached field.  Change it
@@ -407,11 +402,12 @@ def _table(cfg: StudyConfig, kind: str, param_name: str, plan) -> list[Experimen
     meshes = {run[1:3]: build_mesh(*run[1:3])
               for pair in plan for run in pair if run is not None}
     exact = any(ref is None for _, ref in plan)
+    # u0 = sin sin = (1/2) phi_kl against the orthonormal eigenfunctions.
+    mode = InitialData("mode")
     reports = []
     for alpha in cfg.alphas:
-        # u0 = sin sin = (1/2) phi_11 against the orthonormal eigenfunctions.
-        kernel = (linear_exact_solution([(1, 1, 0.5)], cfg.T, alpha, cfg.gamma)
-                  if exact else None)
+        kernel = (linear_exact_solution([(mode.k, mode.l, 0.5)], cfg.T, alpha,
+                                        cfg.gamma) if exact else None)
         solved = {}
         params, errors = [], []
         for run, ref in plan:

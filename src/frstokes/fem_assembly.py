@@ -6,25 +6,22 @@ one), load vectors by one degree-4 triangle quadrature rule, and the L2
 projection onto the space V_h of continuous piecewise linears vanishing on
 the boundary.  Every L2 measure checks that its nodal vector has one value
 per node.  :func:`mesh_operator` memoizes the assembled operators on
-the mesh, so the runs on one mesh assemble once.  The default realization
-of initial data is memoized there too, under the data instance: runs that
-share one :class:`InitialData` object project it once per mesh, while two
-equal instances project twice (the harness holds one instance per case).
-Also defines the problem description consumed by the time steppers:
-fractional order alpha, damping gamma, a Lipschitz nonlinearity and an
-initial-data descriptor.
+the mesh, so the runs on one mesh assemble once.  The realization of
+initial data is memoized there too, keyed by the :class:`InitialData`
+value, so equal data are projected once per mesh.  Also defines the
+problem description consumed by the time steppers: fractional order alpha,
+damping gamma, a Lipschitz nonlinearity and the initial data.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.typing as npt
 import scipy.sparse as sp
 
-from .mesh import TriMesh, _nodal_values, _real, evaluate_p1
+from .mesh import TriMesh, _count, _nodal_values, _real, evaluate_p1
 from .sparse_linalg import cg_solve
 
 __all__ = [
@@ -42,10 +39,6 @@ __all__ = [
     "sqrt_one_plus_u2",
     "zero_source",
     "InitialData",
-    "CaseAInitialData",
-    "CaseBInitialData",
-    "SingleModeInitialData",
-    "initial_data_for_case",
     "ProblemSpec",
 ]
 
@@ -286,70 +279,54 @@ def zero_source() -> Nonlinearity:
     return Nonlinearity(lambda u: np.zeros_like(np.asarray(u, dtype=float)), 0.0, "zero")
 
 
+@dataclass(frozen=True)
 class InitialData:
-    """Initial condition descriptor: a sampler plus its V_h realization.
+    """The initial datum u0 of a run, as a value: ``case`` picks the function.
 
-    An instance stands for one fixed function.  Its default realization is
-    memoized on each mesh under the instance itself, so two instances never
-    share an entry.
+    * ``"a"``: u0(x, y) = x y (1-x) (1-y), a smooth bump vanishing on the
+      boundary;
+    * ``"b"``: the indicator of (0, 1/2] x (0, 1), discontinuous along x = 1/2;
+    * ``"mode"``: sin(k pi x) sin(l pi y), the only case that reads the
+      positive integers ``k`` and ``l``.
+
+    Construction rejects any other case and any k or l that is not a
+    positive integer.
     """
 
-    def sample(self, x, y):
-        raise NotImplementedError
+    case: str = "a"
+    k: int = 1
+    l: int = 1
 
-    def field(self, mesh: TriMesh) -> NodalField:
-        """Default realization: L2 projection onto V_h, once per mesh."""
-        realized = mesh._memo.setdefault("initial_data", weakref.WeakKeyDictionary())
-        values = realized.get(self)
-        if values is None:
-            values = realized[self] = l2_project(mesh, self.sample).values
-        return NodalField(mesh, values.copy())
-
-
-class CaseAInitialData(InitialData):
-    """u0(x, y) = x y (1-x) (1-y), a smooth bump vanishing on the boundary."""
+    def __post_init__(self):
+        if self.case not in ("a", "b", "mode"):
+            raise ValueError(f"unknown case {self.case!r}")
+        object.__setattr__(self, "k", _count("k", self.k))
+        object.__setattr__(self, "l", _count("l", self.l))
 
     def sample(self, x, y):
-        return x * y * (1.0 - x) * (1.0 - y)
-
-
-class CaseBInitialData(InitialData):
-    """u0 = indicator of (0, 1/2] x (0, 1); discontinuity along x = 1/2."""
-
-    def sample(self, x, y):
-        return np.where(np.asarray(x, dtype=float) <= 0.5, 1.0, 0.0)
-
-
-class SingleModeInitialData(InitialData):
-    """u0 = sin(k pi x) sin(l pi y), realized as its nodal interpolant.
-
-    Interpolation (rather than projection) keeps the discrete data exactly
-    proportional to a discrete eigenvector on the symmetric family, which
-    is what the scalar mode-reduction checks rely on.
-    """
-
-    def __init__(self, k: int = 1, l: int = 1):
-        self.k = int(k)
-        self.l = int(l)
-
-    def sample(self, x, y):
+        if self.case == "a":
+            return x * y * (1.0 - x) * (1.0 - y)
+        if self.case == "b":
+            return np.where(np.asarray(x, dtype=float) <= 0.5, 1.0, 0.0)
         return np.sin(self.k * np.pi * x) * np.sin(self.l * np.pi * y)
 
     def field(self, mesh: TriMesh) -> NodalField:
-        fld = NodalField.interpolate(mesh, self.sample)
-        vals = fld.values.copy()
-        vals[mesh.boundary_mask] = 0.0
-        return NodalField(mesh, vals)
+        """u0 in V_h, memoized on the mesh under the value, so equal data are
+        realized once per mesh.
 
-
-def initial_data_for_case(case: str) -> InitialData:
-    if case == "a":
-        return CaseAInitialData()
-    if case == "b":
-        return CaseBInitialData()
-    if case == "mode":
-        return SingleModeInitialData(1, 1)
-    raise ValueError(f"unknown problem case {case!r}")
+        Cases "a" and "b" are L2-projected.  A mode is interpolated at the
+        nodes with its boundary values set to zero, which keeps it exactly
+        proportional to a discrete eigenvector on the symmetric family, as
+        the scalar mode-reduction checks rely on.
+        """
+        values = mesh._memo.get(self)
+        if values is None:
+            if self.case == "mode":
+                values = np.where(mesh.boundary_mask, 0.0, self.sample(*mesh.nodes.T))
+            else:
+                values = l2_project(mesh, self.sample).values
+            mesh._memo[self] = values
+        return NodalField(mesh, values.copy())
 
 
 # The range of each number of a ProblemSpec, as a bound of ``mesh._real``.
@@ -361,14 +338,15 @@ class ProblemSpec:
     """Continuous problem data for d_t u - (1 + gamma d_t^alpha) Lap u = f(u).
 
     alpha lies in (0, 1), gamma and T are > 0 (all three stored as floats),
-    and the Lipschitz constant of f is a finite number >= 0.
+    and the Lipschitz constant of f is a finite number >= 0.  The initial
+    data default to the smooth bump, ``InitialData("a")``.
     """
 
     alpha: float
     gamma: float
     T: float
     nonlinearity: Nonlinearity = field(default_factory=sqrt_one_plus_u2)
-    initial_data: InitialData = field(default_factory=CaseAInitialData)
+    initial_data: InitialData = InitialData()
 
     def __post_init__(self):
         for name, bound in _PROBLEM_BOUNDS.items():

@@ -60,8 +60,8 @@ class TriMesh:
     h : maximum triangle diameter.
     x_breaks, y_breaks : grid lines of the underlying tensor layout.
 
-    The private ``_memo`` dict holds read-only operators and data derived
-    from the mesh alone; it is filled on first use by ``fem_assembly``.
+    The private ``_memo`` dict holds the read-only operators of the mesh
+    and its realized initial data; ``fem_assembly`` fills it on first use.
     """
 
     nodes: FloatArray
@@ -74,8 +74,9 @@ class TriMesh:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __getstate__(self):
-        # the memo only caches derived data, and may hold weak references,
-        # which cannot be pickled: a copy starts without it
+        # the memo only caches derived data, and a copy starts without it:
+        # unpickled arrays come back writeable, so a copied operator would
+        # lose the read-only guarantee of fem_assembly.mesh_operator
         return {**self.__dict__, "_memo": {}}
 
     @property
@@ -182,8 +183,12 @@ def _real(name: str, value, bound: str = "") -> float:
     """``value`` as a float; ValueError naming ``name`` unless it is a finite
     real number in ``bound`` (a key of ``_BOUNDS``), such as not nan, inf,
     True or "1"."""
-    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value) and _BOUNDS[bound](value)):
+    try:
+        ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+              and math.isfinite(value) and _BOUNDS[bound](value))
+    except OverflowError:  # an int too large for a float is not finite
+        ok = False
+    if not ok:
         raise ValueError(f"{name} must be a finite number {bound}".rstrip()
                          + f", got {value!r}")
     return float(value)
@@ -245,13 +250,16 @@ def evaluate_p1(mesh: TriMesh, field, points) -> np.ndarray | float:
 
     ``field`` may be a full-length nodal value array or any object with a
     ``values`` attribute holding one.  ``points`` is an (n, 2) array or a
-    single (x, y) pair.  Points on shared edges are resolved to either
+    single (x, y) pair; any other shape raises ValueError.  Points on shared edges are resolved to either
     neighbor; the interpolant is continuous so the value is the same.  A
     point farther than ``_DOMAIN_TOL`` outside the square, or with a NaN
     coordinate, raises :class:`OutOfDomainError`.
     """
     values = _nodal_values(mesh, field)
     pts = np.asarray(points, dtype=float)
+    if pts.ndim not in (1, 2) or pts.shape[-1] != 2:
+        raise ValueError("points must be an (n, 2) array or one (x, y) pair, "
+                         f"got shape {pts.shape}")
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
     x = pts[:, 0]

@@ -413,7 +413,9 @@ def _series_inverse(a: np.ndarray) -> np.ndarray:
 
 
 def laplacian_eigenvalue(k: int, l: int) -> float:
-    """Dirichlet Laplacian eigenvalue (k^2 + l^2) pi^2 on the unit square."""
+    """Dirichlet Laplacian eigenvalue (k^2 + l^2) pi^2 on the unit square;
+    ValueError unless k and l are positive integers."""
+    k, l = _count("k", k), _count("l", l)
     return float((k * k + l * l) * np.pi**2)
 
 
@@ -422,9 +424,10 @@ def linear_exact_solution(modes, t: float, alpha: float, gamma: float):
 
     ``modes`` is an iterable of (k, l, coefficient) with coefficients taken
     against the orthonormal eigenfunctions phi_kl = 2 sin(k pi x) sin(l pi y).
-    Returns a vectorized callable on the closed square.
+    Returns a vectorized callable on the closed square.  Each k and l must
+    be a positive integer.
     """
-    modes = [(int(k), int(l), float(c)) for k, l, c in modes]
+    modes = [(_count("k", k), _count("l", l), float(c)) for k, l, c in modes]
     if not modes:
         raise ValueError("need at least one mode")
     lams = np.array([laplacian_eigenvalue(k, l) for k, l, _ in modes])

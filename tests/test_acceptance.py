@@ -25,10 +25,9 @@ import pytest
 
 from frstokes.mesh import build_nonsymmetric_mesh, build_symmetric_mesh
 from frstokes.fem_assembly import (
-    CaseBInitialData,
+    InitialData,
     NodalField,
     ProblemSpec,
-    SingleModeInitialData,
     assemble_lumped_mass,
     assemble_mass,
     assemble_stiffness,
@@ -135,7 +134,7 @@ def _rough_data_transient():
     """
     M = 32
     mesh = build_symmetric_mesh(M)
-    data = CaseBInitialData()
+    data = InitialData("b")
     prob = ProblemSpec(alpha=0.25, gamma=1.0, T=1.0,
                        nonlinearity=zero_source(), initial_data=data)
     idx = mesh.interior_nodes
@@ -258,7 +257,7 @@ def test_6_single_mode_oracle_equivalence():
     M, N = 16, 64
     mesh = build_symmetric_mesh(M)
     prob = ProblemSpec(alpha=0.5, gamma=1.0, T=1.0, nonlinearity=zero_source(),
-                       initial_data=SingleModeInitialData(1, 1))
+                       initial_data=InitialData("mode"))
     traj = step_linearized(SchemeConfig(variant="lumped-linearized", N=N,
                                         snapshot_stride=1), prob, mesh)
     lam_h = 8.0 * M * M * np.sin(np.pi / (2 * M)) ** 2

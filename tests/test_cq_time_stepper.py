@@ -27,11 +27,9 @@ from frstokes.cq_time_stepper import (
     _SOE_NEAR,
 )
 from frstokes.fem_assembly import (
-    CaseAInitialData,
+    InitialData,
     ProblemSpec,
     Nonlinearity,
-    SingleModeInitialData,
-    initial_data_for_case,
     assemble_lumped_mass,
     assemble_mass,
     assemble_stiffness,
@@ -241,7 +239,7 @@ def test_linearized_matches_double_sum_on_mesh(variant, source_lumping):
     mesh = build_symmetric_mesh(4)
     problem = ProblemSpec(alpha=0.4, gamma=0.7, T=0.5,
                           nonlinearity=sqrt_one_plus_u2(),
-                          initial_data=CaseAInitialData())
+                          initial_data=InitialData())
     cfg = SchemeConfig(variant=variant, N=6, source_lumping=source_lumping,
                        snapshot_stride=1)
     traj = step_linearized(cfg, problem, mesh)
@@ -261,7 +259,7 @@ def test_implicit_matches_double_sum_fixed_point(monkeypatch):
     mesh = build_symmetric_mesh(4)
     problem = ProblemSpec(alpha=0.6, gamma=1.3, T=0.5,
                           nonlinearity=sqrt_one_plus_u2(),
-                          initial_data=CaseAInitialData())
+                          initial_data=InitialData())
     cfg = SchemeConfig(variant="galerkin-implicit", N=6, snapshot_stride=1)
     traj = step_implicit(cfg, problem, mesh)
 
@@ -317,7 +315,7 @@ def test_implicit_factors_step_matrix_once_per_run(monkeypatch):
     mesh = build_symmetric_mesh(6)
     problem = ProblemSpec(alpha=0.5, gamma=1.0, T=1.0,
                           nonlinearity=sqrt_one_plus_u2(),
-                          initial_data=CaseAInitialData())
+                          initial_data=InitialData())
     N = 8
     step_implicit(SchemeConfig(variant="galerkin-implicit", N=N), problem, mesh)
     assert factorizations == [mesh.n_interior]
@@ -333,7 +331,7 @@ def test_extrapolated_start_saves_picard_solves(monkeypatch):
     mesh = build_symmetric_mesh(16)
     problem = ProblemSpec(alpha=0.5, gamma=1.0, T=1.0,
                           nonlinearity=sqrt_one_plus_u2(),
-                          initial_data=CaseAInitialData())
+                          initial_data=InitialData())
     N = 200
     step_implicit(SchemeConfig(variant="galerkin-implicit", N=N), problem, mesh)
     assert factorizations == [mesh.n_interior]
@@ -383,14 +381,14 @@ def test_lumped_single_mode_reduces_to_scalar_recursion():
     lam_h = 4.0 * M**2 * (np.sin(k * np.pi / (2 * M)) ** 2
                           + np.sin(l * np.pi / (2 * M)) ** 2)
     # the interpolated mode is a joint eigenvector: A phi = lam_h D phi
-    phi = SingleModeInitialData(k, l).field(mesh).interior()
+    phi = InitialData("mode", k, l).field(mesh).interior()
     A = assemble_stiffness(mesh)
     D = assemble_lumped_mass(mesh)
     assert np.allclose(A @ phi, lam_h * (D @ phi), atol=1e-11)
 
     problem = ProblemSpec(alpha=0.5, gamma=1.0, T=1.0,
                           nonlinearity=zero_source(),
-                          initial_data=SingleModeInitialData(k, l))
+                          initial_data=InitialData("mode", k, l))
     cfg = SchemeConfig(variant="lumped-linearized", N=16, snapshot_stride=1)
     traj = step_linearized(cfg, problem, mesh)
     scalar = brute_force_history(lam_h, 1.0, 1.0, 0.5, 1.0, 1.0 / 16, 16)[:, 0]
@@ -402,7 +400,7 @@ def test_snapshot_bookkeeping():
     mesh = build_symmetric_mesh(4)
     problem = ProblemSpec(alpha=0.5, gamma=1.0, T=1.0,
                           nonlinearity=sqrt_one_plus_u2(),
-                          initial_data=CaseAInitialData())
+                          initial_data=InitialData())
     traj = step_linearized(SchemeConfig(variant="lumped-linearized", N=250),
                            problem, mesh)
     # default stride ceil(N/100) = 3, first and last always kept
@@ -459,7 +457,7 @@ def test_variant_dispatch_guards():
     mesh = build_symmetric_mesh(2)
     problem = ProblemSpec(alpha=0.5, gamma=1.0, T=1.0,
                           nonlinearity=sqrt_one_plus_u2(),
-                          initial_data=CaseAInitialData())
+                          initial_data=InitialData())
     with pytest.raises(ValueError):
         step_linearized(SchemeConfig(variant="galerkin-implicit", N=2), problem, mesh)
     with pytest.raises(ValueError):
@@ -468,7 +466,7 @@ def test_variant_dispatch_guards():
 
 def test_implicit_equals_linearized_for_zero_source():
     mesh = build_symmetric_mesh(6)
-    kw = dict(alpha=0.3, gamma=2.0, T=1.0, initial_data=CaseAInitialData())
+    kw = dict(alpha=0.3, gamma=2.0, T=1.0, initial_data=InitialData())
     lin = step_linearized(
         SchemeConfig(variant="galerkin-linearized", N=8, snapshot_stride=1),
         ProblemSpec(nonlinearity=zero_source(), **kw), mesh)
@@ -482,7 +480,7 @@ def test_implicit_linearized_gap_shrinks_first_order():
     mesh = build_symmetric_mesh(8)
     gaps = []
     for N in (8, 16, 32):
-        kw = dict(alpha=0.5, gamma=1.0, T=1.0, initial_data=CaseAInitialData(),
+        kw = dict(alpha=0.5, gamma=1.0, T=1.0, initial_data=InitialData(),
                   nonlinearity=sqrt_one_plus_u2())
         lin = step_linearized(
             SchemeConfig(variant="galerkin-linearized", N=N), ProblemSpec(**kw), mesh)
@@ -498,7 +496,7 @@ def test_implicit_picard_failure_raises_after_warning():
     mesh = build_symmetric_mesh(4)
     stiff = Nonlinearity(fn=lambda u: 400.0 * u, lipschitz=400.0, name="stiff")
     problem = ProblemSpec(alpha=0.25, gamma=1.0, T=1.0,
-                          nonlinearity=stiff, initial_data=CaseAInitialData())
+                          nonlinearity=stiff, initial_data=InitialData())
     cfg = SchemeConfig(variant="galerkin-implicit", N=100)
     with pytest.warns(RuntimeWarning, match="may not contract"):
         with pytest.raises(PicardConvergenceError) as err:
@@ -517,7 +515,7 @@ def nan_at_call(k):
 
     problem = ProblemSpec(alpha=0.5, gamma=1.0, T=1.0,
                           nonlinearity=Nonlinearity(fn, 1.0, "nan at call k"),
-                          initial_data=CaseAInitialData())
+                          initial_data=InitialData())
     return problem, finite
 
 
@@ -562,7 +560,7 @@ def test_trajectory_stays_bounded():
     mesh = build_symmetric_mesh(8)
     problem = ProblemSpec(alpha=0.5, gamma=1.0, T=1.0,
                           nonlinearity=sqrt_one_plus_u2(),
-                          initial_data=CaseAInitialData())
+                          initial_data=InitialData())
     traj = step_linearized(
         SchemeConfig(variant="lumped-linearized", N=20, snapshot_stride=1),
         problem, mesh)
@@ -646,7 +644,7 @@ def test_long_run_matches_direct_history_sum(variant, N):
     mesh = build_symmetric_mesh(8)
     problem = ProblemSpec(alpha=0.5, gamma=1.0, T=1.0,
                           nonlinearity=sqrt_one_plus_u2(),
-                          initial_data=CaseAInitialData())
+                          initial_data=InitialData())
     A, W, u0, source = stepper_inputs(mesh, problem, variant)
     args = (A, W, u0, problem.alpha, problem.gamma, 1.0 / N, N)
     kw = dict(load=source, implicit=variant == "galerkin-implicit")
@@ -659,7 +657,7 @@ def test_history_memory_does_not_grow_with_steps():
     mesh = build_symmetric_mesh(16)
     problem = ProblemSpec(alpha=0.5, gamma=1.0, T=1.0,
                           nonlinearity=sqrt_one_plus_u2(),
-                          initial_data=CaseAInitialData())
+                          initial_data=InitialData())
     peaks = []
     for N in (2000, 20000):
         config = SchemeConfig(variant="lumped-linearized", N=N)
@@ -728,7 +726,7 @@ def test_interior_source_matches_full_vector_source(family, case, lumped):
     mesh = FAMILIES[family](8)
     problem = ProblemSpec(alpha=0.5, gamma=1.0, T=1.0,
                           nonlinearity=sqrt_one_plus_u2(),
-                          initial_data=initial_data_for_case(case))
+                          initial_data=InitialData(case))
     v = problem.initial_data.field(mesh).interior()
     got = _source_builder(mesh, problem, lumped)(v)
     want = full_vector_source(mesh, problem, lumped)(v)
@@ -748,7 +746,7 @@ def test_source_evaluation_calls_f_once(monkeypatch, lumped):
     mesh = build_symmetric_mesh(6)
     problem = ProblemSpec(alpha=0.5, gamma=1.0, T=1.0,
                           nonlinearity=sqrt_one_plus_u2(),
-                          initial_data=CaseAInitialData())
+                          initial_data=InitialData())
     source = _source_builder(mesh, problem, lumped)
     v = problem.initial_data.field(mesh).interior()
     calls.clear()
@@ -773,7 +771,7 @@ def test_rhs_matrix_equals_hstack(monkeypatch, family, source):
     mesh = FAMILIES[family](8)
     problem = ProblemSpec(alpha=0.5, gamma=1.0, T=1.0,
                           nonlinearity=sqrt_one_plus_u2(),
-                          initial_data=CaseAInitialData())
+                          initial_data=InitialData())
     variant = "lumped-linearized" if source == "lumped" else "galerkin-linearized"
     A, W, u0, _ = stepper_inputs(mesh, problem, variant)
     load = None if source == "zero" else _source_builder(mesh, problem,
@@ -797,7 +795,7 @@ def test_block_boundaries_match_direct_history_sum(source, N):
     mesh = build_symmetric_mesh(6)
     problem = ProblemSpec(alpha=0.5, gamma=1.0, T=1.0,
                           nonlinearity=sqrt_one_plus_u2(),
-                          initial_data=CaseAInitialData())
+                          initial_data=InitialData())
     variant = "lumped-linearized" if source == "lumped" else "galerkin-linearized"
     A, W, u0, load = stepper_inputs(mesh, problem, variant)
     if source == "lumped":
@@ -826,7 +824,7 @@ def test_linearized_run_calls_f_once_per_accepted_state(monkeypatch, variant, lu
     mesh = build_symmetric_mesh(6)
     problem = ProblemSpec(alpha=0.5, gamma=1.0, T=1.0,
                           nonlinearity=sqrt_one_plus_u2(),
-                          initial_data=CaseAInitialData())
+                          initial_data=InitialData())
     step_linearized(SchemeConfig(variant=variant, N=N, source_lumping=lumped),
                     problem, mesh)
     interior = [(mesh.n_interior,)] * N

@@ -1,4 +1,3 @@
-import gc
 from math import factorial
 
 import numpy as np
@@ -8,17 +7,13 @@ import scipy.sparse as sp
 from frstokes.fem_assembly import (
     _QUAD_BARY,
     _QUAD_WEIGHTS,
-    CaseAInitialData,
-    CaseBInitialData,
     InitialData,
     NodalField,
     Nonlinearity,
     ProblemSpec,
-    SingleModeInitialData,
     assemble_lumped_mass,
     assemble_mass,
     assemble_stiffness,
-    initial_data_for_case,
     l2_error_vs_function,
     l2_error_vs_reference,
     l2_norm,
@@ -184,7 +179,7 @@ def test_indicator_load_center_node_exact():
     # {x <= 1/2}, each contributing |K|/3 = 1/24, so the load is 1/8.
     # x = 1/2 is a mesh line, hence the interior-point rule is exact.
     mesh = build_symmetric_mesh(2)
-    chi = CaseBInitialData()
+    chi = InitialData("b")
     b = load_vector(mesh, chi.sample)
     center = mesh.interior_nodes[0]
     assert b[center] == pytest.approx(1.0 / 8.0, abs=1e-16)
@@ -315,19 +310,26 @@ def test_sqrt_nonlinearity_properties():
 
 
 def test_initial_data_samples():
-    a = CaseAInitialData()
+    a = InitialData()
     assert a.sample(0.5, 0.5) == pytest.approx(1.0 / 16.0)
     assert a.sample(0.0, 0.7) == 0.0
-    b = CaseBInitialData()
+    b = InitialData("b")
     x = np.array([0.1, 0.5, 0.500001, 0.9])
     assert np.array_equal(b.sample(x, x), [1.0, 1.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        initial_data_for_case("c")
+    with pytest.raises(ValueError, match="^unknown case 'c'$"):
+        InitialData("c")
+    # a fractional or boolean mode number is not rounded into another mode,
+    # and mode (0, 1) is not the zero function
+    for k, l in ((2.7, 1), (1, True), (0, 1), (1, -2), ("2", 1)):
+        with pytest.raises(ValueError, match="^[kl] must be a positive integer"):
+            InitialData("mode", k, l)
+    data = InitialData("mode", np.int64(2), 3)
+    assert data == InitialData("mode", 2, 3) and type(data.k) is int
 
 
 def test_projection_close_to_smooth_initial_data():
     mesh = build_symmetric_mesh(16)
-    a = CaseAInitialData()
+    a = InitialData()
     fld = a.field(mesh)
     # projection error of a smooth function is O(h^2); crude ceiling
     assert l2_error_vs_function(mesh, fld, a.sample) < 5e-4
@@ -335,7 +337,7 @@ def test_projection_close_to_smooth_initial_data():
 
 def test_single_mode_field_is_nodal_interpolant():
     mesh = build_symmetric_mesh(8)
-    data = SingleModeInitialData(2, 3)
+    data = InitialData("mode", 2, 3)
     fld = data.field(mesh)
     assert np.all(fld.values[mesh.boundary_mask] == 0.0)
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
@@ -363,7 +365,7 @@ def test_mesh_operator_is_memoized_fresh_assembly(kind, full):
         mesh_operator(mesh, "advection")
 
 
-def test_initial_data_projected_once_per_object_and_mesh(monkeypatch):
+def test_initial_data_projected_once_per_value_and_mesh(monkeypatch):
     from frstokes import fem_assembly
 
     project = fem_assembly.l2_project
@@ -375,12 +377,18 @@ def test_initial_data_projected_once_per_object_and_mesh(monkeypatch):
 
     monkeypatch.setattr(fem_assembly, "l2_project", counting)
     mesh = build_symmetric_mesh(8)
-    a = CaseAInitialData()
+    a = InitialData()
     first = a.field(mesh)
     first.values[:] = 7.0  # a caller's copy; the memo is untouched
     second = a.field(mesh)
     assert len(calls) == 1
     assert np.array_equal(second.values, project(mesh, a.sample).values)
+    # equal data share one entry: three default problems project once
+    for _ in range(3):
+        ProblemSpec(0.5, 1.0, 1.0).initial_data.field(mesh)
+    assert len(calls) == 1
+    InitialData("mode").field(mesh)  # interpolated, never projected
+    assert len(calls) == 1
 
     # two functions: two entries, two projections
     class XY(InitialData):
@@ -394,25 +402,20 @@ def test_initial_data_projected_once_per_object_and_mesh(monkeypatch):
     xy, xxy = XY(), XXY()
     assert not np.array_equal(xy.field(mesh).values, xxy.field(mesh).values)
     assert len(calls) == 3
-    # another mesh is another entry; an entry goes with its data object
-    CaseAInitialData().field(mesh)
+    # another mesh is another entry
     a.field(build_symmetric_mesh(8))
-    assert len(calls) == 5
-    held = len(mesh._memo["initial_data"])
-    del xxy
-    gc.collect()
-    assert len(mesh._memo["initial_data"]) == held - 1
+    assert len(calls) == 4
 
 
 def test_problem_spec_validation():
     ok = ProblemSpec(alpha=0.5, gamma=1.0, T=1.0,
                      nonlinearity=sqrt_one_plus_u2(),
-                     initial_data=CaseAInitialData())
+                     initial_data=InitialData())
     assert ok.alpha == 0.5
     for bad in (dict(alpha=0.0), dict(alpha=1.0), dict(gamma=-0.1), dict(T=0.0)):
         kw = dict(alpha=0.5, gamma=1.0, T=1.0,
                   nonlinearity=sqrt_one_plus_u2(),
-                  initial_data=CaseAInitialData())
+                  initial_data=InitialData())
         kw.update(bad)
         with pytest.raises(ValueError):
             ProblemSpec(**kw)

@@ -24,7 +24,7 @@ from frstokes.experiment_harness import (
 )
 from frstokes.cq_time_stepper import SchemeConfig, step_linearized
 from frstokes.fem_assembly import (
-    CaseAInitialData,
+    InitialData,
     ProblemSpec,
     assemble_mass,
     assemble_stiffness,
@@ -293,7 +293,7 @@ def test_temporal_study_builds_mesh_and_operators_once(monkeypatch):
 
     # every field and error is bitwise that of fresh meshes and operators
     fresh = build_symmetric_mesh(12)
-    problem = ProblemSpec(alpha=0.5, gamma=1.0, T=1.0, initial_data=CaseAInitialData())
+    problem = ProblemSpec(alpha=0.5, gamma=1.0, T=1.0, initial_data=InitialData())
 
     def fresh_final(N):
         config = SchemeConfig(variant="galerkin-linearized", N=N, snapshot_stride=N)

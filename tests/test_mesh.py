@@ -6,7 +6,7 @@ import pytest
 
 from frstokes.cq_time_stepper import SchemeConfig, cq_weights
 from frstokes.experiment_harness import StudyConfig
-from frstokes.fem_assembly import CaseAInitialData, Nonlinearity, ProblemSpec
+from frstokes.fem_assembly import InitialData, Nonlinearity, ProblemSpec
 from frstokes.mesh import (
     OutOfDomainError,
     build_nonsymmetric_mesh,
@@ -164,6 +164,15 @@ def test_evaluate_p1_rejects_non_finite_points(point):
         evaluate_p1(mesh, np.zeros(mesh.n_nodes), point)
 
 
+@pytest.mark.parametrize("points", [(0.5, 0.5, 7.0), [[0.5], [0.25]], 0.5,
+                                    np.full((2, 2, 2), 0.5)])
+def test_evaluate_p1_rejects_points_that_are_not_pairs(points):
+    # a third coordinate was ignored, and one coordinate ran into an IndexError
+    mesh = build_symmetric_mesh(4)
+    with pytest.raises(ValueError, match=r"^points must be an \(n, 2\) array"):
+        evaluate_p1(mesh, np.ones(mesh.n_nodes), points)
+
+
 def test_mesh_text_format():
     mesh = build_symmetric_mesh(1)
     text = format_mesh_text(mesh)
@@ -182,15 +191,19 @@ def test_mesh_arrays_are_immutable():
 
 
 def test_mesh_pickles_without_its_memo():
-    from frstokes.fem_assembly import CaseAInitialData, mesh_operator
+    from frstokes.fem_assembly import mesh_operator
 
     mesh = build_symmetric_mesh(4)
     mass = mesh_operator(mesh, "mass")
-    CaseAInitialData().field(mesh)  # the memo now holds weak references
+    InitialData().field(mesh)
     copy = pickle.loads(pickle.dumps(mesh))
     assert np.array_equal(copy.nodes, mesh.nodes) and copy.family == mesh.family
     assert copy._memo == {}
-    assert np.array_equal(mesh_operator(copy, "mass").toarray(), mass.toarray())
+    copied = mesh_operator(copy, "mass")
+    assert np.array_equal(copied.toarray(), mass.toarray())
+    # re-memoized in the copy, the operator is read-only as in the original
+    for arr in (copied.data, copied.indices, copied.indptr):
+        assert not arr.flags.writeable
     assert mesh_operator(mesh, "mass") is mass
 
 
@@ -200,7 +213,7 @@ ENTRY_POINTS = {
     "build_symmetric_mesh": (build_symmetric_mesh, "M", 4, np.int64(4)),
     "SchemeConfig": (lambda N: SchemeConfig("lumped-linearized", N), "N", 8, np.int64(8)),
     "ProblemSpec": (lambda gamma: ProblemSpec(0.5, gamma, 1.0, Nonlinearity(np.sin, 1.0),
-                                              CaseAInitialData()),
+                                              InitialData()),
                     "gamma", 2.0, np.float64(2.0)),
     "StudyConfig": (lambda T: StudyConfig(T=T), "T", 0.5, np.float32(0.5)),
     "cq_weights": (lambda beta: cq_weights(beta, 6), "beta", 0.25, np.float32(0.25)),
@@ -214,9 +227,11 @@ ENTRY_POINTS = {
 def test_every_entry_point_takes_the_same_numbers(entry):
     # each boundary checks its numbers with the rules of mesh.py: a numpy
     # scalar gives what the Python number gives, down to the stored types,
-    # and a bool, a string or nan is rejected with a message naming it
+    # and a bool, a string or nan (or, for a real, an int too large for a
+    # float) is rejected with a message naming it
     call, name, plain, scalar = ENTRY_POINTS[entry]
     assert pickle.dumps(call(scalar)) == pickle.dumps(call(plain))
-    for bad in (True, "1", math.nan):
+    huge = [10**400] if isinstance(plain, float) else []
+    for bad in (True, "1", math.nan, *huge):
         with pytest.raises(ValueError, match=f"^{name} must be "):
             call(bad)

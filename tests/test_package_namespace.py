@@ -22,10 +22,9 @@ PUBLIC = {
         "solve_final",
     ),
     "fem_assembly": (
-        "CaseAInitialData", "CaseBInitialData", "InitialData",
-        "NodalField", "Nonlinearity", "ProblemSpec", "SingleModeInitialData",
+        "InitialData", "NodalField", "Nonlinearity", "ProblemSpec",
         "assemble_lumped_mass", "assemble_mass", "assemble_stiffness",
-        "initial_data_for_case", "l2_error_vs_function", "l2_error_vs_reference",
+        "l2_error_vs_function", "l2_error_vs_reference",
         "l2_norm", "l2_project", "load_vector", "mesh_operator",
         "sqrt_one_plus_u2", "zero_source",
     ),
@@ -44,7 +43,7 @@ NAMES = sorted([*PUBLIC, *(n for names in PUBLIC.values() for n in names)])
 
 
 def test_all_lists_the_public_names():
-    assert len(NAMES) == 57
+    assert len(NAMES) == 53
     assert frstokes.__all__ == NAMES
 
 

@@ -718,6 +718,16 @@ def test_laplacian_eigenvalues():
     assert laplacian_eigenvalue(2, 3) == pytest.approx(13.0 * np.pi**2, rel=1e-15)
 
 
+@pytest.mark.parametrize("k,l", [(1.5, 1), (1, 0), (True, 1), (1, "2")])
+def test_mode_numbers_are_counts(k, l):
+    # mode (1.5, 1) was evaluated as mode (1, 1)
+    with pytest.raises(ValueError, match="^[kl] must be a positive integer"):
+        laplacian_eigenvalue(k, l)
+    with pytest.raises(ValueError, match="^[kl] must be a positive integer"):
+        linear_exact_solution([(k, l, 0.5)], 0.5, 0.5, 1.0)
+    assert laplacian_eigenvalue(np.int64(2), 3) == laplacian_eigenvalue(2, 3)
+
+
 def test_linear_exact_solution_single_mode():
     t, alpha, gamma = 0.5, 0.5, 1.0
     fn = linear_exact_solution([(1, 1, 0.5)], t, alpha, gamma)
