@@ -18,13 +18,13 @@ for variant in ("galerkin-linearized", "lumped-linearized"):
     traj = step_linearized(SchemeConfig(variant=variant, N=64), prob, mesh)
     runs[variant] = traj
     fin = traj.final()
-    mid = fin.values[mesh.n_nodes // 2]
+    mid = fin[mesh.n_nodes // 2]
     print(f"{variant}: final |u|_L2 = {l2_norm(mesh, fin):.8f}, "
           f"center value = {mid:.8f}, "
           f"{len(traj.steps)} snapshots kept")
 
-gap = np.max(np.abs(runs["galerkin-linearized"].final().values
-                    - runs["lumped-linearized"].final().values))
+gap = np.max(np.abs(runs["galerkin-linearized"].final()
+                    - runs["lumped-linearized"].final()))
 print(f"\nmax nodal gap between mass treatments: {gap:.3e}")
 print("(the gap shrinks at second order under mesh refinement; see the")
 print(" lumping-gap study in the experiment harness)")

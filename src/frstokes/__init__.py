@@ -32,7 +32,7 @@ _EXPORTS = {
         "solve_final",
     ),
     "fem_assembly": (
-        "InitialData", "NodalField", "Nonlinearity", "ProblemSpec",
+        "InitialData", "Nonlinearity", "ProblemSpec",
         "assemble_lumped_mass", "assemble_mass", "assemble_stiffness",
         "l2_error_vs_function", "l2_error_vs_reference",
         "l2_norm", "l2_project", "load_vector", "mesh_operator",

@@ -139,7 +139,7 @@ def _cmd_run(args) -> int:
     mesh, final = harness.solve_final(harness.Run(
         cfg.case, alpha, cfg.gamma, cfg.T, cfg.family, M, N, cfg.scheme, cfg.source_lumping))
     if args.out:  # before the summary, so a failed write prints nothing
-        lines = [f"{i} {v:.17g}" for i, v in enumerate(final.values)]
+        lines = [f"{i} {v:.17g}" for i, v in enumerate(final)]
         _write("\n".join(lines) + "\n", args.out)
     print(f"family={mesh.family} N={N} alpha={alpha} "
           f"case={cfg.case} scheme={cfg.scheme}")

@@ -81,7 +81,7 @@ import numpy as np
 import numpy.typing as npt
 import scipy.sparse as sp
 
-from .fem_assembly import NodalField, Nonlinearity, ProblemSpec, mesh_operator
+from .fem_assembly import Nonlinearity, ProblemSpec, mesh_operator
 from .mesh import TriMesh, _count, _flag, _is_count, _real
 from .sparse_linalg import CompositeOperator
 
@@ -176,15 +176,15 @@ class SchemeConfig:
 class Trajectory:
     """Stored snapshots of a run; snapshot 0 is U^0, the last is U^N."""
 
-    mesh: TriMesh
     times: npt.NDArray[np.float64]
     steps: npt.NDArray[np.int64]
     values: npt.NDArray[np.float64]  # (len(times), n_nodes)
     N: int
     tau: float
 
-    def final(self) -> NodalField:
-        return NodalField(self.mesh, self.values[-1].copy())
+    def final(self) -> npt.NDArray[np.float64]:
+        """A fresh copy of U^N, one value per mesh node."""
+        return self.values[-1].copy()
 
 
 def _snapshot_steps(N: int, stride: int | None) -> np.ndarray:
@@ -479,13 +479,13 @@ def _solve(config: SchemeConfig, problem: ProblemSpec, mesh: TriMesh) -> Traject
                       else "mass")
     source = _source_builder(mesh, problem, config.source_lumping)
 
-    u0 = problem.initial_data.field(mesh).interior()
+    u0 = problem.initial_data.field(mesh)[mesh.interior_nodes]
     steps = _snapshot_steps(config.N, config.snapshot_stride)
     rows = _advance(A, W, u0, problem.alpha, problem.gamma, tau, config.N, steps,
                     source, implicit=config.variant == "galerkin-implicit")
     values = np.zeros((steps.size, mesh.n_nodes))
     values[:, mesh.interior_nodes] = rows
-    return Trajectory(mesh=mesh, times=steps * tau, steps=steps,
+    return Trajectory(times=steps * tau, steps=steps,
                       values=values, N=config.N, tau=tau)
 
 

@@ -33,7 +33,6 @@ from .cq_time_stepper import SchemeConfig, step_implicit, step_linearized
 from .fem_assembly import (
     _PROBLEM_BOUNDS,
     InitialData,
-    NodalField,
     ProblemSpec,
     l2_error_vs_function,
     l2_error_vs_reference,
@@ -190,14 +189,15 @@ def fit_rate(params, errors) -> float | None:
     """Least-squares slope of log(error) against log(param).
 
     Positive values mean the error decreases under refinement when the
-    parameter is a mesh size or step size.  Fewer than two rows give None.
+    parameter is a mesh size or step size.  Every value must be finite and
+    positive.  Fewer than two rows give None.
     """
     params = np.asarray(params, dtype=float)
     errors = np.asarray(errors, dtype=float)
     if params.size != errors.size:
         raise ValueError("params and errors must have equal length")
-    if np.any(params <= 0) or np.any(errors <= 0):
-        raise ValueError("params and errors must be strictly positive")
+    if not np.all(np.isfinite(params) & np.isfinite(errors) & (params > 0) & (errors > 0)):
+        raise ValueError("params and errors must be finite and strictly positive")
     if params.size < 2:
         return None
     slope = np.polyfit(np.log(params), np.log(errors), 1)[0]
@@ -283,21 +283,22 @@ def _blas_config() -> tuple[str, str]:
     return blas_name, json.dumps(threads, sort_keys=True)
 
 
-def solve_final(run: Run, cache_dir: str | None = None) -> tuple[TriMesh, NodalField]:
-    """Mesh and final-time field of ``run``, cached when possible.
+def solve_final(run: Run, cache_dir: str | None = None) -> tuple[TriMesh, np.ndarray]:
+    """Mesh and final-time nodal values of ``run``, cached when possible.
 
     :class:`SchemeConfig`, the mesh builder and, on a cache miss,
     :class:`ProblemSpec` check the run's values, in that order.  The cache
     key holds every field of the run and :data:`CACHE_FORMAT`.
 
     A cache file is served only when it reads back whole, the key stored
-    in it equals the key of the request and its values fit the mesh; any
-    other file at that path is recomputed and replaced.  Files are written
-    to a temporary name and renamed into place, so an interrupted run
-    never leaves a partial file under the final name.  Each file also
-    records the BLAS library and thread settings it was computed under
-    (entries ``blas`` and ``threads``); reading ignores them, so they
-    neither split the cache nor stop files without them from being served.
+    in it equals the key of the request and its values are one float per
+    mesh node; any other file at that path is recomputed and replaced.
+    Files are written to a temporary name and renamed into place, so an
+    interrupted run never leaves a partial file under the final name.
+    Each file also records the BLAS library and thread settings it was
+    computed under (entries ``blas`` and ``threads``); reading ignores
+    them, so they neither split the cache nor stop files without them from
+    being served.
     A ``cache_dir`` that cannot be made a directory, such as the name of a
     file, raises ``ValueError`` before the solve.  This is the one place
     that picks the stepper for a scheme.
@@ -316,8 +317,9 @@ def solve_final(run: Run, cache_dir: str | None = None) -> tuple[TriMesh, NodalF
         digest = hashlib.sha256(key.encode()).hexdigest()
         path = os.path.join(cache_dir, f"run-{digest}.npz")
         values = _read_cached(path, key)
-        if values is not None and values.shape == (mesh.n_nodes,):
-            return mesh, NodalField(mesh, values)
+        if (values is not None and values.shape == (mesh.n_nodes,)
+                and values.dtype == np.float64):
+            return mesh, values
 
     stepper = step_implicit if run.scheme == "galerkin-implicit" else step_linearized
     final = stepper(config, _problem(run.case, run.alpha, run.gamma, run.T), mesh).final()
@@ -326,7 +328,7 @@ def solve_final(run: Run, cache_dir: str | None = None) -> tuple[TriMesh, NodalF
         try:
             blas, threads = _blas_config()
             with open(tmp, "wb") as fh:
-                np.savez(fh, values=final.values, key=np.array(key),
+                np.savez(fh, values=final, key=np.array(key),
                          blas=blas, threads=threads)
             os.replace(tmp, path)
         finally:

@@ -4,13 +4,14 @@ Assembles stiffness, consistent mass and lumped (vertex-quadrature) mass
 matrices as ``scipy.sparse`` CSR matrices (the lumped mass is a diagonal
 one), load vectors by one degree-4 triangle quadrature rule, and the L2
 projection onto the space V_h of continuous piecewise linears vanishing on
-the boundary.  Every L2 measure checks that its nodal vector has one value
-per node.  :func:`mesh_operator` memoizes the assembled operators on
-the mesh, so the runs on one mesh assemble once.  The realization of
-initial data is memoized there too, keyed by the :class:`InitialData`
-value, so equal data are projected once per mesh.  Also defines the
-problem description consumed by the time steppers: fractional order alpha,
-damping gamma, a Lipschitz nonlinearity and the initial data.
+the boundary.  A P1 field is the float array of its values at the mesh
+nodes, and every reader of one checks that it has one value per node.
+:func:`mesh_operator` memoizes the assembled operators on the mesh, so
+the runs on one mesh assemble once.  The realization of initial data is
+memoized there too, keyed by the :class:`InitialData` value, so equal
+data are projected once per mesh.  Also defines the problem description
+consumed by the time steppers: fractional order alpha, damping gamma, a
+Lipschitz nonlinearity and the initial data.
 """
 
 from __future__ import annotations
@@ -21,11 +22,10 @@ import numpy as np
 import numpy.typing as npt
 import scipy.sparse as sp
 
-from .mesh import TriMesh, _count, _nodal_values, _real, evaluate_p1
+from .mesh import TriMesh, _count, _flag, _nodal_values, _real, evaluate_p1
 from .sparse_linalg import cg_solve
 
 __all__ = [
-    "NodalField",
     "assemble_stiffness",
     "assemble_mass",
     "assemble_lumped_mass",
@@ -55,39 +55,6 @@ _B2, _A2, _W2 = 0.445948490915965, 0.108103018168070, 0.223381589678011
 _QUAD_BARY = np.array([[_A1, _B1, _B1], [_B1, _A1, _B1], [_B1, _B1, _A1],
                        [_A2, _B2, _B2], [_B2, _A2, _B2], [_B2, _B2, _A2]])
 _QUAD_WEIGHTS = np.array([_W1, _W1, _W1, _W2, _W2, _W2])
-
-
-@dataclass(frozen=True)
-class NodalField:
-    """Nodal values of a P1 function over all mesh nodes."""
-
-    mesh: TriMesh
-    values: FloatArray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _nodal_values(self.mesh, self.values))
-
-    @classmethod
-    def zeros(cls, mesh: TriMesh) -> "NodalField":
-        return cls(mesh, np.zeros(mesh.n_nodes))
-
-    @classmethod
-    def from_interior(cls, mesh: TriMesh, interior_values) -> "NodalField":
-        """Embed interior coefficients into a full vector, zero trace."""
-        inner = np.asarray(interior_values, dtype=float)
-        if inner.shape != (mesh.n_interior,):
-            raise ValueError(f"{inner.shape[0] if inner.ndim else 0} values for "
-                             f"{mesh.n_interior} interior nodes")
-        vals = np.zeros(mesh.n_nodes)
-        vals[mesh.interior_nodes] = inner
-        return cls(mesh, vals)
-
-    @classmethod
-    def interpolate(cls, mesh: TriMesh, fn) -> "NodalField":
-        return cls(mesh, np.asarray(fn(mesh.nodes[:, 0], mesh.nodes[:, 1]), dtype=float))
-
-    def interior(self) -> FloatArray:
-        return self.values[self.mesh.interior_nodes]
 
 
 def _triangle_geometry(mesh: TriMesh):
@@ -128,6 +95,7 @@ def assemble_stiffness(mesh: TriMesh, full: bool = False) -> sp.csr_matrix:
     Entries that sum to exactly zero (the couplings across the diagonals of
     the right triangles) are not stored, so products with A skip them.
     """
+    full = _flag("full", full)
     areas, grad = _triangle_geometry(mesh)
     local = areas[:, None, None] * np.einsum("tid,tjd->tij", grad, grad)
     mat = _scatter_symmetric(mesh, local)
@@ -137,6 +105,7 @@ def assemble_stiffness(mesh: TriMesh, full: bool = False) -> sp.csr_matrix:
 
 def assemble_mass(mesh: TriMesh, full: bool = False) -> sp.csr_matrix:
     """Consistent mass matrix (v, w); interior DOFs unless ``full``."""
+    full = _flag("full", full)
     areas = mesh.triangle_areas()
     local = areas[:, None, None] * _LOCAL_MASS[None, :, :]
     mat = _scatter_symmetric(mesh, local)
@@ -148,6 +117,7 @@ def assemble_lumped_mass(mesh: TriMesh, full: bool = False) -> sp.csr_matrix:
 
     Row-for-row this equals the row sums of the consistent mass matrix.
     """
+    full = _flag("full", full)
     areas = mesh.triangle_areas()
     diag = np.zeros(mesh.n_nodes)
     np.add.at(diag, mesh.triangles.ravel(), np.repeat(areas / 3.0, 3))
@@ -168,7 +138,8 @@ def mesh_operator(mesh: TriMesh, kind: str, full: bool = False):
     matrix, as ``assemble_*`` does); later requests return the same object,
     whose arrays are read-only.  The memo lives and dies with the mesh.
     """
-    key = (kind, bool(full))
+    full = _flag("full", full)
+    key = (kind, full)
     memo = mesh._memo
     if key not in memo:
         if kind == "lumped_mass":
@@ -206,13 +177,13 @@ def load_vector(mesh: TriMesh, g) -> FloatArray:
     return b
 
 
-def l2_project(mesh: TriMesh, g) -> NodalField:
-    """L2 projection of g onto V_h (boundary values zero)."""
-    if mesh.n_interior == 0:
-        return NodalField.zeros(mesh)
-    b = load_vector(mesh, g)[mesh.interior_nodes]
-    M = mesh_operator(mesh, "mass")
-    return NodalField.from_interior(mesh, cg_solve(M, b))
+def l2_project(mesh: TriMesh, g) -> FloatArray:
+    """Nodal values of the L2 projection of g onto V_h (boundary values zero)."""
+    values = np.zeros(mesh.n_nodes)
+    if mesh.n_interior:
+        b = load_vector(mesh, g)[mesh.interior_nodes]
+        values[mesh.interior_nodes] = cg_solve(mesh_operator(mesh, "mass"), b)
+    return values
 
 
 def l2_norm(mesh: TriMesh, fld) -> float:
@@ -222,8 +193,8 @@ def l2_norm(mesh: TriMesh, fld) -> float:
     return float(np.sqrt(max(vals.dot(M @ vals), 0.0)))
 
 
-def l2_error_vs_reference(coarse: tuple[TriMesh, NodalField],
-                          fine: tuple[TriMesh, NodalField]) -> float:
+def l2_error_vs_reference(coarse: tuple[TriMesh, FloatArray],
+                          fine: tuple[TriMesh, FloatArray]) -> float:
     """L2 distance between a coarse-mesh field and a finer reference.
 
     The coarse P1 function is evaluated at the fine nodes (for the same
@@ -289,8 +260,9 @@ class InitialData:
     * ``"mode"``: sin(k pi x) sin(l pi y), the only case that reads the
       positive integers ``k`` and ``l``.
 
-    Construction rejects any other case and any k or l that is not a
-    positive integer.
+    Construction rejects any other case, any k or l that is not a
+    positive integer, and k or l other than 1 outside ``"mode"``, so that
+    equal functions are equal values.
     """
 
     case: str = "a"
@@ -302,6 +274,9 @@ class InitialData:
             raise ValueError(f"unknown case {self.case!r}")
         object.__setattr__(self, "k", _count("k", self.k))
         object.__setattr__(self, "l", _count("l", self.l))
+        if self.case != "mode" and (self.k, self.l) != (1, 1):
+            raise ValueError(f"k and l apply to case 'mode' only, got k={self.k}, "
+                             f"l={self.l} for case {self.case!r}")
 
     def sample(self, x, y):
         if self.case == "a":
@@ -310,9 +285,9 @@ class InitialData:
             return np.where(np.asarray(x, dtype=float) <= 0.5, 1.0, 0.0)
         return np.sin(self.k * np.pi * x) * np.sin(self.l * np.pi * y)
 
-    def field(self, mesh: TriMesh) -> NodalField:
-        """u0 in V_h, memoized on the mesh under the value, so equal data are
-        realized once per mesh.
+    def field(self, mesh: TriMesh) -> FloatArray:
+        """Nodal values of u0 in V_h, a fresh copy of the realization memoized
+        on the mesh under the value, so equal data are realized once per mesh.
 
         Cases "a" and "b" are L2-projected.  A mode is interpolated at the
         nodes with its boundary values set to zero, which keeps it exactly
@@ -324,9 +299,9 @@ class InitialData:
             if self.case == "mode":
                 values = np.where(mesh.boundary_mask, 0.0, self.sample(*mesh.nodes.T))
             else:
-                values = l2_project(mesh, self.sample).values
+                values = l2_project(mesh, self.sample)
             mesh._memo[self] = values
-        return NodalField(mesh, values.copy())
+        return values.copy()
 
 
 # The range of each number of a ProblemSpec, as a bound of ``mesh._real``.
@@ -338,8 +313,9 @@ class ProblemSpec:
     """Continuous problem data for d_t u - (1 + gamma d_t^alpha) Lap u = f(u).
 
     alpha lies in (0, 1), gamma and T are > 0 (all three stored as floats),
-    and the Lipschitz constant of f is a finite number >= 0.  The initial
-    data default to the smooth bump, ``InitialData("a")``.
+    the source is a :class:`Nonlinearity` whose Lipschitz constant is a
+    finite number >= 0, and the initial data are an :class:`InitialData`,
+    by default the smooth bump ``InitialData("a")``.
     """
 
     alpha: float
@@ -351,4 +327,8 @@ class ProblemSpec:
     def __post_init__(self):
         for name, bound in _PROBLEM_BOUNDS.items():
             object.__setattr__(self, name, _real(name, getattr(self, name), bound))
+        for name, kind in (("nonlinearity", Nonlinearity), ("initial_data", InitialData)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be of type {kind.__name__}, "
+                                 f"got {getattr(self, name)!r}")
         _real("Lipschitz constant", self.nonlinearity.lipschitz, ">= 0")

@@ -235,10 +235,9 @@ def _cell_of(breaks: FloatArray, coord: FloatArray) -> IntArray:
 
 
 def _nodal_values(mesh: TriMesh, field) -> FloatArray:
-    """The nodal vector of ``field`` (an array, or an object with a
-    ``values`` attribute holding one) as floats; ValueError unless it has
+    """The P1 field ``field`` as a float array; ValueError unless it has
     one value per mesh node."""
-    values = np.asarray(getattr(field, "values", field), dtype=float)
+    values = np.asarray(field, dtype=float)
     if values.shape != (mesh.n_nodes,):
         raise ValueError(f"{values.shape[0] if values.ndim else 0} values for "
                          f"{mesh.n_nodes} nodes")
@@ -248,12 +247,12 @@ def _nodal_values(mesh: TriMesh, field) -> FloatArray:
 def evaluate_p1(mesh: TriMesh, field, points) -> np.ndarray | float:
     """Evaluate a P1 nodal field at arbitrary points of the closed square.
 
-    ``field`` may be a full-length nodal value array or any object with a
-    ``values`` attribute holding one.  ``points`` is an (n, 2) array or a
-    single (x, y) pair; any other shape raises ValueError.  Points on shared edges are resolved to either
-    neighbor; the interpolant is continuous so the value is the same.  A
-    point farther than ``_DOMAIN_TOL`` outside the square, or with a NaN
-    coordinate, raises :class:`OutOfDomainError`.
+    ``field`` holds one value per mesh node.  ``points`` is an (n, 2) array
+    or a single (x, y) pair; any other shape raises ValueError.  Points on
+    shared edges are resolved to either neighbor; the interpolant is
+    continuous so the value is the same.  A point farther than
+    ``_DOMAIN_TOL`` outside the square, or with a NaN coordinate, raises
+    :class:`OutOfDomainError`.
     """
     values = _nodal_values(mesh, field)
     pts = np.asarray(points, dtype=float)

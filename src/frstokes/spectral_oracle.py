@@ -43,7 +43,7 @@ import numpy as np
 from numpy.fft import irfft, rfft
 from numpy.polynomial.legendre import leggauss
 
-from .mesh import _count, _real
+from .mesh import _count, _is_count, _real
 
 __all__ = [
     "ContourResolutionError",
@@ -425,9 +425,10 @@ def linear_exact_solution(modes, t: float, alpha: float, gamma: float):
     ``modes`` is an iterable of (k, l, coefficient) with coefficients taken
     against the orthonormal eigenfunctions phi_kl = 2 sin(k pi x) sin(l pi y).
     Returns a vectorized callable on the closed square.  Each k and l must
-    be a positive integer.
+    be a positive integer and each coefficient a finite real number.
     """
-    modes = [(_count("k", k), _count("l", l), float(c)) for k, l, c in modes]
+    modes = [(_count("k", k), _count("l", l), _real("coefficient", c))
+             for k, l, c in modes]
     if not modes:
         raise ValueError("need at least one mode")
     lams = np.array([laplacian_eigenvalue(k, l) for k, l, _ in modes])
@@ -452,14 +453,18 @@ def smoothing_probe(alpha: float, gamma: float, order: int, t_grid,
     """Empirical constant sup over the grids of
     lam^(order/2) * |e_lam(t)| * t^((1-alpha) order / 2).
 
-    ``order`` is the regularity gap p - q in {0, 1, 2}.  For order 0 the
-    probe is just the sup of |e_lam|, expected to stay near 1.
+    ``order`` is the regularity gap p - q, an integer in {0, 1, 2}.  For
+    order 0 the probe is just the sup of |e_lam|, expected to stay near 1.
+    Both grids must be nonempty.
     """
-    if order not in (0, 1, 2):
-        raise ValueError(f"order must be 0, 1 or 2, got {order}")
-    lams = np.asarray(lam_grid, dtype=float)
+    if not _is_count(order, least=0) or order > 2:
+        raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
+    ts, lams = np.asarray(t_grid, dtype=float), np.asarray(lam_grid, dtype=float)
+    for name, grid in (("t_grid", ts), ("lam_grid", lams)):
+        if grid.size == 0:
+            raise ValueError(f"{name} must hold at least one value")
     best = 0.0
-    for t in np.asarray(t_grid, dtype=float):
+    for t in ts:
         vals = np.abs(mode_response_many(lams, float(t), alpha, gamma))
         weighted = lams ** (order / 2.0) * vals * float(t) ** ((1.0 - alpha) * order / 2.0)
         best = max(best, float(weighted.max()))

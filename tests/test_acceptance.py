@@ -26,7 +26,6 @@ import pytest
 from frstokes.mesh import build_nonsymmetric_mesh, build_symmetric_mesh
 from frstokes.fem_assembly import (
     InitialData,
-    NodalField,
     ProblemSpec,
     assemble_lumped_mass,
     assemble_mass,
@@ -138,7 +137,7 @@ def _rough_data_transient():
     prob = ProblemSpec(alpha=0.25, gamma=1.0, T=1.0,
                        nonlinearity=zero_source(), initial_data=data)
     idx = mesh.interior_nodes
-    u0 = data.field(mesh).values
+    u0 = data.field(mesh)
     ks = np.arange(1, M)
     lam1 = 4.0 * M * M * np.sin(ks * np.pi / (2 * M)) ** 2
     lams = (lam1[:, None] + lam1[None, :]).ravel()
@@ -152,7 +151,7 @@ def _rough_data_transient():
     for N in (5, 10, 20, 40, 80):
         fin = step_linearized(SchemeConfig(variant="lumped-linearized", N=N),
                               prob, mesh).final()
-        errs.append(l2_error_vs_reference((mesh, fin), (mesh, NodalField(mesh, exact))))
+        errs.append(l2_error_vs_reference((mesh, fin), (mesh, exact)))
     taus = np.array([1 / 5, 1 / 10, 1 / 20, 1 / 40, 1 / 80])
     rate = float(np.polyfit(np.log(taus), np.log(errs), 1)[0])
     return errs, rate
@@ -262,7 +261,7 @@ def test_6_single_mode_oracle_equivalence():
                                         snapshot_stride=1), prob, mesh)
     lam_h = 8.0 * M * M * np.sin(np.pi / (2 * M)) ** 2
     scal = scalar_cq_response(lam_h, prob.alpha, prob.gamma, prob.T, N)
-    phi = prob.initial_data.field(mesh).values
+    phi = prob.initial_data.field(mesh)
     dev_traj = float(np.max(np.abs(traj.values - scal[:, None] * phi[None, :])))
 
     limit = scalar_cq_response(lam_h, prob.alpha, prob.gamma, prob.T, 100_000)[-1]
@@ -298,7 +297,7 @@ def test_7_running_sums_match_double_sum():
 
     q = cq_weights(1.0 - prob.alpha, N)
     ta = tau ** (1.0 - prob.alpha)
-    hist = [prob.initial_data.field(mesh).values[idx]]
+    hist = [prob.initial_data.field(mesh)[idx]]
     lhs = W + (tau + prob.gamma * ta) * A
     for n in range(1, N + 1):
         plain = sum(hist[j] for j in range(n))

@@ -163,7 +163,7 @@ def test_run_subcommand(tmp_path, capsys):
     lines = field_file.read_text().strip().splitlines()
     assert len(lines) == mesh.n_nodes
     values = np.array([float(l.split()[1]) for l in lines])
-    assert np.allclose(values, want.values, atol=1e-15)
+    assert np.allclose(values, want, atol=1e-15)
 
 
 def test_run_subcommand_json_equivalent(tmp_path, capsys):

@@ -245,7 +245,7 @@ def test_linearized_matches_double_sum_on_mesh(variant, source_lumping):
     traj = step_linearized(cfg, problem, mesh)
 
     A, W, f_apply = variant_matrices(mesh, variant, source_lumping)
-    u0 = problem.initial_data.field(mesh).interior()
+    u0 = problem.initial_data.field(mesh)[mesh.interior_nodes]
     f = problem.nonlinearity
     ref = brute_force_history(A, W, u0, problem.alpha, problem.gamma,
                               0.5 / 6, 6, f=f, f_apply=f_apply)
@@ -264,7 +264,7 @@ def test_implicit_matches_double_sum_fixed_point(monkeypatch):
     traj = step_implicit(cfg, problem, mesh)
 
     A, W, f_apply = variant_matrices(mesh, "galerkin-implicit", False)
-    u0 = problem.initial_data.field(mesh).interior()
+    u0 = problem.initial_data.field(mesh)[mesh.interior_nodes]
     f = problem.nonlinearity
     tau = 0.5 / 6
     q = cq_weights(1.0 - problem.alpha, 6)
@@ -381,7 +381,7 @@ def test_lumped_single_mode_reduces_to_scalar_recursion():
     lam_h = 4.0 * M**2 * (np.sin(k * np.pi / (2 * M)) ** 2
                           + np.sin(l * np.pi / (2 * M)) ** 2)
     # the interpolated mode is a joint eigenvector: A phi = lam_h D phi
-    phi = InitialData("mode", k, l).field(mesh).interior()
+    phi = InitialData("mode", k, l).field(mesh)[mesh.interior_nodes]
     A = assemble_stiffness(mesh)
     D = assemble_lumped_mass(mesh)
     assert np.allclose(A @ phi, lam_h * (D @ phi), atol=1e-11)
@@ -415,9 +415,10 @@ def test_snapshot_bookkeeping():
         problem, mesh)
     assert np.array_equal(full.steps, np.arange(6))
     fld = full.final()
-    assert np.array_equal(fld.values, full.values[-1])
+    assert np.array_equal(fld, full.values[-1])
+    assert not np.shares_memory(fld, full.values)  # a fresh copy
     assert np.array_equal(full.values[0],
-                          problem.initial_data.field(mesh).values)
+                          problem.initial_data.field(mesh))
 
 
 def test_config_validation():
@@ -486,7 +487,7 @@ def test_implicit_linearized_gap_shrinks_first_order():
             SchemeConfig(variant="galerkin-linearized", N=N), ProblemSpec(**kw), mesh)
         imp = step_implicit(
             SchemeConfig(variant="galerkin-implicit", N=N), ProblemSpec(**kw), mesh)
-        gaps.append(l2_norm(mesh, lin.final().values - imp.final().values))
+        gaps.append(l2_norm(mesh, lin.final() - imp.final()))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[0] / gaps[1] == pytest.approx(2.0, abs=0.5)
     assert gaps[1] / gaps[2] == pytest.approx(2.0, abs=0.5)
@@ -634,7 +635,7 @@ def stepper_inputs(mesh, problem, variant):
     W = (assemble_lumped_mass(mesh) if variant == "lumped-linearized"
          else assemble_mass(mesh))
     source = _source_builder(mesh, problem, False)
-    u0 = problem.initial_data.field(mesh).interior()
+    u0 = problem.initial_data.field(mesh)[mesh.interior_nodes]
     return A, W, u0, source
 
 
@@ -727,7 +728,7 @@ def test_interior_source_matches_full_vector_source(family, case, lumped):
     problem = ProblemSpec(alpha=0.5, gamma=1.0, T=1.0,
                           nonlinearity=sqrt_one_plus_u2(),
                           initial_data=InitialData(case))
-    v = problem.initial_data.field(mesh).interior()
+    v = problem.initial_data.field(mesh)[mesh.interior_nodes]
     got = _source_builder(mesh, problem, lumped)(v)
     want = full_vector_source(mesh, problem, lumped)(v)
     assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
@@ -748,7 +749,7 @@ def test_source_evaluation_calls_f_once(monkeypatch, lumped):
                           nonlinearity=sqrt_one_plus_u2(),
                           initial_data=InitialData())
     source = _source_builder(mesh, problem, lumped)
-    v = problem.initial_data.field(mesh).interior()
+    v = problem.initial_data.field(mesh)[mesh.interior_nodes]
     calls.clear()
     for _ in range(3):
         source(v)

@@ -8,7 +8,6 @@ from frstokes.fem_assembly import (
     _QUAD_BARY,
     _QUAD_WEIGHTS,
     InitialData,
-    NodalField,
     Nonlinearity,
     ProblemSpec,
     assemble_lumped_mass,
@@ -188,19 +187,20 @@ def test_indicator_load_center_node_exact():
 def test_projection_reproduces_mesh_functions():
     mesh = build_nonsymmetric_mesh(8)
     rng = np.random.default_rng(21)
-    target = NodalField.from_interior(mesh, rng.standard_normal(mesh.n_interior))
+    target = np.zeros(mesh.n_nodes)
+    target[mesh.interior_nodes] = rng.standard_normal(mesh.n_interior)
 
     def g(x, y):
-        return evaluate_p1(mesh, target.values, np.column_stack([x, y]))
+        return evaluate_p1(mesh, target, np.column_stack([x, y]))
 
     proj = l2_project(mesh, g)
-    assert np.allclose(proj.values, target.values, atol=1e-11)
+    assert np.allclose(proj, target, atol=1e-11)
 
 
 def test_projection_on_boundary_only_mesh_is_zero():
     mesh = build_symmetric_mesh(1)
     proj = l2_project(mesh, lambda x, y: np.ones_like(x))
-    assert np.array_equal(proj.values, np.zeros(4))
+    assert np.array_equal(proj, np.zeros(4))
 
 
 def test_l2_norm_against_per_triangle_exact_integral():
@@ -223,19 +223,19 @@ def test_l2_error_same_mesh_and_nested_mesh():
     coarse = build_symmetric_mesh(4)
     fine = build_symmetric_mesh(8)
     rng = np.random.default_rng(23)
-    cf = NodalField(coarse, rng.standard_normal(coarse.n_nodes))
+    cf = rng.standard_normal(coarse.n_nodes)
     same = l2_error_vs_reference((coarse, cf), (coarse, cf))
     assert same == 0.0
     # coarse P1 functions belong to the nested fine space
-    ff = NodalField(fine, evaluate_p1(coarse, cf.values, fine.nodes))
+    ff = evaluate_p1(coarse, cf, fine.nodes)
     assert l2_error_vs_reference((coarse, cf), (fine, ff)) < 1e-13
 
 
 def test_l2_error_vs_function_linear_exact():
     mesh = build_nonsymmetric_mesh(8)
-    fld = NodalField.interpolate(mesh, lambda x, y: x + 2.0 * y)
+    fld = mesh.nodes[:, 0] + 2.0 * mesh.nodes[:, 1]
     assert l2_error_vs_function(mesh, fld, lambda x, y: x + 2.0 * y) < 1e-14
-    zero = NodalField.zeros(mesh)
+    zero = np.zeros(mesh.n_nodes)
     assert l2_error_vs_function(mesh, zero, lambda x, y: np.ones_like(x)) == pytest.approx(
         1.0, rel=1e-13
     )
@@ -249,36 +249,17 @@ def test_l2_error_vs_function_rejects_wrong_length(vals):
         l2_error_vs_function(mesh, vals, lambda x, y: x * 0 + 1.0)
 
 
-def test_nodal_field_roundtrip_and_validation():
-    mesh = build_symmetric_mesh(3)
-    inter = np.arange(float(mesh.n_interior))
-    fld = NodalField.from_interior(mesh, inter)
-    assert np.array_equal(fld.interior(), inter)
-    assert np.all(fld.values[mesh.boundary_mask] == 0.0)
-    with pytest.raises(ValueError):
-        NodalField(mesh, np.zeros(mesh.n_nodes + 1))
-
-
-@pytest.mark.parametrize("k", [1, 8, 10])
-def test_from_interior_checks_length(k):
-    # 1 value filled all 9 interior nodes; 10 raised a numpy broadcast error
-    mesh = build_symmetric_mesh(4)
-    with pytest.raises(ValueError, match=f"^{k} values for 9 interior nodes$"):
-        NodalField.from_interior(mesh, np.full(k, 2.0))
-
-
 _COARSE, _FINE = build_symmetric_mesh(2), build_symmetric_mesh(8)
 _NODAL_READERS = {
-    "NodalField": NodalField,
     "l2_norm": l2_norm,
     "reference-coarse-same": lambda mesh, v: l2_error_vs_reference(
-        (mesh, v), (mesh, NodalField.zeros(mesh))),
+        (mesh, v), (mesh, np.zeros(mesh.n_nodes))),
     "reference-fine-same": lambda mesh, v: l2_error_vs_reference(
-        (mesh, NodalField.zeros(mesh)), (mesh, v)),
+        (mesh, np.zeros(mesh.n_nodes)), (mesh, v)),
     "reference-coarse-across": lambda mesh, v: l2_error_vs_reference(
-        (mesh, v), (_FINE, NodalField.zeros(_FINE))),
+        (mesh, v), (_FINE, np.zeros(_FINE.n_nodes))),
     "reference-fine-across": lambda mesh, v: l2_error_vs_reference(
-        (_COARSE, NodalField.zeros(_COARSE)), (mesh, v)),
+        (_COARSE, np.zeros(_COARSE.n_nodes)), (mesh, v)),
     "l2_error_vs_function": lambda mesh, v: l2_error_vs_function(
         mesh, v, lambda x, y: x * 0 + 1.0),
     "evaluate_p1": lambda mesh, v: evaluate_p1(mesh, v, (0.5, 0.5)),
@@ -327,6 +308,15 @@ def test_initial_data_samples():
     assert data == InitialData("mode", 2, 3) and type(data.k) is int
 
 
+@pytest.mark.parametrize("case,k,l", [("a", 2, 1), ("b", 1, 3), ("a", 1, np.int64(2))])
+def test_initial_data_reads_k_and_l_only_for_a_mode(case, k, l):
+    # InitialData("a", 2, 1) was a second value for the bump, projected again
+    with pytest.raises(ValueError, match=f"^k and l apply to case 'mode' only, "
+                                         f"got k={k}, l={l} for case '{case}'$"):
+        InitialData(case, k, l)
+    assert InitialData(case, np.int64(1), 1) == InitialData(case)
+
+
 def test_projection_close_to_smooth_initial_data():
     mesh = build_symmetric_mesh(16)
     a = InitialData()
@@ -339,11 +329,11 @@ def test_single_mode_field_is_nodal_interpolant():
     mesh = build_symmetric_mesh(8)
     data = InitialData("mode", 2, 3)
     fld = data.field(mesh)
-    assert np.all(fld.values[mesh.boundary_mask] == 0.0)
+    assert np.all(fld[mesh.boundary_mask] == 0.0)
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
     want = np.sin(2 * np.pi * x) * np.sin(3 * np.pi * y)
     inter = ~mesh.boundary_mask
-    assert np.allclose(fld.values[inter], want[inter], atol=1e-15)
+    assert np.allclose(fld[inter], want[inter], atol=1e-15)
 
 
 @pytest.mark.parametrize("kind,full", [(k, f) for k in ("stiffness", "mass", "lumped_mass")
@@ -365,6 +355,24 @@ def test_mesh_operator_is_memoized_fresh_assembly(kind, full):
         mesh_operator(mesh, "advection")
 
 
+@pytest.mark.parametrize("call", [
+    lambda mesh, full: mesh_operator(mesh, "stiffness", full=full),
+    lambda mesh, full: mesh_operator(mesh, "lumped_mass", full),
+    lambda mesh, full: assemble_stiffness(mesh, full=full),
+    lambda mesh, full: assemble_mass(mesh, full),
+    lambda mesh, full: assemble_lumped_mass(mesh, full=full),
+], ids=["mesh_operator", "mesh_operator-positional", "assemble_stiffness",
+        "assemble_mass", "assemble_lumped_mass"])
+@pytest.mark.parametrize("full", ["yes", "false", 1, None])
+def test_operators_take_full_as_a_flag(call, full):
+    # full was read by truth value: "yes", "false" and 1 gave the full
+    # matrix, None the interior block
+    mesh = build_symmetric_mesh(4)
+    with pytest.raises(ValueError, match=f"^full must be a bool, got {full!r}$"):
+        call(mesh, full)
+    assert call(mesh, np.bool_(True)).shape == (25, 25)
+
+
 def test_initial_data_projected_once_per_value_and_mesh(monkeypatch):
     from frstokes import fem_assembly
 
@@ -379,10 +387,10 @@ def test_initial_data_projected_once_per_value_and_mesh(monkeypatch):
     mesh = build_symmetric_mesh(8)
     a = InitialData()
     first = a.field(mesh)
-    first.values[:] = 7.0  # a caller's copy; the memo is untouched
+    first[:] = 7.0  # a caller's copy; the memo is untouched
     second = a.field(mesh)
     assert len(calls) == 1
-    assert np.array_equal(second.values, project(mesh, a.sample).values)
+    assert np.array_equal(second, project(mesh, a.sample))
     # equal data share one entry: three default problems project once
     for _ in range(3):
         ProblemSpec(0.5, 1.0, 1.0).initial_data.field(mesh)
@@ -400,7 +408,7 @@ def test_initial_data_projected_once_per_value_and_mesh(monkeypatch):
             return x * x * y
 
     xy, xxy = XY(), XXY()
-    assert not np.array_equal(xy.field(mesh).values, xxy.field(mesh).values)
+    assert not np.array_equal(xy.field(mesh), xxy.field(mesh))
     assert len(calls) == 3
     # another mesh is another entry
     a.field(build_symmetric_mesh(8))
@@ -424,6 +432,18 @@ def test_problem_spec_validation():
         with pytest.raises(ValueError, match="Lipschitz constant must be a finite number >= 0"):
             ProblemSpec(alpha=0.5, gamma=1.0, T=1.0,
                         nonlinearity=Nonlinearity(lambda u: u, lipschitz))
+
+
+@pytest.mark.parametrize("name,value,kind", [
+    ("initial_data", "a", "InitialData"), ("initial_data", None, "InitialData"),
+    ("nonlinearity", np.sin, "Nonlinearity"),
+    ("nonlinearity", lambda u: u, "Nonlinearity"),
+])
+def test_problem_spec_checks_the_type_of_its_data(name, value, kind):
+    # initial_data="a" constructed and the solve died in the stepper with an
+    # AttributeError; nonlinearity=np.sin raised one at construction
+    with pytest.raises(ValueError, match=f"^{name} must be of type {kind}, got "):
+        ProblemSpec(0.5, 1.0, 1.0, **{name: value})
 
 
 @pytest.mark.parametrize("name", ["gamma", "T"])

@@ -59,10 +59,10 @@ def _records(runs: list[dict]) -> list[dict]:
             "run": fields,
             "format": CACHE_FORMAT,
             "l2_norm": l2_norm(mesh, final),
-            "max_abs": float(np.abs(final.values).max()),
+            "max_abs": float(np.abs(final).max()),
             "nodes": nodes.tolist(),
-            "values": final.values[nodes].tolist(),  # repr round-trips: 17 digits
-            "sha256": hashlib.sha256(final.values.astype("<f8").tobytes()).hexdigest(),
+            "values": final[nodes].tolist(),  # repr round-trips: 17 digits
+            "sha256": hashlib.sha256(final.astype("<f8").tobytes()).hexdigest(),
             "blas": _blas_config()[0],
             "openblas_core": _openblas_core(),
         })

@@ -45,6 +45,18 @@ def test_fit_rate_recovers_exact_power_law():
         fit_rate([0.1, 0.2], [1e-3, -1e-4])
 
 
+@pytest.mark.parametrize("params,errors", [
+    ([1, 2], [float("nan"), 1]), ([1, 2], [float("inf"), 1]),
+    ([float("nan"), 2], [1, 2]), ([1, float("inf")], [1, 2]),
+])
+def test_fit_rate_rejects_non_finite_values(params, errors):
+    # a nan or inf error returned nan as the rate, and a nan or inf param
+    # failed inside the fit with numpy's LinAlgError
+    with pytest.raises(ValueError, match="^params and errors must be finite and strictly "
+                                         "positive$"):
+        fit_rate(params, errors)
+
+
 def test_report_serialization_roundtrip():
     rep = ExperimentReport(
         kind="spatial", case="a", alpha=0.5, param_name="h",
@@ -107,7 +119,7 @@ def test_solve_final_cache_hit(tmp_path):
     files = list((tmp_path / "runs").glob("run-*.npz"))
     assert len(files) == 1
     mesh2, f2 = solve_final(RUN, cache)
-    assert np.array_equal(f1.values, f2.values)
+    assert np.array_equal(f1, f2)
     assert len(list((tmp_path / "runs").glob("run-*.npz"))) == 1
 
     # prove the second call reads the file: poison it and call again
@@ -115,7 +127,7 @@ def test_solve_final_cache_hit(tmp_path):
         key = data["key"]
     np.savez(files[0], values=np.full(mesh1.n_nodes, 7.0), key=key)
     _, f3 = solve_final(RUN, cache)
-    assert np.all(f3.values == 7.0)
+    assert np.all(f3 == 7.0)
 
     # a different parameter produces a second artifact
     solve_final(dataclasses.replace(RUN, alpha=0.25), cache)
@@ -154,10 +166,10 @@ def test_solve_final_recomputes_on_key_mismatch(tmp_path):
     # a file at the digest path written by another solver or format
     np.savez(path, values=np.full(mesh.n_nodes, 7.0), key=np.array("stale"))
     _, again = solve_final(RUN, cache)
-    assert np.array_equal(again.values, fresh.values)
+    assert np.array_equal(again, fresh)
     with np.load(path) as data:
         assert str(data["key"]) == key
-        assert np.array_equal(data["values"], fresh.values)
+        assert np.array_equal(data["values"], fresh)
 
 
 def _one_run_file(tmp_path):
@@ -169,7 +181,7 @@ def _one_run_file(tmp_path):
 
 def _assert_replaced(path, fresh):
     with np.load(path) as data:
-        assert np.array_equal(data["values"], fresh.values)
+        assert np.array_equal(data["values"], fresh)
     assert [p.name for p in path.parent.iterdir()] == [path.name]
 
 
@@ -179,7 +191,7 @@ def test_solve_final_recomputes_unreadable_file(tmp_path, keep):
     whole = path.read_bytes()
     path.write_bytes(whole[: int(keep * len(whole))])  # an interrupted write
     _, again = solve_final(*args)
-    assert np.array_equal(again.values, fresh.values)
+    assert np.array_equal(again, fresh)
     _assert_replaced(path, fresh)
 
 
@@ -189,7 +201,7 @@ def test_solve_final_recomputes_wrong_shape(tmp_path):
         key = data["key"]
     np.savez(path, values=np.full(mesh.n_nodes + 3, 7.0), key=key)
     _, again = solve_final(*args)
-    assert np.array_equal(again.values, fresh.values)
+    assert np.array_equal(again, fresh)
     _assert_replaced(path, fresh)
 
 
@@ -227,19 +239,32 @@ def test_cache_file_records_blas_configuration(tmp_path, monkeypatch):
     assert not {"blas", "threads"} & set(key)
 
 
+@pytest.mark.parametrize("dtype", [int, np.float32, str])
+def test_solve_final_recomputes_non_float_values(tmp_path, dtype):
+    # a file of the right length but not float64 was served converted, or
+    # raised "could not convert string to float"
+    args, mesh, fresh, path = _one_run_file(tmp_path)
+    with np.load(path) as data:
+        key = data["key"]
+    np.savez(path, values=np.full(mesh.n_nodes, 7).astype(dtype), key=key)
+    _, again = solve_final(*args)
+    assert again.dtype == np.float64 and np.array_equal(again, fresh)
+    _assert_replaced(path, fresh)
+
+
 def test_cache_file_without_blas_entries_is_served(tmp_path, monkeypatch):
     # the layout written before the BLAS entries: values and key only
     args, mesh, fresh, path = _one_run_file(tmp_path)
     with np.load(path) as data:
         key = data["key"]
-    np.savez(path, values=fresh.values, key=key)
+    np.savez(path, values=fresh, key=key)
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a cached field was solved again")
 
     monkeypatch.setattr(harness, "step_linearized", no_solve)
     _, served = solve_final(*args)
-    assert np.array_equal(served.values, fresh.values)
+    assert np.array_equal(served, fresh)
 
 
 def test_build_mesh_shared_while_held():
@@ -297,13 +322,13 @@ def test_temporal_study_builds_mesh_and_operators_once(monkeypatch):
 
     def fresh_final(N):
         config = SchemeConfig(variant="galerkin-linearized", N=N, snapshot_stride=N)
-        return step_linearized(config, problem, fresh).final().values
+        return step_linearized(config, problem, fresh).final()
 
     mass = assemble_mass(fresh, full=True)
     ref = fresh_final(24)
     _, ref_again = solve_final(Run("a", 0.5, 1.0, 1.0, "symmetric", 12, 24,
                                    scheme="galerkin-linearized"))
-    assert np.array_equal(ref_again.values, ref)
+    assert np.array_equal(ref_again, ref)
     for N, err in zip(steps, report.errors):
         diff = fresh_final(N) - ref
         assert err == np.sqrt(max(diff.dot(mass @ diff), 0.0))
@@ -313,7 +338,7 @@ def test_solve_final_deterministic_without_cache():
     run = dataclasses.replace(RUN, case="b")
     _, f1 = solve_final(run)
     _, f2 = solve_final(run)
-    assert np.array_equal(f1.values, f2.values)
+    assert np.array_equal(f1, f2)
 
 
 def test_spatial_study_single_mode_against_oracle(tmp_path):
@@ -526,7 +551,7 @@ def test_lumping_gap_shrinks_at_second_order():
                                   scheme="galerkin-linearized"))
         _, l = solve_final(Run("a", 0.5, 1.0, 1.0, "symmetric", M, 16,
                                scheme="lumped-linearized"))
-        gaps.append(l2_norm(mesh, g.values - l.values))
+        gaps.append(l2_norm(mesh, g - l))
     assert gaps[0] > gaps[1] > gaps[2]
     rate = fit_rate([1.0 / 8, 1.0 / 16, 1.0 / 32], gaps)
     assert 1.6 < rate < 2.4

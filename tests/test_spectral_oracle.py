@@ -764,5 +764,29 @@ def test_smoothing_probe_bounds():
         smoothing_probe(0.5, 1.0, 3, t_grid, lam_grid)
 
 
+@pytest.mark.parametrize("order,grids,match", [
+    (True, ([1.0], [1.0]), "^order must be 0, 1 or 2, got True$"),
+    (1.0, ([1.0], [1.0]), "^order must be 0, 1 or 2, got 1.0$"),
+    ("1", ([1.0], [1.0]), "^order must be 0, 1 or 2, got '1'$"),
+    (1, ([1.0], []), "^lam_grid must hold at least one value$"),
+    (1, ([], [1.0]), "^t_grid must hold at least one value$"),
+], ids=["order-True", "order-float", "order-str", "empty-lam_grid", "empty-t_grid"])
+def test_smoothing_probe_checks_order_and_grids(order, grids, match):
+    # order True and 1.0 ran as order 1; an empty lam_grid failed inside
+    # numpy's max and an empty t_grid returned 0.0
+    with pytest.raises(ValueError, match=match):
+        smoothing_probe(0.5, 1.0, order, *grids)
+    one = smoothing_probe(0.5, 1.0, 1, [1.0], [1.0])
+    assert smoothing_probe(0.5, 1.0, np.int64(1), [1.0], [1.0]) == one
+
+
+@pytest.mark.parametrize("coefficient", [float("nan"), float("inf"), True, "0.5", None])
+def test_linear_exact_solution_checks_coefficients(coefficient):
+    # float(c) let nan, True and "0.5" through; nan gave a nan field
+    with pytest.raises(ValueError,
+                       match=f"^coefficient must be a finite number, got {coefficient!r}$"):
+        linear_exact_solution([(1, 1, coefficient)], 0.5, 0.5, 1.0)
+
+
 def test_contour_resolution_error_is_exported():
     assert issubclass(ContourResolutionError, RuntimeError)
