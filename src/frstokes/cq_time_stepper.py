@@ -82,7 +82,7 @@ import numpy.typing as npt
 import scipy.sparse as sp
 
 from .fem_assembly import Nonlinearity, ProblemSpec, mesh_operator
-from .mesh import TriMesh, _count, _flag, _is_count, _real
+from .mesh import TriMesh, _count, _flag, _gauss_legendre, _is_count, _real
 from .sparse_linalg import CompositeOperator
 
 __all__ = [
@@ -243,28 +243,6 @@ def _extrapolate(states: np.ndarray, diff: np.ndarray) -> np.ndarray:
     if p >= 3:
         d = 1 + int(np.argmin(np.einsum("ij,ij->i", diff[2:], diff[2:])))
     return diff[: d + 1].sum(axis=0)
-
-
-def _gauss_legendre(n: int):
-    """Gauss-Legendre nodes and weights of order n on [0, 1].
-
-    Newton's method on P_n(1 - t), with P_k = P_(k-1) + D_k (Reinsch's
-    form of the recurrence), finds t = 1 - x for the nodes x >= 0 on
-    [-1, 1], so both ends keep their relative precision: the weights are
-    within 3e-15 up to n = 100, where numpy's leggauss is off by 4e-12.
-    """
-    t = 2 * np.sin(np.pi * (np.arange(1, (n + 3) // 2) - 0.25) / (2 * n + 1)) ** 2
-    for _ in range(6):  # the end node starts 4 % off; six steps reach rounding
-        p, d = 1.0 - t, -t
-        for m in range(1, n):
-            d = (m * d - (2 * m + 1) * t * p) / (m + 1)
-            p = p + d
-        dp = n * (t * p - d) / (t * (2 - t))  # P_n'(1 - t)
-        t = t + p / dp
-    w = 1 / (t * (2 - t) * dp**2)
-    odd = n % 2  # the middle node x = 0 is its own mirror
-    return (np.concatenate([t / 2, 1 - t[::-1][odd:] / 2]),
-            np.concatenate([w, w[::-1][odd:]]))
 
 
 def _soe_tail(beta: float, N: int):
@@ -435,15 +413,12 @@ class _Load:
     """Interior load S f(v) + b of the interpolated source f(u_h).
 
     The stepper reads ``S``, ``b`` and ``f`` to carry the source as a
-    running sum of f values; calling the object gives the load itself.
+    running sum of f values.
     """
 
     S: sp.csr_matrix
     b: npt.NDArray[np.float64]
     f: Nonlinearity
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        return self.S @ self.f(v) + self.b
 
 
 def _source_builder(mesh: TriMesh, problem: ProblemSpec, lumped: bool):

@@ -189,13 +189,14 @@ def fit_rate(params, errors) -> float | None:
     """Least-squares slope of log(error) against log(param).
 
     Positive values mean the error decreases under refinement when the
-    parameter is a mesh size or step size.  Every value must be finite and
-    positive.  Fewer than two rows give None.
+    parameter is a mesh size or step size.  Both must be 1-d of equal
+    length, and every value finite and positive.  Fewer than two rows give
+    None.
     """
     params = np.asarray(params, dtype=float)
     errors = np.asarray(errors, dtype=float)
-    if params.size != errors.size:
-        raise ValueError("params and errors must have equal length")
+    if params.ndim != 1 or params.shape != errors.shape:
+        raise ValueError("params and errors must be 1-d arrays of equal length")
     if not np.all(np.isfinite(params) & np.isfinite(errors) & (params > 0) & (errors > 0)):
         raise ValueError("params and errors must be finite and strictly positive")
     if params.size < 2:

@@ -59,20 +59,19 @@ _QUAD_WEIGHTS = np.array([_W1, _W1, _W1, _W2, _W2, _W2])
 
 def _triangle_geometry(mesh: TriMesh):
     """Areas and P1 shape-function gradients, vectorized over triangles."""
+    areas = mesh.triangle_areas()
+    if np.any(areas <= 0):
+        raise ValueError("degenerate or misoriented triangle in assembly")
     p = mesh.nodes[mesh.triangles]  # (m, 3, 2)
     x = p[..., 0]
     y = p[..., 1]
     nxt = [1, 2, 0]
     prv = [2, 0, 1]
-    area2 = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (
-        y[:, 1] - y[:, 0]
-    )
-    if np.any(area2 <= 0):
-        raise ValueError("degenerate or misoriented triangle in assembly")
+    area2 = 2 * areas[:, None]
     grad = np.empty((len(x), 3, 2))
-    grad[:, :, 0] = (y[:, nxt] - y[:, prv]) / area2[:, None]
-    grad[:, :, 1] = (x[:, prv] - x[:, nxt]) / area2[:, None]
-    return 0.5 * area2, grad
+    grad[:, :, 0] = (y[:, nxt] - y[:, prv]) / area2
+    grad[:, :, 1] = (x[:, prv] - x[:, nxt]) / area2
+    return areas, grad
 
 
 def _interior_block(full: sp.csr_matrix, mesh: TriMesh) -> sp.csr_matrix:

@@ -34,16 +34,14 @@ coefficients are computed once per contour.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
-# numpy loads fft and polynomial on first attribute access; importing them
-# here keeps that cost in the import instead of the first oracle call.
+# numpy loads fft on first attribute access; importing it here keeps that
+# cost in the import instead of the first oracle call.
 from numpy.fft import irfft, rfft
-from numpy.polynomial.legendre import leggauss
 
-from .mesh import _count, _is_count, _real
+from .mesh import _count, _gauss_legendre, _is_count, _real
 
 __all__ = [
     "ContourResolutionError",
@@ -61,7 +59,7 @@ _THETA = 3.0 * np.pi / 4.0
 # exp(z t) below 1e-18 in modulus is dropped when choosing the ray length.
 _TRUNC_LOG = 18.0 * np.log(10.0)
 # Nodes per ray of contour_nodes.  Against 320 per ray, 80 stay within
-# 2.9e-16 (1 + |e_lam(t)|) for t in {1e-12, 1e-8, 1e-3, 1, 100, 1e4},
+# 2.4e-16 (1 + |e_lam(t)|) for t in {1e-12, 1e-8, 1e-3, 1, 100, 1e4},
 # alpha in {0.001, 0.01, 0.5, 0.99, 0.999}, gamma in {0, 1e-6, 1, 1e4,
 # 1e6, 1e10} and lam in {0} U 49 log-spaced values in [1e-8, 1e16]; 40
 # reach 9.6e-12.
@@ -98,23 +96,12 @@ class ContourResolutionError(RuntimeError):
     """
 
 
-@functools.cache
-def _gauss_legendre():
-    """The _GL_ORDER-point Gauss-Legendre rule on [-1, 1], built on first
-    use and read-only, since every caller shares the arrays."""
-    x, w = leggauss(_GL_ORDER)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
 def _panel_nodes(a: float, b: float, panels: int):
     """Gauss-Legendre nodes/weights on [a, b] split into equal panels."""
-    x, w = _gauss_legendre()
+    t, w = _gauss_legendre(_GL_ORDER)
     edges = np.linspace(a, b, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    return (mid + half * x[None, :]).ravel(), (half * w[None, :]).ravel()
+    width = (edges[1:] - edges[:-1])[:, None]
+    return (edges[:-1, None] + width * t).ravel(), (width * w).ravel()
 
 
 def contour_nodes(t: float, nodes_per_ray: int = _NODES_PER_RAY):
@@ -455,11 +442,12 @@ def smoothing_probe(alpha: float, gamma: float, order: int, t_grid,
 
     ``order`` is the regularity gap p - q, an integer in {0, 1, 2}.  For
     order 0 the probe is just the sup of |e_lam|, expected to stay near 1.
-    Both grids must be nonempty.
+    Both grids must be nonempty; a grid is read flat, so a scalar is a
+    one-point grid.
     """
     if not _is_count(order, least=0) or order > 2:
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
-    ts, lams = np.asarray(t_grid, dtype=float), np.asarray(lam_grid, dtype=float)
+    ts, lams = np.ravel(np.asarray(t_grid, dtype=float)), np.asarray(lam_grid, dtype=float)
     for name, grid in (("t_grid", ts), ("lam_grid", lams)):
         if grid.size == 0:
             raise ValueError(f"{name} must hold at least one value")

@@ -687,7 +687,8 @@ def test_package_import_defers_heavy_scipy_modules():
     # numpy alone and never pay for scipy.sparse (0.15-0.2 s to import).
     # The steppers import scipy.sparse at module level, but the
     # factorization (scipy.sparse.linalg) only where it is used, and
-    # scipy.special is not imported at all.
+    # scipy.special is not imported at all.  The contour's Gauss-Legendre
+    # rule is the mesh module's, so the oracle loads no numpy.polynomial.
     assert _probe("import sys, frstokes; "
                   "print(sorted(m for m in sys.modules "
                   "if m.startswith(('numpy', 'scipy'))))") == "[]"
@@ -703,6 +704,9 @@ def test_package_import_defers_heavy_scipy_modules():
                   "print([m in sys.modules for m in "
                   "('scipy.sparse', 'scipy.sparse.linalg', 'scipy.special')])"
                   ) == "[True, False, False]"
+    assert _probe("import sys; from frstokes.spectral_oracle import mode_response; "
+                  "mode_response(1.0, 1.0, 0.5, 1.0); "
+                  "print('numpy.polynomial' in sys.modules)") == "False"
 
 
 def test_scalar_cq_oracle_does_not_import_scipy_special():

@@ -39,8 +39,11 @@ def test_fit_rate_recovers_exact_power_law():
         errors = 3.7 * h**r
         assert fit_rate(h, errors) == pytest.approx(r, abs=1e-12)
     assert fit_rate([0.1], [1e-3]) is None
-    with pytest.raises(ValueError):
-        fit_rate([0.1, 0.2], [1e-3])
+    for params, errors in (([0.1, 0.2], [1e-3]), ([1, 2], [[1], [2]]), ([[1, 2]], [1, 2])):
+        # the two 2-d inputs raised numpy's TypeError
+        with pytest.raises(ValueError, match="^params and errors must be 1-d arrays of "
+                                             "equal length$"):
+            fit_rate(params, errors)
     with pytest.raises(ValueError):
         fit_rate([0.1, 0.2], [1e-3, -1e-4])
 

@@ -15,11 +15,11 @@ from scipy.special import binom
 from conftest import hand_built_contour, tree_env, use_hand_built_contour
 from frstokes import spectral_oracle
 from frstokes.cq_time_stepper import _advance
+from frstokes.mesh import _gauss_legendre
 from frstokes.spectral_oracle import (
     _GL_ORDER,
     _LAM_BLOCK,
     _fft_length,
-    _gauss_legendre,
     _product_weights,
     ContourResolutionError,
     contour_nodes,
@@ -325,17 +325,19 @@ def test_mode_response_many_rejects_underflowing_poles(lam, t, alpha, gamma):
 
 
 def test_gauss_legendre_rule_is_cached_and_read_only(monkeypatch):
-    x, w = _gauss_legendre()
-    assert _gauss_legendre()[0] is x and _gauss_legendre()[1] is w
+    # the contour panels share the stepper's rule on [0, 1] (mesh.py)
+    x, w = _gauss_legendre(_GL_ORDER)
+    assert _gauss_legendre(_GL_ORDER)[0] is x and _gauss_legendre(_GL_ORDER)[1] is w
     assert not x.flags.writeable and not w.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         x[0] = 0.0
-    fresh = leggauss(_GL_ORDER)
-    assert np.array_equal(x, fresh[0]) and np.array_equal(w, fresh[1])
+    ref_x, ref_w = leggauss(_GL_ORDER)
+    assert np.max(np.abs(x - 0.5 * (ref_x + 1.0))) <= 1e-15
+    assert np.max(np.abs(w - 0.5 * ref_w)) <= 1e-15
     times = (1e-7, 1e-5, 1e-3, 1.0, 30.0)
     cached = [contour_nodes(t) for t in times]
-    # the nodes as built before the cache, on a fresh rule per panel set
-    monkeypatch.setattr(spectral_oracle, "_gauss_legendre", lambda: leggauss(_GL_ORDER))
+    # the nodes on a fresh rule per panel set, as built without the cache
+    monkeypatch.setattr(spectral_oracle, "_gauss_legendre", _gauss_legendre.__wrapped__)
     for t, (z, w) in zip(times, cached):
         z0, w0 = contour_nodes(t)
         assert z.tobytes() == z0.tobytes() and w.tobytes() == w0.tobytes()
@@ -371,8 +373,8 @@ def test_default_contour_is_resolved_to_rounding(monkeypatch):
     # the default 80 nodes per ray against twice (320) and half (40) as
     # many: the default is converged, and the halved rule stays far inside
     # 1e-10, the margin a halved-rule resolution check would rely on.  At
-    # gamma = 0 the kernel is exp(-lam t).  Measured: 2.9e-16, 9.6e-12 and
-    # 2.2e-16.
+    # gamma = 0 the kernel is exp(-lam t).  Measured: 2.4e-16, 9.6e-12 and
+    # 2.4e-16.
     scattered = np.concatenate([[0.0], np.logspace(-8.0, 16.0, 49)])
     cases = [(scattered, t, alpha, gamma)
              for t in (1e-12, 1e-8, 1e-3, 1.0, 100.0, 1e4)
@@ -778,6 +780,16 @@ def test_smoothing_probe_checks_order_and_grids(order, grids, match):
         smoothing_probe(0.5, 1.0, order, *grids)
     one = smoothing_probe(0.5, 1.0, 1, [1.0], [1.0])
     assert smoothing_probe(0.5, 1.0, np.int64(1), [1.0], [1.0]) == one
+
+
+def test_smoothing_probe_reads_grids_flat():
+    # a scalar t_grid raised "iteration over a 0-d array", and a 2-d one
+    # numpy's TypeError
+    one = smoothing_probe(0.5, 1.0, 1, [0.3], [2.0])
+    assert smoothing_probe(0.5, 1.0, 1, 0.3, [2.0]) == one
+    assert smoothing_probe(0.5, 1.0, 1, 0.3, 2.0) == one
+    both = smoothing_probe(0.5, 1.0, 1, [0.3, 0.5], [2.0, 9.0])
+    assert smoothing_probe(0.5, 1.0, 1, [[0.3, 0.5]], [[2.0], [9.0]]) == both
 
 
 @pytest.mark.parametrize("coefficient", [float("nan"), float("inf"), True, "0.5", None])
