@@ -301,8 +301,8 @@ def solve_final(run: Run, cache_dir: str | None = None) -> tuple[TriMesh, np.nda
     them, so they neither split the cache nor stop files without them from
     being served.
     A ``cache_dir`` that cannot be made a directory, such as the name of a
-    file, raises ``ValueError`` before the solve.  This is the one place
-    that picks the stepper for a scheme.
+    file, raises ``ValueError`` before the solve, and an unwritable cache
+    file after it.  This is the one place that picks the stepper for a scheme.
     """
     config = SchemeConfig(variant=run.scheme, N=run.N, source_lumping=run.source_lumping,
                           snapshot_stride=run.N)
@@ -332,6 +332,8 @@ def solve_final(run: Run, cache_dir: str | None = None) -> tuple[TriMesh, np.nda
                 np.savez(fh, values=final, key=np.array(key),
                          blas=blas, threads=threads)
             os.replace(tmp, path)
+        except OSError as exc:
+            raise ValueError(f"cannot write cache file {path}: {exc.strerror}") from exc
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)

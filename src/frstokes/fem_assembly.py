@@ -1,13 +1,14 @@
 """P1 finite element assembly on the unit square.
 
 Assembles stiffness, consistent mass and lumped (vertex-quadrature) mass
-matrices as ``scipy.sparse`` CSR matrices (the lumped mass is a diagonal
-one), load vectors by one degree-4 triangle quadrature rule, and the L2
-projection onto the space V_h of continuous piecewise linears vanishing on
-the boundary.  A P1 field is the float array of its values at the mesh
-nodes, and every reader of one checks that it has one value per node.
-:func:`mesh_operator` memoizes the assembled operators on the mesh, so
-the runs on one mesh assemble once.  The realization of initial data is
+matrices over all mesh nodes as ``scipy.sparse`` CSR matrices (the lumped
+mass is a diagonal one), load vectors by one degree-4 triangle quadrature
+rule, and the L2 projection onto the space V_h of continuous piecewise
+linears vanishing on the boundary.  A P1 field is the float array of its
+values at the mesh nodes, and every reader of one checks that it has one
+value per node.  :func:`mesh_operator` memoizes the assembled operators on
+the mesh, so the runs on one mesh assemble once, and it alone cuts the
+interior block, the operator on V_h.  The realization of initial data is
 memoized there too, keyed by the :class:`InitialData` value, so equal
 data are projected once per mesh.  Also defines the problem description
 consumed by the time steppers: fractional order alpha, damping gamma, a
@@ -22,7 +23,8 @@ import numpy as np
 import numpy.typing as npt
 import scipy.sparse as sp
 
-from .mesh import TriMesh, _count, _flag, _nodal_values, _real, evaluate_p1
+from .mesh import (TriMesh, _count, _flag, _nodal_values, _real, _signed_areas,
+                   evaluate_p1)
 from .sparse_linalg import cg_solve
 
 __all__ = [
@@ -59,10 +61,10 @@ _QUAD_WEIGHTS = np.array([_W1, _W1, _W1, _W2, _W2, _W2])
 
 def _triangle_geometry(mesh: TriMesh):
     """Areas and P1 shape-function gradients, vectorized over triangles."""
-    areas = mesh.triangle_areas()
+    p = np.take(mesh.nodes, mesh.triangles, axis=0)  # (m, 3, 2)
+    areas = _signed_areas(p)
     if np.any(areas <= 0):
         raise ValueError("degenerate or misoriented triangle in assembly")
-    p = mesh.nodes[mesh.triangles]  # (m, 3, 2)
     x = p[..., 0]
     y = p[..., 1]
     nxt = [1, 2, 0]
@@ -74,11 +76,6 @@ def _triangle_geometry(mesh: TriMesh):
     return areas, grad
 
 
-def _interior_block(full: sp.csr_matrix, mesh: TriMesh) -> sp.csr_matrix:
-    idx = mesh.interior_nodes
-    return full[idx][:, idx]
-
-
 def _scatter_symmetric(mesh: TriMesh, local: np.ndarray) -> sp.csr_matrix:
     """Sum the (m, 3, 3) element matrices into one CSR matrix over all nodes."""
     tris = mesh.triangles
@@ -88,76 +85,66 @@ def _scatter_symmetric(mesh: TriMesh, local: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((local.ravel(), (rows, cols)), shape=(n, n))
 
 
-def assemble_stiffness(mesh: TriMesh, full: bool = False) -> sp.csr_matrix:
-    """Stiffness matrix (grad v, grad w); interior DOFs unless ``full``.
+def assemble_stiffness(mesh: TriMesh) -> sp.csr_matrix:
+    """Stiffness matrix (grad v, grad w) over all nodes, as every builder
+    here: :func:`mesh_operator` cuts the interior block.
 
     Entries that sum to exactly zero (the couplings across the diagonals of
     the right triangles) are not stored, so products with A skip them.
     """
-    full = _flag("full", full)
     areas, grad = _triangle_geometry(mesh)
     local = areas[:, None, None] * np.einsum("tid,tjd->tij", grad, grad)
     mat = _scatter_symmetric(mesh, local)
     mat.eliminate_zeros()
-    return mat if full else _interior_block(mat, mesh)
+    return mat
 
 
-def assemble_mass(mesh: TriMesh, full: bool = False) -> sp.csr_matrix:
-    """Consistent mass matrix (v, w); interior DOFs unless ``full``."""
-    full = _flag("full", full)
-    areas = mesh.triangle_areas()
-    local = areas[:, None, None] * _LOCAL_MASS[None, :, :]
-    mat = _scatter_symmetric(mesh, local)
-    return mat if full else _interior_block(mat, mesh)
+def assemble_mass(mesh: TriMesh) -> sp.csr_matrix:
+    """Consistent mass matrix (v, w) over all nodes."""
+    local = mesh.triangle_areas()[:, None, None] * _LOCAL_MASS[None, :, :]
+    return _scatter_symmetric(mesh, local)
 
 
-def assemble_lumped_mass(mesh: TriMesh, full: bool = False) -> sp.csr_matrix:
-    """Diagonal mass from vertex quadrature: D_ii = sum of |K|/3 over K at i.
-
-    Row-for-row this equals the row sums of the consistent mass matrix.
+def assemble_lumped_mass(mesh: TriMesh) -> sp.csr_matrix:
+    """Diagonal mass from vertex quadrature: D_ii = sum of |K|/3 over K at i,
+    for every node i; row for row, the row sums of the consistent mass matrix.
     """
-    full = _flag("full", full)
-    areas = mesh.triangle_areas()
     diag = np.zeros(mesh.n_nodes)
-    np.add.at(diag, mesh.triangles.ravel(), np.repeat(areas / 3.0, 3))
-    return sp.diags(diag if full else diag[mesh.interior_nodes], format="csr")
-
-
-def _read_only(op: sp.csr_matrix) -> sp.csr_matrix:
-    for arr in (op.data, op.indices, op.indptr):
-        arr.setflags(write=False)
-    return op
+    np.add.at(diag, mesh.triangles.ravel(), np.repeat(mesh.triangle_areas() / 3.0, 3))
+    return sp.diags(diag, format="csr")
 
 
 def mesh_operator(mesh: TriMesh, kind: str, full: bool = False):
-    """The operator ``assemble_<kind>(mesh, full)`` returns, memoized on the mesh.
+    """Operator ``kind`` on V_h, or over all nodes if ``full``, memoized on the mesh.
 
-    ``kind`` is ``"stiffness"``, ``"mass"`` or ``"lumped_mass"``.  The first
-    request assembles it (an interior block is cut from the memoized full
-    matrix, as ``assemble_*`` does); later requests return the same object,
+    ``kind`` is ``"stiffness"``, ``"mass"`` or ``"lumped_mass"``.  A full
+    request calls ``assemble_<kind>(mesh)``; an interior one cuts the block
+    of the interior nodes from the memoized full matrix, the one place an
+    operator is restricted to V_h.  Later requests return the same object,
     whose arrays are read-only.  The memo lives and dies with the mesh.
     """
     full = _flag("full", full)
-    key = (kind, full)
     memo = mesh._memo
-    if key not in memo:
-        if kind == "lumped_mass":
-            op = assemble_lumped_mass(mesh, full=full)
-        elif kind not in ("stiffness", "mass"):
-            raise ValueError(f"unknown operator kind {kind!r}")
-        elif full:
-            assemble = assemble_stiffness if kind == "stiffness" else assemble_mass
-            op = assemble(mesh, full=True)
+    if (kind, full) not in memo:
+        if full:
+            assemble = {"stiffness": assemble_stiffness, "mass": assemble_mass,
+                        "lumped_mass": assemble_lumped_mass}.get(kind)
+            if assemble is None:
+                raise ValueError(f"unknown operator kind {kind!r}")
+            op = assemble(mesh)
         else:
-            op = _interior_block(mesh_operator(mesh, kind, full=True), mesh)
-        memo[key] = _read_only(op)
-    return memo[key]
+            idx = mesh.interior_nodes
+            op = mesh_operator(mesh, kind, full=True)[idx][:, idx]
+        for arr in (op.data, op.indices, op.indptr):
+            arr.setflags(write=False)
+        memo[kind, full] = op
+    return memo[kind, full]
 
 
 def _quadrature(mesh: TriMesh, fn):
     """Yield (barycentric row, weight, fn at that point of every triangle)
     for each point of the quadrature rule; ``fn`` is vectorized."""
-    p = mesh.nodes[mesh.triangles]  # (m, 3, 2)
+    p = np.take(mesh.nodes, mesh.triangles, axis=0)  # (m, 3, 2)
     for bary, weight in zip(_QUAD_BARY, _QUAD_WEIGHTS):
         pts = np.einsum("j,mjd->md", bary, p)
         yield bary, weight, np.asarray(fn(pts[:, 0], pts[:, 1]), dtype=float)

@@ -100,10 +100,14 @@ class TriMesh:
         return np.flatnonzero(~self.boundary_mask)
 
     def triangle_areas(self) -> FloatArray:
-        p = self.nodes[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return _signed_areas(np.take(self.nodes, self.triangles, axis=0))
+
+
+def _signed_areas(p: FloatArray) -> FloatArray:
+    """Areas of the triangles with (m, 3, 2) corners ``p``; < 0 if clockwise."""
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

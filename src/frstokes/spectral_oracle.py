@@ -118,11 +118,16 @@ def contour_nodes(t: float, nodes_per_ray: int = _NODES_PER_RAY):
     the quadrature error falls geometrically with the node count.  The
     arc may come as close to the origin as it likes: for real lam > 0 the
     denominator z + lam + lam gamma z^alpha has a positive imaginary part
-    for 0 < arg z < pi, so it has no zeros in the cut plane.
+    for 0 < arg z < pi, so it has no zeros in the cut plane.  A t so small
+    (below about 3.3e-307) that 1/t or the ray length overflows is refused.
     """
     t = _real("t", t, "> 0")
-    radius = _TRUNC_LOG / (abs(np.cos(_THETA)) * t)
-    return _contour(1.0 / t, radius, nodes_per_ray)
+    with np.errstate(over="ignore"):
+        delta, radius = 1.0 / t, _TRUNC_LOG / (abs(np.cos(_THETA)) * t)
+    if not (math.isfinite(delta) and math.isfinite(radius)):
+        raise ValueError(f"t too small for the contour: 1/t or the ray length "
+                         f"58.6 / t overflows, got {t!r}")
+    return _contour(delta, radius, nodes_per_ray)
 
 
 def _contour(delta: float, radius: float, nodes_per_ray: int):

@@ -29,8 +29,8 @@ from frstokes.fem_assembly import (
     ProblemSpec,
     assemble_lumped_mass,
     assemble_mass,
-    assemble_stiffness,
     l2_error_vs_reference,
+    mesh_operator,
     zero_source,
 )
 from frstokes.cq_time_stepper import (
@@ -285,9 +285,9 @@ def test_7_running_sums_match_double_sum():
     # Direct evaluation: dense solves, history retained in full, both
     # convolution sums written out literally over j = 0..n-1.
     idx = mesh.interior_nodes
-    A = assemble_stiffness(mesh).toarray()
-    W = assemble_mass(mesh).toarray()
-    M_full = assemble_mass(mesh, full=True)
+    A = mesh_operator(mesh, "stiffness").toarray()
+    W = mesh_operator(mesh, "mass").toarray()
+    M_full = assemble_mass(mesh)
     fn = prob.nonlinearity.fn
 
     def source(u_int):
@@ -317,8 +317,8 @@ def test_8_structural_invariants():
     checks = {}
 
     for mesh in (build_symmetric_mesh(8), build_nonsymmetric_mesh(8)):
-        rows = assemble_mass(mesh, full=True).toarray().sum(axis=1)
-        lump = assemble_lumped_mass(mesh, full=True).diagonal()
+        rows = assemble_mass(mesh).toarray().sum(axis=1)
+        lump = assemble_lumped_mass(mesh).diagonal()
         checks[f"lump=rowsum {mesh.family}"] = np.max(np.abs(rows - lump)) <= 1e-13
 
     for beta in (0.3, 0.7, 1.2):
@@ -329,9 +329,9 @@ def test_8_structural_invariants():
 
     rng = np.random.default_rng(20240817)
     for mesh in (build_symmetric_mesh(6), build_nonsymmetric_mesh(4)):
-        A = assemble_stiffness(mesh)
-        Mi = assemble_mass(mesh)
-        D = assemble_lumped_mass(mesh)
+        A = mesh_operator(mesh, "stiffness")
+        Mi = mesh_operator(mesh, "mass")
+        D = mesh_operator(mesh, "lumped_mass")
         spd = bool(np.all(D.diagonal() > 0))
         for _ in range(12):
             x = rng.standard_normal(mesh.n_interior)

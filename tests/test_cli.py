@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -346,6 +347,34 @@ def test_cache_dir_that_is_a_file_is_one_line(tmp_path, capsys):
                         f"^cannot create cache_dir {re.escape(repr(str(cache_dir)))}: "
                         f"{reason}$")
     assert afile.read_text() == ""
+
+
+def test_cache_file_that_cannot_be_written_is_one_line(tmp_path, capsys):
+    # a directory at a cache file's name ended the study in an
+    # IsADirectoryError traceback from os.replace
+    cache = tmp_path / "runs"
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(f"case = a\nM = 4\nN = 2,4\nN_ref = 8\ncache_dir = {cache}\n")
+    assert main(["convergence", "temporal", "--config", str(cfg),
+                 "--out", str(tmp_path / "study")]) == 0
+    for path in cache.iterdir():
+        path.unlink()
+        path.mkdir()
+    capsys.readouterr()
+    assert_rejected(capsys, ["convergence", "temporal", "--config", str(cfg),
+                             "--out", str(tmp_path / "study")],
+                    f"^cannot write cache file {re.escape(str(cache))}/run-[0-9a-f]+\\.npz: "
+                    "Is a directory$")
+
+
+def test_oracle_t_too_small_for_the_contour_is_one_line(capsys):
+    # numpy overflow warnings came first, then a message blaming the
+    # eigenvalue or gamma
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_rejected(capsys, ["oracle", "--lambda", "1", "--alpha", "0.5",
+                                 "--t", "1e-307"],
+                        "^t too small for the contour: .* got 1e-307$")
 
 
 def test_zero_error_row_names_its_parameter(tmp_path, capsys):

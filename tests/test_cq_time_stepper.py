@@ -30,10 +30,9 @@ from frstokes.fem_assembly import (
     InitialData,
     ProblemSpec,
     Nonlinearity,
-    assemble_lumped_mass,
     assemble_mass,
-    assemble_stiffness,
     l2_norm,
+    mesh_operator,
     sqrt_one_plus_u2,
     zero_source,
 )
@@ -211,19 +210,19 @@ def test_scalar_trajectory_matches_double_sum():
 
 
 def variant_matrices(mesh, variant, source_lumping):
-    A = assemble_stiffness(mesh).toarray()
+    A = mesh_operator(mesh, "stiffness").toarray()
     if variant == "lumped-linearized":
-        W = np.diag(assemble_lumped_mass(mesh).diagonal())
+        W = np.diag(mesh_operator(mesh, "lumped_mass").diagonal())
     else:
         idx = mesh.interior_nodes
-        W = assemble_mass(mesh, full=True).toarray()[np.ix_(idx, idx)]
+        W = assemble_mass(mesh).toarray()[np.ix_(idx, idx)]
     if source_lumping:
-        diag = assemble_lumped_mass(mesh).diagonal()
+        diag = mesh_operator(mesh, "lumped_mass").diagonal()
 
         def f_apply(fv):
             return diag * fv
     else:
-        M_full = assemble_mass(mesh, full=True).toarray()
+        M_full = assemble_mass(mesh).toarray()
         idx = mesh.interior_nodes
         bnd = mesh.boundary_mask
 
@@ -388,8 +387,8 @@ def test_lumped_single_mode_reduces_to_scalar_recursion():
                           + np.sin(l * np.pi / (2 * M)) ** 2)
     # the interpolated mode is a joint eigenvector: A phi = lam_h D phi
     phi = InitialData("mode", k, l).field(mesh)[mesh.interior_nodes]
-    A = assemble_stiffness(mesh)
-    D = assemble_lumped_mass(mesh)
+    A = mesh_operator(mesh, "stiffness")
+    D = mesh_operator(mesh, "lumped_mass")
     assert np.allclose(A @ phi, lam_h * (D @ phi), atol=1e-11)
 
     problem = ProblemSpec(alpha=0.5, gamma=1.0, T=1.0,
@@ -637,9 +636,8 @@ def test_gauss_legendre_end_weights_are_accurate(n):
 
 
 def stepper_inputs(mesh, problem, variant):
-    A = assemble_stiffness(mesh)
-    W = (assemble_lumped_mass(mesh) if variant == "lumped-linearized"
-         else assemble_mass(mesh))
+    A = mesh_operator(mesh, "stiffness")
+    W = mesh_operator(mesh, "lumped_mass" if variant == "lumped-linearized" else "mass")
     source = _source_builder(mesh, problem, False)
     u0 = problem.initial_data.field(mesh)[mesh.interior_nodes]
     return A, W, u0, source
@@ -687,8 +685,8 @@ def test_step_matrix_is_exactly_symmetric(family, mass):
     # symmetric as (B + B^T)/2, which leaves the assembled B bitwise unchanged
     # only if B is symmetric bit for bit already
     mesh = FAMILIES[family](8)
-    A = assemble_stiffness(mesh)
-    W = assemble_mass(mesh) if mass == "consistent" else assemble_lumped_mass(mesh)
+    A = mesh_operator(mesh, "stiffness")
+    W = mesh_operator(mesh, "mass" if mass == "consistent" else "lumped_mass")
     for B in (A, W, W + 0.37 * A):
         assert abs(B - B.T).max() == 0.0
 
@@ -697,8 +695,8 @@ def test_step_matrix_is_exactly_symmetric(family, mass):
 @pytest.mark.parametrize("mass", ["consistent", "lumped"])
 def test_transposed_solve_matches_plain_solve(family, mass):
     mesh = FAMILIES[family](16)
-    A = assemble_stiffness(mesh)
-    W = assemble_mass(mesh) if mass == "consistent" else assemble_lumped_mass(mesh)
+    A = mesh_operator(mesh, "stiffness")
+    W = mesh_operator(mesh, "mass" if mass == "consistent" else "lumped_mass")
     # c = tau + gamma tau^(1-alpha) for tau = 0.01, gamma = 1, alpha = 0.5
     lu = CompositeOperator(W, 0.01 + 0.1, A).factorize()
     b = np.random.default_rng(7).standard_normal(mesh.n_interior)
@@ -713,9 +711,9 @@ def full_vector_source(mesh, problem, lumped):
     f = problem.nonlinearity
     interior = mesh.interior_nodes
     if lumped:
-        diag = assemble_lumped_mass(mesh).diagonal()
+        diag = mesh_operator(mesh, "lumped_mass").diagonal()
         return lambda v: diag * f(v)
-    M_full = assemble_mass(mesh, full=True)
+    M_full = assemble_mass(mesh)
 
     def source(v):
         full = np.zeros(mesh.n_nodes)

@@ -1,3 +1,4 @@
+import dataclasses
 from math import factorial
 
 import numpy as np
@@ -59,30 +60,33 @@ def dense_fem_matrices(mesh):
                          ids=["symmetric3", "nonsymmetric4"])
 def test_assembly_matches_dense_reference(mesh):
     Md, Ad = dense_fem_matrices(mesh)
-    assert np.allclose(assemble_mass(mesh, full=True).toarray(), Md, atol=1e-14)
-    assert np.allclose(assemble_stiffness(mesh, full=True).toarray(), Ad, atol=1e-12)
+    assert np.allclose(assemble_mass(mesh).toarray(), Md, atol=1e-14)
+    assert np.allclose(assemble_stiffness(mesh).toarray(), Ad, atol=1e-12)
     idx = mesh.interior_nodes
-    assert np.allclose(assemble_mass(mesh).toarray(), Md[np.ix_(idx, idx)], atol=1e-14)
-    assert np.allclose(assemble_stiffness(mesh).toarray(), Ad[np.ix_(idx, idx)], atol=1e-12)
+    assert np.allclose(mesh_operator(mesh, "mass").toarray(), Md[np.ix_(idx, idx)],
+                       atol=1e-14)
+    assert np.allclose(mesh_operator(mesh, "stiffness").toarray(), Ad[np.ix_(idx, idx)],
+                       atol=1e-12)
 
 
 def test_assembled_operators_are_symmetric_and_positive():
     # what the SPD step matrix W + cA needs: symmetric A and M, positive D
     for mesh in (build_symmetric_mesh(8), build_nonsymmetric_mesh(8)):
         for full in (False, True):
-            for op in (assemble_stiffness(mesh, full=full), assemble_mass(mesh, full=full)):
+            for kind in ("stiffness", "mass"):
+                op = mesh_operator(mesh, kind, full)
                 assert abs(op - op.T).max() <= 1e-14 * abs(op.data).max()
-            D = assemble_lumped_mass(mesh, full=full).tocoo()
+            D = mesh_operator(mesh, "lumped_mass", full).tocoo()
             assert D.nnz == D.shape[0] and np.array_equal(D.row, D.col)
             assert D.data.min() > 0
 
 
 def test_mass_total_and_constant_kernel():
     mesh = build_nonsymmetric_mesh(8)
-    M = assemble_mass(mesh, full=True)
+    M = assemble_mass(mesh)
     ones = np.ones(mesh.n_nodes)
     assert ones.dot(M @ ones) == pytest.approx(1.0, abs=1e-13)
-    A = assemble_stiffness(mesh, full=True)
+    A = assemble_stiffness(mesh)
     assert np.allclose(A @ ones, 0.0, atol=1e-12)
 
 
@@ -90,7 +94,7 @@ def test_stiffness_energy_of_linear_field():
     # grad(x + 2y) = (1, 2), so the Dirichlet energy over the unit square is 5
     mesh = build_nonsymmetric_mesh(8)
     v = mesh.nodes[:, 0] + 2.0 * mesh.nodes[:, 1]
-    A = assemble_stiffness(mesh, full=True)
+    A = assemble_stiffness(mesh)
     assert v.dot(A @ v) == pytest.approx(5.0, rel=1e-13)
 
 
@@ -99,31 +103,31 @@ def test_mass_bilinear_of_coordinates():
     mesh = build_symmetric_mesh(7)
     vx = mesh.nodes[:, 0].copy()
     vy = mesh.nodes[:, 1].copy()
-    M = assemble_mass(mesh, full=True)
+    M = assemble_mass(mesh)
     assert vx.dot(M @ vy) == pytest.approx(0.25, rel=1e-13)
 
 
 def test_lumped_mass_equals_consistent_row_sums():
     for mesh in (build_symmetric_mesh(6), build_nonsymmetric_mesh(8)):
-        M = assemble_mass(mesh, full=True)
-        D = assemble_lumped_mass(mesh, full=True)
+        M = assemble_mass(mesh)
+        D = assemble_lumped_mass(mesh)
         rowsums = M @ np.ones(mesh.n_nodes)
         assert np.allclose(D.diagonal(), rowsums, atol=1e-15)
-        Di = assemble_lumped_mass(mesh)
+        Di = mesh_operator(mesh, "lumped_mass")
         assert np.allclose(Di.diagonal(), rowsums[mesh.interior_nodes], atol=1e-15)
 
 
 def test_lumped_mass_uniform_value_on_symmetric_interior():
     M = 8
     mesh = build_symmetric_mesh(M)
-    D = assemble_lumped_mass(mesh)
+    D = mesh_operator(mesh, "lumped_mass")
     assert np.allclose(D.diagonal(), 1.0 / M**2, atol=1e-16)
 
 
 def test_symmetric_interior_stiffness_is_five_point_stencil():
     M = 4
     mesh = build_symmetric_mesh(M)
-    A = assemble_stiffness(mesh).toarray()
+    A = mesh_operator(mesh, "stiffness").toarray()
     # interior nodes form a 3x3 grid, ordered row by row
     k = mesh.n_interior
     assert k == 9
@@ -142,8 +146,8 @@ def test_stiffness_stores_no_zeros(build, full):
     # the element pattern (that of the mass matrix) holds exact zeros for the
     # diagonal couplings; dropping them changes no product and no LU fill
     mesh = build(16)
-    A = assemble_stiffness(mesh, full=full)
-    M = assemble_mass(mesh, full=full)
+    A = mesh_operator(mesh, "stiffness", full)
+    M = mesh_operator(mesh, "mass", full)
     assert A.data.size and np.count_nonzero(A.data == 0.0) == 0
     pattern = M.tocoo()
     vals = np.asarray(A[pattern.row, pattern.col]).ravel()
@@ -152,7 +156,7 @@ def test_stiffness_stores_no_zeros(build, full):
     x = np.random.default_rng(5).standard_normal(A.shape[0])
     assert np.array_equal(A @ x, old @ x)
     if not full:
-        for W in (M, assemble_lumped_mass(mesh)):
+        for W in (M, mesh_operator(mesh, "lumped_mass")):
             new_lu = CompositeOperator(W, 0.05, A).factorize()
             old_lu = CompositeOperator(W, 0.05, old).factorize()
             assert new_lu.L.nnz + new_lu.U.nnz == old_lu.L.nnz + old_lu.U.nnz
@@ -343,7 +347,10 @@ def test_mesh_operator_is_memoized_fresh_assembly(kind, full):
     op = mesh_operator(mesh, kind, full=full)
     assert mesh_operator(mesh, kind, full=full) is op
     fresh = {"stiffness": assemble_stiffness, "mass": assemble_mass,
-             "lumped_mass": assemble_lumped_mass}[kind](mesh, full=full)
+             "lumped_mass": assemble_lumped_mass}[kind](mesh)
+    if not full:
+        idx = mesh.interior_nodes
+        fresh = fresh[idx][:, idx]
     arrays = [op.data, op.indices, op.indptr]
     want = [fresh.data, fresh.indices, fresh.indptr]
     for got, expected in zip(arrays, want):
@@ -352,21 +359,44 @@ def test_mesh_operator_is_memoized_fresh_assembly(kind, full):
             got[0] = got[0]
     assert mesh_operator(build_nonsymmetric_mesh(8), kind, full=full) is not op
     with pytest.raises(ValueError, match="unknown operator"):
-        mesh_operator(mesh, "advection")
+        mesh_operator(mesh, "advection", full=full)
+
+
+@pytest.mark.parametrize("mesh", [build_symmetric_mesh(1), build_symmetric_mesh(2),
+                                  build_symmetric_mesh(32), build_nonsymmetric_mesh(16)],
+                         ids=["symmetric1", "symmetric2", "symmetric32", "nonsymmetric16"])
+def test_interior_lumped_mass_is_the_diagonal_of_the_interior_entries(mesh):
+    # the block cut from the full diagonal stores what a diagonal matrix
+    # built from the interior entries alone stores, array for array
+    want = sp.diags(assemble_lumped_mass(mesh).diagonal()[mesh.interior_nodes],
+                    format="csr")
+    got = mesh_operator(mesh, "lumped_mass")
+    for a, b in zip((got.data, got.indices, got.indptr),
+                    (want.data, want.indices, want.indptr)):
+        assert np.array_equal(a, b) and a.dtype == b.dtype
+
+
+def test_assembly_rejects_a_misoriented_triangle():
+    mesh = build_symmetric_mesh(2)
+    triangles = mesh.triangles.copy()
+    triangles[0] = triangles[0, ::-1]
+    with pytest.raises(ValueError, match="^degenerate or misoriented triangle in assembly$"):
+        assemble_stiffness(dataclasses.replace(mesh, triangles=triangles))
 
 
 @pytest.mark.parametrize("call", [
     lambda mesh, full: mesh_operator(mesh, "stiffness", full=full),
     lambda mesh, full: mesh_operator(mesh, "lumped_mass", full),
-    lambda mesh, full: assemble_stiffness(mesh, full=full),
-    lambda mesh, full: assemble_mass(mesh, full),
-    lambda mesh, full: assemble_lumped_mass(mesh, full=full),
+    lambda mesh, full: mesh_operator(mesh, "stiffness", full),
+    lambda mesh, full: mesh_operator(mesh, "mass", full),
+    lambda mesh, full: mesh_operator(mesh, "lumped_mass", full=full),
 ], ids=["mesh_operator", "mesh_operator-positional", "assemble_stiffness",
         "assemble_mass", "assemble_lumped_mass"])
 @pytest.mark.parametrize("full", ["yes", "false", 1, None])
 def test_operators_take_full_as_a_flag(call, full):
     # full was read by truth value: "yes", "false" and 1 gave the full
-    # matrix, None the interior block
+    # matrix, None the interior block.  Only mesh_operator takes the flag,
+    # so each assemble_* case requests the kind that builder assembles
     mesh = build_symmetric_mesh(4)
     with pytest.raises(ValueError, match=f"^full must be a bool, got {full!r}$"):
         call(mesh, full)

@@ -220,6 +220,20 @@ def test_solve_final_interrupted_write_leaves_no_file(tmp_path, monkeypatch):
     assert list(cache.iterdir()) == []
 
 
+def test_cache_file_that_cannot_be_written_is_a_value_error(tmp_path):
+    # a directory in the way of the cache file ended the solve in an
+    # IsADirectoryError traceback from os.replace
+    cache = tmp_path / "runs"
+    solve_final(RUN, str(cache))
+    (path,) = cache.iterdir()
+    path.unlink()
+    path.mkdir()
+    with pytest.raises(ValueError, match=f"^cannot write cache file "
+                                         f"{re.escape(str(path))}: Is a directory$"):
+        solve_final(RUN, str(cache))
+    assert list(cache.iterdir()) == [path] and not list(path.iterdir())
+
+
 def test_cache_file_records_blas_configuration(tmp_path, monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
@@ -291,7 +305,7 @@ def test_temporal_study_builds_mesh_and_operators_once(monkeypatch):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls.append((name, kwargs.get("full", False)))
+            calls.append(name)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
@@ -305,8 +319,8 @@ def test_temporal_study_builds_mesh_and_operators_once(monkeypatch):
     cfg = StudyConfig(case="a", alphas=(0.5,), M=12, N=steps, N_ref=24,
                       scheme="galerkin-linearized")
     (report,) = run_temporal_study(cfg)
-    assert sorted(calls) == [("assemble_mass", True), ("assemble_stiffness", True),
-                             ("build_symmetric_mesh", False), ("l2_project", False)]
+    assert sorted(calls) == ["assemble_mass", "assemble_stiffness",
+                             "build_symmetric_mesh", "l2_project"]
 
     # while a caller holds the mesh, a second study builds nothing new
     mesh = build_mesh("symmetric", 12)
@@ -327,7 +341,7 @@ def test_temporal_study_builds_mesh_and_operators_once(monkeypatch):
         config = SchemeConfig(variant="galerkin-linearized", N=N, snapshot_stride=N)
         return step_linearized(config, problem, fresh).final()
 
-    mass = assemble_mass(fresh, full=True)
+    mass = assemble_mass(fresh)
     ref = fresh_final(24)
     _, ref_again = solve_final(Run("a", 0.5, 1.0, 1.0, "symmetric", 12, 24,
                                    scheme="galerkin-linearized"))

@@ -79,6 +79,19 @@ def test_contour_for_time_rejects_non_finite_time(t):
         contour_nodes(t)
 
 
+@pytest.mark.parametrize("t", [1e-307, 3.2e-307, 5e-324])
+def test_contour_nodes_rejects_a_t_whose_contour_overflows(t):
+    # the ray length 58.6 / t overflowed with numpy warnings, and the
+    # oracle then blamed the eigenvalue or gamma
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^t too small for the contour: 1/t or the "
+                                             f"ray length 58.6 / t overflows, got {t!r}$"):
+            contour_nodes(t)
+        z, w = contour_nodes(3.3e-307)
+    assert np.all(np.isfinite(z)) and np.all(np.isfinite(w))
+
+
 @pytest.mark.parametrize("args,match", [
     ((1.0, math.nan, 0.5, 1.0), "t must be a finite number"),
     ((1.0, math.inf, 0.5, 1.0), "t must be a finite number"),
