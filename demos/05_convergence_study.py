@@ -14,7 +14,7 @@ from frstokes.experiment_harness import StudyConfig, run_spatial_study
 # even at M = 16
 cfg = StudyConfig(
     case="mode",
-    alphas=(0.5,),
+    alpha=(0.5,),
     M=(2, 4, 8, 16),
     N=1024,
     scheme="lumped-linearized",

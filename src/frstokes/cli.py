@@ -8,9 +8,9 @@ Subcommands:
 * ``frs convergence {spatial,temporal,prefactor,nonsymmetric} --config study.cfg [--md] [--out base|-]``
 
 Config files are either JSON objects or flat ``key=value`` lines (``#``
-comments allowed), each key given once.  The keys are the
-:class:`StudyConfig` fields, with ``alpha`` for ``alphas``, and it checks
-them.  List-valued keys take comma-separated values, e.g.
+comments allowed), each key given once.  The keys are :class:`StudyConfig`
+field names (for ``frs run``, :class:`Run` ones), and it checks them.
+List-valued keys take comma-separated values, e.g.
 ``alpha=0.25,0.5,0.75`` or ``M=8,16,32,64``.
 
 Errors are one line on stderr, ``frs: <message>``: bad input, including a
@@ -43,8 +43,7 @@ _STUDY_RUNNERS = {
     "prefactor": harness.run_prefactor_study,
     "nonsymmetric": harness.run_nonsymmetric_study,
 }
-_CONFIG_KEYS = {"alpha" if f.name == "alphas" else f.name
-                for f in fields(harness.StudyConfig)}
+_CONFIG_KEYS = {f.name for f in fields(harness.StudyConfig)}
 
 
 def _coerce_scalar(text: str):
@@ -97,13 +96,11 @@ def parse_config(path: str) -> dict:
 
 
 def study_config_from_dict(raw: dict, keys=_CONFIG_KEYS) -> harness.StudyConfig:
-    """Translate config keys, each one of ``keys``, into a StudyConfig,
-    which checks the values."""
+    """The checked StudyConfig of ``raw``, whose keys must be in ``keys``."""
     unknown = sorted(set(raw) - set(keys))
     if unknown:
         raise ValueError(f"unknown config keys: {unknown}")
-    return harness.StudyConfig(**{"alphas" if key == "alpha" else key: value
-                                  for key, value in raw.items()})
+    return harness.StudyConfig(**raw)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -135,7 +132,7 @@ _RUN_KEYS = tuple(f.name for f in fields(harness.Run))
 def _cmd_run(args) -> int:
     cfg = study_config_from_dict({"M": 16, "N": 100, **parse_config(args.config)},
                                  _RUN_KEYS)
-    alpha, M, N = harness._fixed(cfg, "a run config", "alphas", "M", "N")
+    alpha, M, N = harness._fixed(cfg, "a run config", "alpha", "M", "N")
     mesh, final = harness.solve_final(harness.Run(
         cfg.case, alpha, cfg.gamma, cfg.T, cfg.family, M, N, cfg.scheme, cfg.source_lumping))
     if args.out:  # before the summary, so a failed write prints nothing
@@ -170,8 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_mesh = sub.add_parser("mesh", help="emit a triangulation as text")
-    p_mesh.add_argument("--family", choices=("symmetric", "nonsymmetric"),
-                        required=True)
+    p_mesh.add_argument("--family", choices=harness.FAMILIES, required=True)
     p_mesh.add_argument("--M", type=int, required=True)
     p_mesh.add_argument("--out", default=None)
     p_mesh.set_defaults(fn=_cmd_mesh)

@@ -81,7 +81,7 @@ import numpy as np
 import numpy.typing as npt
 import scipy.sparse as sp
 
-from .fem_assembly import Nonlinearity, ProblemSpec, mesh_operator
+from .fem_assembly import Nonlinearity, ProblemSpec, _zero, mesh_operator
 from .mesh import TriMesh, _count, _flag, _gauss_legendre, _is_count, _real
 from .sparse_linalg import CompositeOperator
 
@@ -433,7 +433,7 @@ def _source_builder(mesh: TriMesh, problem: ProblemSpec, lumped: bool):
     interior lumped mass as a sparse diagonal.
     """
     f = problem.nonlinearity
-    if f.lipschitz == 0.0 and f.name == "zero":
+    if f.fn is _zero:
         return None
     if lumped:
         diag = mesh_operator(mesh, "lumped_mass")

@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .cq_time_stepper import SchemeConfig, step_implicit, step_linearized
+from .cq_time_stepper import VARIANTS, SchemeConfig, step_implicit, step_linearized
 from .fem_assembly import (
     _PROBLEM_BOUNDS,
     InitialData,
@@ -55,11 +55,12 @@ __all__ = [
 ]
 
 
-_LADDERS = ("alphas", "M", "N", "t_list")
+FAMILIES = ("symmetric", "nonsymmetric")
+_LADDERS = ("alpha", "M", "N", "t_list")
 # The check of each number and flag of StudyConfig, applied to every entry
 # of a ladder: the name its message gives, the check and the check's rule.
 _STUDY_CHECKS = {
-    "alphas": ("alpha", _real, _PROBLEM_BOUNDS["alpha"]),
+    "alpha": ("alpha", _real, _PROBLEM_BOUNDS["alpha"]),
     "gamma": ("gamma", _real, _PROBLEM_BOUNDS["gamma"]),
     "T": ("T", _real, _PROBLEM_BOUNDS["T"]),
     "t_list": ("t_list", _real, _PROBLEM_BOUNDS["T"]),
@@ -76,7 +77,7 @@ class StudyConfig:
     Spatial studies sweep the meshes ``M`` against ``M_ref`` at one ``N``;
     temporal studies sweep ``N`` against ``N_ref`` on one ``M``; prefactor
     studies fix both and sweep the final time over ``t_list`` along
-    ``axis``.  A ladder field (``alphas``, ``M``, ``N``, ``t_list``) takes
+    ``axis``.  A ladder field (``alpha``, ``M``, ``N``, ``t_list``) takes
     one value, a list or a 1-d array and stores a tuple; the ``M`` and ``N``
     defaults are ladders, so a study states each axis it holds fixed.
     ``case`` selects the initial data: the smooth bump ("a"), the
@@ -90,7 +91,7 @@ class StudyConfig:
     """
 
     case: str = "a"
-    alphas: tuple = (0.5,)
+    alpha: tuple = (0.5,)
     gamma: float = 1.0
     T: float = 1.0
     family: str = "symmetric"
@@ -121,7 +122,7 @@ class StudyConfig:
                 raise ValueError(f"{name} must not repeat an entry, got {values}")
             object.__setattr__(self, name, values if name in _LADDERS else values[0])
         InitialData(self.case)
-        if self.family not in ("symmetric", "nonsymmetric"):
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.axis not in ("spatial", "temporal"):
             raise ValueError("prefactor axis must be spatial or temporal, "
@@ -133,7 +134,8 @@ class StudyConfig:
                 raise ValueError("cache_dir must be a non-empty path string, "
                                  f"got {self.cache_dir!r}")
             object.__setattr__(self, "cache_dir", path)
-        SchemeConfig(variant=self.scheme, N=self.N[0])
+        if self.scheme not in VARIANTS:
+            raise ValueError(f"unknown scheme {self.scheme!r}; choose from {VARIANTS}")
 
 
 def _fixed(cfg: StudyConfig, where: str, *names: str) -> list:
@@ -141,8 +143,8 @@ def _fixed(cfg: StudyConfig, where: str, *names: str) -> list:
     temporal study") holds fixed, checked before any mesh or solve."""
     for name in names:
         if len(getattr(cfg, name)) > 1:
-            raise ValueError(f"{'alpha' if name == 'alphas' else name} takes one value "
-                             f"in {where}, got {list(getattr(cfg, name))}")
+            raise ValueError(f"{name} takes one value in {where}, "
+                             f"got {list(getattr(cfg, name))}")
     return [getattr(cfg, name)[0] for name in names]
 
 
@@ -220,14 +222,11 @@ def build_mesh(family: str, M: int) -> TriMesh:
     object, so the operators memoized on it are reused; once the last
     reference goes, so does the mesh with its memo.
     """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
     mesh = _MESHES.get((family, M))
     if mesh is None:
-        if family == "symmetric":
-            mesh = build_symmetric_mesh(M)
-        elif family == "nonsymmetric":
-            mesh = build_nonsymmetric_mesh(M)
-        else:
-            raise ValueError(f"unknown family {family!r}")
+        mesh = (build_symmetric_mesh if family == "symmetric" else build_nonsymmetric_mesh)(M)
         _MESHES[family, M] = mesh
     return mesh
 
@@ -410,7 +409,7 @@ def _table(cfg: StudyConfig, kind: str, param_name: str, plan) -> list[Experimen
     # u0 = sin sin = (1/2) phi_kl against the orthonormal eigenfunctions.
     mode = InitialData("mode")
     reports = []
-    for alpha in cfg.alphas:
+    for alpha in cfg.alpha:
         kernel = (linear_exact_solution([(mode.k, mode.l, 0.5)], cfg.T, alpha,
                                         cfg.gamma) if exact else None)
         solved = {}

@@ -232,8 +232,12 @@ def sqrt_one_plus_u2() -> Nonlinearity:
     return Nonlinearity(lambda u: np.sqrt(1.0 + u * u), 1.0, "sqrt(1+u^2)")
 
 
+def _zero(u):
+    return np.zeros_like(np.asarray(u, dtype=float))
+
+
 def zero_source() -> Nonlinearity:
-    return Nonlinearity(lambda u: np.zeros_like(np.asarray(u, dtype=float)), 0.0, "zero")
+    return Nonlinearity(_zero, 0.0, "zero")
 
 
 @dataclass(frozen=True)

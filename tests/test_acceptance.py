@@ -105,7 +105,7 @@ def test_1_spatial_rates_symmetric(cache_dir):
     rates = {}
     mags_ok = True
     for case in ("a", "b"):
-        cfg = StudyConfig(case=case, alphas=(0.25, 0.5, 0.75),
+        cfg = StudyConfig(case=case, alpha=(0.25, 0.5, 0.75),
                           M=(8, 16, 32, 64), M_ref=128, N=200,
                           scheme="galerkin-linearized", cache_dir=cache_dir)
         for rep in run_spatial_study(cfg):
@@ -158,7 +158,7 @@ def _rough_data_transient():
 
 
 def test_2_temporal_rates(cache_dir):
-    cfg = StudyConfig(case="a", alphas=(0.25, 0.5, 0.75), M=128,
+    cfg = StudyConfig(case="a", alpha=(0.25, 0.5, 0.75), M=128,
                       N=(5, 10, 20, 40, 80), N_ref=640,
                       scheme="galerkin-linearized", cache_dir=cache_dir)
     reports_a = run_temporal_study(cfg)
@@ -172,7 +172,7 @@ def test_2_temporal_rates(cache_dir):
     # N range its fitted rate lands around 1.4-1.8 rather than in the
     # smooth-data band; pinned here: monotone decay plus a first-order
     # floor, with the transient's own rate checked against the oracle.
-    cfg_b = StudyConfig(case="b", alphas=(0.25, 0.5, 0.75), M=128,
+    cfg_b = StudyConfig(case="b", alpha=(0.25, 0.5, 0.75), M=128,
                         N=(5, 10, 20, 40, 80), N_ref=640,
                         scheme="galerkin-linearized", cache_dir=cache_dir)
     reports_b = run_temporal_study(cfg_b)
@@ -198,7 +198,7 @@ def test_3_temporal_prefactor_slopes(cache_dir):
     slopes, bend = {}, {}
     mags_ok = True
     for case in ("a", "b"):
-        cfg = StudyConfig(case=case, alphas=(0.5,), M=128, N=10, N_ref=80,
+        cfg = StudyConfig(case=case, alpha=(0.5,), M=128, N=10, N_ref=80,
                           t_list=T_GRID + (1e-8, 1e-9), axis="temporal",
                           scheme="galerkin-linearized", cache_dir=cache_dir)
         (rep,) = run_prefactor_study(cfg)
@@ -220,7 +220,7 @@ def test_4_spatial_prefactor_slopes(cache_dir):
     slopes = {}
     mags_ok = True
     for case in ("a", "b"):
-        cfg = StudyConfig(case=case, alphas=(0.5,), M=64, M_ref=128, N=200,
+        cfg = StudyConfig(case=case, alpha=(0.5,), M=64, M_ref=128, N=200,
                           t_list=T_GRID, axis="spatial",
                           scheme="galerkin-linearized", cache_dir=cache_dir)
         (rep,) = run_prefactor_study(cfg)
@@ -238,7 +238,7 @@ def test_5_nonsymmetric_lumped_rates(cache_dir):
     rates = {}
     mags_ok = True
     for case in ("a", "b"):
-        cfg = StudyConfig(case=case, alphas=(0.5,), family="nonsymmetric",
+        cfg = StudyConfig(case=case, alpha=(0.5,), family="nonsymmetric",
                           M=(8, 16, 32, 64), M_ref=128, N=200,
                           scheme="lumped-linearized", cache_dir=cache_dir)
         (rep,) = run_nonsymmetric_study(cfg)

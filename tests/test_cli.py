@@ -18,7 +18,8 @@ from frstokes import cli
 from frstokes.cli import main, parse_config, study_config_from_dict
 from frstokes.cq_time_stepper import (DivergedError, PicardConvergenceError,
                                       SchemeConfig, step_linearized)
-from frstokes.experiment_harness import StudyConfig, build_mesh, _problem, run_temporal_study
+from frstokes.experiment_harness import (Run, StudyConfig, build_mesh, _problem,
+                                         run_temporal_study)
 from frstokes.fem_assembly import l2_norm
 from frstokes.mesh import format_mesh_text
 from frstokes.spectral_oracle import ContourResolutionError, mode_response
@@ -78,14 +79,14 @@ def test_study_config_from_dict_mappings():
     cfg = study_config_from_dict(
         {"alpha": [0.25, 0.75], "M": [8, 16], "N": 100, "case": "b",
          "M_ref": 32, "T": 2, "gamma": 2})
-    assert cfg.alphas == (0.25, 0.75)
+    assert cfg.alpha == (0.25, 0.75)
     assert cfg.M == (8, 16)
     assert cfg.N == (100,)
     assert cfg.case == "b" and cfg.M_ref == 32
     assert cfg.T == 2.0 and cfg.gamma == 2.0
 
     scalar = study_config_from_dict({"alpha": 0.5, "M": 64})
-    assert scalar.alphas == (0.5,)
+    assert scalar.alpha == (0.5,)
     assert scalar.M == (64,)
 
     with pytest.raises(ValueError, match="unknown config keys"):
@@ -94,9 +95,48 @@ def test_study_config_from_dict_mappings():
 
 def test_study_config_from_dict_accepts_every_field_key():
     defaults = StudyConfig()
-    for key, field in zip(_CONFIG_KEYS, dataclasses.fields(StudyConfig)):
+    for field in dataclasses.fields(StudyConfig):
         value = getattr(defaults, field.name)
-        assert study_config_from_dict({key: value}) == defaults, key
+        assert study_config_from_dict({field.name: value}) == defaults, field.name
+
+
+def test_config_keys_are_exactly_the_field_names(tmp_path, capsys, monkeypatch):
+    # the field "alphas" was read from the key "alpha", so an error named a
+    # key that the config never held
+    study_keys = [f.name for f in dataclasses.fields(StudyConfig)]
+    run_keys = [f.name for f in dataclasses.fields(Run)]
+    studies, runs = [], []
+
+    def study(cfg):
+        studies.append(cfg)
+        return []
+
+    def solve_final(run):
+        runs.append(run)
+        mesh = build_mesh(run.family, run.M)
+        return mesh, np.zeros(mesh.n_nodes)
+
+    monkeypatch.setitem(cli._STUDY_RUNNERS, "temporal", study)
+    monkeypatch.setattr(cli.harness, "solve_final", solve_final)
+    cfg = tmp_path / "config.json"
+    # every StudyConfig field under its own name, at its default
+    cfg.write_text(json.dumps(dataclasses.asdict(StudyConfig())))
+    assert main(["convergence", "temporal", "--config", str(cfg)]) == 0
+    assert studies == [StudyConfig()]
+    # every Run field under its own name
+    run = Run("b", 0.3, 2.0, 0.5, "nonsymmetric", 4, 3, "galerkin-implicit", True)
+    cfg.write_text(json.dumps(dataclasses.asdict(run)))
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert runs == [run]
+    capsys.readouterr()
+    for key in set(study_keys) - set(run_keys):
+        cfg.write_text(json.dumps({**dataclasses.asdict(run), key: None}))
+        assert_rejected(capsys, ["run", "--config", str(cfg)],
+                        rf"^unknown config keys: \['{key}'\]$")
+    for argv in (["convergence", "temporal"], ["run"]):
+        cfg.write_text('{"alphas": 0.5}')
+        assert_rejected(capsys, [*argv, "--config", str(cfg)],
+                        r"^unknown config keys: \['alphas'\]$")
 
 
 @pytest.mark.parametrize("name,text,message", [
@@ -301,8 +341,12 @@ def test_convergence_subcommand_rejects_non_integer_counts(tmp_path, capsys):
     ("alpha = 0.5,abc", r"^alpha must be a finite number in \(0, 1\), got 'abc'"),
     ("t_list = 1e-3,abc", "^t_list must be a finite number > 0, got 'abc'"),
     ("axis = foo", "^prefactor axis must be spatial or temporal, got 'foo'$"),
-    # a repeated alpha solved and wrote the whole table twice
-    ("alpha = 0.5,0.5", r"^alphas must not repeat an entry, got \(0\.5, 0\.5\)$"),
+    # a repeated alpha solved and wrote the whole table twice; the message
+    # named the field "alphas", as the id still does
+    pytest.param("alpha = 0.5,0.5", r"^alpha must not repeat an entry, got \(0\.5, 0\.5\)$",
+                 id=r"alpha = 0.5,0.5-^alphas must not repeat an entry, got \(0\.5, 0\.5\)$"),
+    # the message named the "variant" of a SchemeConfig built only to check it
+    ("scheme = foo", r"^unknown scheme 'foo'; choose from \('galerkin-linearized', "),
 ])
 def test_convergence_subcommand_rejects_bad_scalar_values(tmp_path, capsys, line, message):
     cfg = tmp_path / "study.cfg"
@@ -409,9 +453,6 @@ _BASE_CONFIGS = {
                   "t_list": [1e-2, 1e-3]},
     "nonsymmetric": {"case": "a", "M": [4], "N": 4, "M_ref": 8, "N_ref": 8},
 }
-# Every StudyConfig field, under its config key, so a new field is fuzzed too.
-_CONFIG_KEYS = tuple("alpha" if f.name == "alphas" else f.name
-                     for f in dataclasses.fields(StudyConfig))
 _SCALARS = st.one_of(
     st.booleans(), st.none(), st.integers(-2, 8),
     st.sampled_from([0.0, -1.0, 1e-3, 0.25, 0.5, 2.5, math.nan, math.inf, -math.inf]),
@@ -431,7 +472,9 @@ def _key_value_text(value) -> str:
 @example(command="temporal", key="cache_dir", value=5, as_json=False)
 @example(command="temporal", key="cache_dir", value=True, as_json=True)
 @example(command="temporal", key="M", value=[2, 4], as_json=False)
-@given(command=st.sampled_from(sorted(_BASE_CONFIGS)), key=st.sampled_from(_CONFIG_KEYS),
+# key: every StudyConfig field, so a new field is fuzzed too
+@given(command=st.sampled_from(sorted(_BASE_CONFIGS)),
+       key=st.sampled_from([f.name for f in dataclasses.fields(StudyConfig)]),
        value=st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3)), as_json=st.booleans())
 def _config_runs_or_exits_2(command, key, value, as_json):
     raw = {**_BASE_CONFIGS[command], key: value}
@@ -470,14 +513,14 @@ def test_config_out_key_is_rejected(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("raw,name", [({"M": []}, "M"), ({"N": []}, "N"),
-                                      ({"t_list": []}, "t_list")])
+                                      ({"t_list": []}, "t_list"), ({"alpha": []}, "alpha")])
 def test_study_config_rejects_empty_ladders(raw, name):
     with pytest.raises(ValueError, match=f"^{name} must not be empty"):
         study_config_from_dict(raw)
 
 
 @pytest.mark.parametrize("line,name", [("M = ,", "M"), ("N = ,", "N"),
-                                       ("t_list = ,", "t_list")])
+                                       ("t_list = ,", "t_list"), ("alpha = ,", "alpha")])
 def test_convergence_subcommand_rejects_empty_ladders(tmp_path, capsys, line, name):
     # "N = ," used to reach the study and fail in max() of an empty sequence
     cfg = tmp_path / "study.cfg"
@@ -513,7 +556,7 @@ def test_study_rejects_a_ladder_on_a_fixed_axis(tmp_path, capsys, monkeypatch, s
 
 
 @pytest.mark.parametrize("line,fields,message,run_message", [
-    ("alpha = 0.5,abc", dict(alphas=(0.5, "abc")),
+    ("alpha = 0.5,abc", dict(alpha=(0.5, "abc")),
      "alpha must be a finite number in (0, 1), got 'abc'", None),
     ("gamma = 1,2", dict(gamma=[1, 2]), "gamma takes one value, got [1, 2]", None),
     ("M = 4,8", dict(M=[4, 8]), "M takes one value in a temporal study, got [4, 8]",

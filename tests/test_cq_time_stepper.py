@@ -482,6 +482,24 @@ def test_implicit_equals_linearized_for_zero_source():
     assert np.allclose(lin.values, imp.values, atol=1e-12)
 
 
+def test_zero_source_is_told_by_its_function_not_its_name():
+    # any source of Lipschitz constant 0 named "zero" was dropped, so
+    # f = 1 under that name ran as f = 0
+    mesh = build_symmetric_mesh(8)
+    config = SchemeConfig(variant="lumped-linearized", N=20)
+
+    def final(source):
+        problem = ProblemSpec(alpha=0.5, gamma=1.0, T=1.0, nonlinearity=source)
+        return step_linearized(config, problem, mesh).final()
+
+    def one(u):
+        return np.ones_like(u)
+
+    named_zero = final(Nonlinearity(one, 0.0, "zero"))
+    assert np.array_equal(named_zero, final(Nonlinearity(one, 0.0, "one")))
+    assert l2_norm(mesh, named_zero) > 10 * l2_norm(mesh, final(zero_source()))
+
+
 def test_implicit_linearized_gap_shrinks_first_order():
     mesh = build_symmetric_mesh(8)
     gaps = []

@@ -93,15 +93,15 @@ def test_study_config_validation():
     with pytest.raises(ValueError):
         StudyConfig(axis="sideways")
     with pytest.raises(ValueError):
-        StudyConfig(alphas=())
+        StudyConfig(alpha=())
     # every (alpha, gamma, T) a study runs is checked as the ProblemSpec it builds
     for kwargs, field in [
             (dict(gamma=-1.0), "gamma"), (dict(gamma=math.nan), "gamma"),
             (dict(gamma=math.inf), "gamma"), (dict(case="mode", gamma=0.0), "gamma"),
             (dict(T=-1.0), "T"), (dict(T=math.nan), "T"),
             (dict(t_list=(1e-3, -1.0)), "t_list"), (dict(t_list=(math.inf,)), "t_list"),
-            (dict(alphas=(0.5, 1.5)), "alpha"), (dict(alphas=(math.nan,)), "alpha"),
-            (dict(scheme="crank-nicolson"), "variant")]:
+            (dict(alpha=(0.5, 1.5)), "alpha"), (dict(alpha=(math.nan,)), "alpha"),
+            (dict(scheme="crank-nicolson"), "scheme")]:
         with pytest.raises(ValueError, match=field):
             StudyConfig(**kwargs)
 
@@ -316,7 +316,7 @@ def test_temporal_study_builds_mesh_and_operators_once(monkeypatch):
         counted(fem_assembly, name)
 
     steps = (2, 3, 4, 5, 6)
-    cfg = StudyConfig(case="a", alphas=(0.5,), M=12, N=steps, N_ref=24,
+    cfg = StudyConfig(case="a", alpha=(0.5,), M=12, N=steps, N_ref=24,
                       scheme="galerkin-linearized")
     (report,) = run_temporal_study(cfg)
     assert sorted(calls) == ["assemble_mass", "assemble_stiffness",
@@ -359,7 +359,7 @@ def test_solve_final_deterministic_without_cache():
 
 
 def test_spatial_study_single_mode_against_oracle(tmp_path):
-    cfg = StudyConfig(case="mode", alphas=(0.5,), M=(2, 4, 8), N=128,
+    cfg = StudyConfig(case="mode", alpha=(0.5,), M=(2, 4, 8), N=128,
                       cache_dir=str(tmp_path))
     (rep,) = run_spatial_study(cfg)
     assert rep.kind == "spatial" and rep.param_name == "h"
@@ -428,8 +428,8 @@ def test_library_study_rejects_a_ladder_on_a_fixed_axis(tmp_path, monkeypatch, r
 
 
 def test_study_config_stores_each_ladder_as_a_tuple_of_its_type():
-    cfg = StudyConfig(alphas=0.5, M=[4, 8], N=16, t_list=[1, 2], gamma=2, T=3)
-    assert (cfg.alphas, cfg.M, cfg.N, cfg.t_list) == ((0.5,), (4, 8), (16,), (1.0, 2.0))
+    cfg = StudyConfig(alpha=0.5, M=[4, 8], N=16, t_list=[1, 2], gamma=2, T=3)
+    assert (cfg.alpha, cfg.M, cfg.N, cfg.t_list) == ((0.5,), (4, 8), (16,), (1.0, 2.0))
     assert all(type(t) is float for t in (*cfg.t_list, cfg.gamma, cfg.T))
     assert len(dataclasses.fields(StudyConfig)) == 14
     for kwargs, message in [(dict(M_ref=[8, 16]), "M_ref takes one value, got [8, 16]"),
@@ -444,18 +444,18 @@ def test_study_config_stores_each_ladder_as_a_tuple_of_its_type():
 
 
 def test_study_config_takes_numpy_numbers_arrays_and_paths(tmp_path):
-    # gamma=np.int64(1) and alphas=np.array([...]) were rejected as not
+    # gamma=np.int64(1) and alpha=np.array([...]) were rejected as not
     # numbers, and a pathlib.Path cache_dir as not a string, though
     # solve_final takes one
-    plain = StudyConfig(gamma=1, alphas=[0.25, 0.5], M=[4, 8], N_ref=16,
+    plain = StudyConfig(gamma=1, alpha=[0.25, 0.5], M=[4, 8], N_ref=16,
                         cache_dir=str(tmp_path))
-    numpy = StudyConfig(gamma=np.int64(1), alphas=np.array([0.25, 0.5]),
+    numpy = StudyConfig(gamma=np.int64(1), alpha=np.array([0.25, 0.5]),
                         M=np.array([4, 8]), N_ref=np.int64(16), cache_dir=tmp_path)
     # the repr shows each stored value with its type
     assert repr(numpy) == repr(plain)
 
     def key(cfg):
-        return harness._run_key(Run(cfg.case, cfg.alphas[1], cfg.gamma, cfg.T,
+        return harness._run_key(Run(cfg.case, cfg.alpha[1], cfg.gamma, cfg.T,
                                     cfg.family, cfg.M[1], cfg.N_ref))
 
     assert key(numpy) == key(plain)
@@ -509,14 +509,14 @@ def test_each_run_of_a_table_is_solved_once_per_alpha(monkeypatch, run, fields, 
         return solve_final(*args, **kwargs)
 
     monkeypatch.setattr(harness, "solve_final", counted)
-    cfg = StudyConfig(**{"case": "a", **fields, "alphas": (0.25, 0.5)})
+    cfg = StudyConfig(**{"case": "a", **fields, "alpha": (0.25, 0.5)})
     assert len(run(cfg)) == 2
     assert len(calls) == 2 * per_alpha
     assert len(set(calls)) == len(calls)
 
 
 def test_temporal_study_first_order(tmp_path):
-    cfg = StudyConfig(case="a", alphas=(0.5,), M=8, N=(4, 8, 16),
+    cfg = StudyConfig(case="a", alpha=(0.5,), M=8, N=(4, 8, 16),
                       N_ref=128, cache_dir=str(tmp_path))
     (rep,) = run_temporal_study(cfg)
     assert rep.param_name == "tau"
@@ -528,7 +528,7 @@ def test_temporal_study_first_order(tmp_path):
 
 
 def test_prefactor_study_reports_theory(tmp_path):
-    cfg = StudyConfig(case="a", alphas=(0.5,), M=4, N=4, N_ref=16,
+    cfg = StudyConfig(case="a", alpha=(0.5,), M=4, N=4, N_ref=16,
                       t_list=(1e-2, 1e-3), axis="temporal",
                       cache_dir=str(tmp_path))
     (rep,) = run_prefactor_study(cfg)
@@ -537,7 +537,7 @@ def test_prefactor_study_reports_theory(tmp_path):
     assert rep.theoretical_rate == pytest.approx(0.5)
     assert "theoretical_rate,0.500000" in rep.to_csv()
 
-    cfg_b = StudyConfig(case="b", alphas=(0.5,), M=4, M_ref=8, N=4,
+    cfg_b = StudyConfig(case="b", alpha=(0.5,), M=4, M_ref=8, N=4,
                         t_list=(1e-2, 1e-3), axis="spatial",
                         cache_dir=str(tmp_path))
     (rep_b,) = run_prefactor_study(cfg_b)
@@ -546,7 +546,7 @@ def test_prefactor_study_reports_theory(tmp_path):
 
 
 def test_nonsymmetric_study_converges(tmp_path):
-    cfg = StudyConfig(case="a", alphas=(0.5,), family="nonsymmetric",
+    cfg = StudyConfig(case="a", alpha=(0.5,), family="nonsymmetric",
                       M=(4, 8), M_ref=32, N=32, cache_dir=str(tmp_path))
     (rep,) = run_nonsymmetric_study(cfg)
     assert rep.kind == "nonsymmetric"
@@ -554,7 +554,7 @@ def test_nonsymmetric_study_converges(tmp_path):
     assert rep.errors[0] > rep.errors[1]
     assert rep.pairwise[1] > 1.2
 
-    cfg_b = StudyConfig(case="b", alphas=(0.5,), family="nonsymmetric",
+    cfg_b = StudyConfig(case="b", alpha=(0.5,), family="nonsymmetric",
                         M=(4,), M_ref=32, N=32, cache_dir=str(tmp_path))
     (rep_b,) = run_nonsymmetric_study(cfg_b)
     assert rep_b.theoretical_rate == 1.5
@@ -576,7 +576,7 @@ def test_lumping_gap_shrinks_at_second_order():
 
 def test_mode_case_skips_spatial_reference_guard(tmp_path):
     # the oracle-referenced study has no M_ref constraint
-    cfg = StudyConfig(case="mode", alphas=(0.5,), M=(2, 4), M_ref=2,
+    cfg = StudyConfig(case="mode", alpha=(0.5,), M=(2, 4), M_ref=2,
                       N=32, cache_dir=str(tmp_path))
     (rep,) = run_spatial_study(cfg)
     assert len(rep.errors) == 2
