@@ -8,13 +8,15 @@ contour quadrature, and a harness for convergence studies.
 
 Importing the package loads none of its submodules, and so neither numpy
 nor scipy.  ``_EXPORTS`` maps each submodule to the public names it
-defines; the first use of a name (``frstokes.mode_response_many`` or
-``from frstokes import mode_response_many``) imports only its submodule
-and what that submodule imports, so the numpy-only oracle never pays for
-``scipy.sparse``.  The submodules themselves are public names too.  A
-name is looked up in its submodule on every access and never stored on
-the package, so a name rebound in its submodule (for instance by a
-tracer) is what the package hands out.
+defines, and is the one list of them: each submodule reads its
+``__all__`` from it.  The first use of a name
+(``frstokes.mode_response_many`` or ``from frstokes import
+mode_response_many``) imports only its submodule and what that submodule
+imports, so the numpy-only oracle never pays for ``scipy.sparse``.  The
+submodules themselves are public names too.  A name is looked up in its
+submodule on every access and never stored on the package, so a name
+rebound in its submodule (for instance by a tracer) is what the package
+hands out.
 """
 
 from importlib import import_module

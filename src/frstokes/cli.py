@@ -29,8 +29,9 @@ from dataclasses import fields
 
 # Imported eagerly even though `frs oracle` and `frs mesh` need no solver:
 # the harness pulls in scipy.sparse (about 0.2 s), and a caller that imports
-# this module before timing `main` should pay for it here, not in its first
-# study.
+# this module before timing `main` pays for it here, not in its first study.
+# The first factorization still imports scipy.sparse.linalg, a further
+# 0.05-0.08 s, inside that study.
 from . import experiment_harness as harness
 from .cq_time_stepper import DivergedError, PicardConvergenceError
 from .fem_assembly import l2_norm

@@ -81,20 +81,12 @@ import numpy as np
 import numpy.typing as npt
 import scipy.sparse as sp
 
+from . import _EXPORTS
 from .fem_assembly import Nonlinearity, ProblemSpec, _zero, mesh_operator
 from .mesh import TriMesh, _count, _flag, _gauss_legendre, _is_count, _real
 from .sparse_linalg import CompositeOperator
 
-__all__ = [
-    "cq_weights",
-    "cq_fractional_integral",
-    "SchemeConfig",
-    "Trajectory",
-    "DivergedError",
-    "PicardConvergenceError",
-    "step_linearized",
-    "step_implicit",
-]
+__all__ = _EXPORTS["cq_time_stepper"]
 
 VARIANTS = ("galerkin-linearized", "lumped-linearized", "galerkin-implicit")
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import _EXPORTS
 from .cq_time_stepper import VARIANTS, SchemeConfig, step_implicit, step_linearized
 from .fem_assembly import (
     _PROBLEM_BOUNDS,
@@ -42,17 +43,7 @@ from .fem_assembly import (
 from .mesh import TriMesh, _count, _flag, _real, build_nonsymmetric_mesh, build_symmetric_mesh
 from .spectral_oracle import linear_exact_solution
 
-__all__ = [
-    "Run",
-    "StudyConfig",
-    "ExperimentReport",
-    "fit_rate",
-    "solve_final",
-    "run_spatial_study",
-    "run_temporal_study",
-    "run_prefactor_study",
-    "run_nonsymmetric_study",
-]
+__all__ = _EXPORTS["experiment_harness"]
 
 
 FAMILIES = ("symmetric", "nonsymmetric")

@@ -23,26 +23,12 @@ import numpy as np
 import numpy.typing as npt
 import scipy.sparse as sp
 
+from . import _EXPORTS
 from .mesh import (TriMesh, _count, _flag, _nodal_values, _real, _signed_areas,
                    evaluate_p1)
 from .sparse_linalg import cg_solve
 
-__all__ = [
-    "assemble_stiffness",
-    "assemble_mass",
-    "assemble_lumped_mass",
-    "mesh_operator",
-    "load_vector",
-    "l2_project",
-    "l2_norm",
-    "l2_error_vs_reference",
-    "l2_error_vs_function",
-    "Nonlinearity",
-    "sqrt_one_plus_u2",
-    "zero_source",
-    "InitialData",
-    "ProblemSpec",
-]
+__all__ = _EXPORTS["fem_assembly"]
 
 FloatArray = npt.NDArray[np.float64]
 

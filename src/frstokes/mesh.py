@@ -30,13 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.typing as npt
 
-__all__ = [
-    "TriMesh",
-    "build_symmetric_mesh",
-    "build_nonsymmetric_mesh",
-    "evaluate_p1",
-    "format_mesh_text",
-]
+from . import _EXPORTS
+
+__all__ = _EXPORTS["mesh"]
 
 FloatArray = npt.NDArray[np.float64]
 IntArray = npt.NDArray[np.int64]

@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "CompositeOperator",
-    "CGConvergenceError",
-    "cg_solve",
-]
+from . import _EXPORTS
+
+__all__ = _EXPORTS["sparse_linalg"]
 
 
 class CGConvergenceError(RuntimeError):

@@ -41,17 +41,10 @@ import numpy as np
 # cost in the import instead of the first oracle call.
 from numpy.fft import irfft, rfft
 
+from . import _EXPORTS
 from .mesh import _count, _gauss_legendre, _is_count, _real
 
-__all__ = [
-    "ContourResolutionError",
-    "mode_response",
-    "mode_response_many",
-    "scalar_cq_response",
-    "laplacian_eigenvalue",
-    "linear_exact_solution",
-    "smoothing_probe",
-]
+__all__ = _EXPORTS["spectral_oracle"]
 
 _GL_ORDER = 8
 # Angle of the upper ray of every contour.

@@ -174,3 +174,22 @@ def test_only_mesh_states_the_input_rules():
     # module reaching for numbers.Real would state a rule a second time
     modules = sorted(Path(frstokes.__file__).parent.glob("*.py"))
     assert [path.name for path in modules if _imports_numbers(path)] == ["mesh.py"]
+
+
+def _lists_public_names(path: Path) -> bool:
+    """Whether ``path`` assigns a list or tuple literal to a module-level
+    ``__all__``."""
+    return any(isinstance(node, (ast.Assign, ast.AnnAssign))
+               and isinstance(node.value, (ast.List, ast.Tuple))
+               and any(isinstance(t, ast.Name) and t.id == "__all__"
+                       for t in (node.targets if isinstance(node, ast.Assign)
+                                 else [node.target]))
+               for node in ast.parse(path.read_text(), filename=str(path)).body)
+
+
+def test_only_the_package_lists_public_names():
+    # `_EXPORTS` in __init__.py states the public names once; a submodule
+    # spelling out its own `__all__` would be a second copy to keep equal
+    modules = sorted(Path(frstokes.__file__).parent.glob("*.py"))
+    assert [path.name for path in modules
+            if path.name != "__init__.py" and _lists_public_names(path)] == []
