@@ -29,15 +29,15 @@ choose their order).  A smooth trajectory then needs one or two iterates
 per step instead of three.
 
 The step matrix W + c A is the same for every step of a run, so it is
-factored once (sparse LU, :meth:`CompositeOperator.factorize`) and each
-step, and each Picard iterate, is a pair of triangular solves.  The
-factored matrix is symmetric bit for bit, so B^T x = b and B x = b have
-the same solution; the steppers solve the transposed system
-(``lu.solve(b, trans="T")``) because SuperLU's transposed triangular
-solves are about 30 % faster on these factors (one right-hand side,
-M = 32 to 128, one BLAS thread), and the two solutions differ only by
-rounding (below 1e-15 relative).  Besides the solve, a step costs one
-CSR product: with K = [-A | tau S | tau b | W U^0] built once per run,
+factored once (sparse LU, :func:`_factor`) and each step, and each Picard
+iterate, is a pair of triangular solves.  The factored matrix is
+symmetric bit for bit, so B^T x = b and B x = b have the same solution;
+the steppers solve the transposed system (``lu.solve(b, trans="T")``)
+because SuperLU's transposed triangular solves are about 30 % faster on
+these factors (one right-hand side, M = 32 to 128, one BLAS thread), and
+the two solutions differ only by rounding (below 1e-15 relative).
+Besides the solve, a step costs one CSR product: with
+K = [-A | tau S | tau b | W U^0] built once per run,
 
     rhs = K [z_n; g_n; n; 1] = W U^0 - A z_n + tau S g_n + n tau b,
 
@@ -84,7 +84,6 @@ import scipy.sparse as sp
 from . import _EXPORTS
 from .fem_assembly import Nonlinearity, ProblemSpec, _zero, mesh_operator
 from .mesh import TriMesh, _count, _flag, _gauss_legendre, _is_count, _real
-from .sparse_linalg import CompositeOperator
 
 __all__ = _EXPORTS["cq_time_stepper"]
 
@@ -159,9 +158,12 @@ class SchemeConfig:
             raise ValueError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
         for name, check in (("N", _count), ("source_lumping", _flag)):
             object.__setattr__(self, name, check(name, getattr(self, name)))
-        if self.snapshot_stride is not None and not _is_count(self.snapshot_stride):
-            raise ValueError("snapshot_stride must be None or an integer >= 1, "
-                             f"got {self.snapshot_stride!r}")
+        stride = self.snapshot_stride
+        if stride is not None:
+            if not _is_count(stride):
+                raise ValueError("snapshot_stride must be None or an integer >= 1, "
+                                 f"got {stride!r}")
+            object.__setattr__(self, "snapshot_stride", int(stride))
 
 
 @dataclass(frozen=True)
@@ -271,6 +273,22 @@ def _soe_tail(beta: float, N: int):
     return s, w
 
 
+def _factor(W, c: float, A):
+    """SuperLU factors of (B + B^T)/2 for the step matrix B = W + c A.
+
+    The average is symmetric bit for bit (and is B when W and A are, as
+    assembled), so ``trans="T"`` solves give B x = b to rounding.  A
+    minimum-degree ordering of A^T + A with symmetric pivoting keeps the
+    fill low.  ``scipy.sparse.linalg`` is heavy to load and most entry
+    points never factor, so it is imported here.
+    """
+    from scipy.sparse.linalg import splu
+
+    B = W + c * A
+    B = 0.5 * (B + B.T)
+    return splu(B.tocsc(), permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
+
+
 def _advance(A, W, u0: np.ndarray, alpha: float, gamma: float, tau: float,
              N: int, steps: np.ndarray, load=None, implicit: bool = False) -> np.ndarray:
     """Run the update recursion; returns U^n for each n in ``steps``.
@@ -304,7 +322,7 @@ def _advance(A, W, u0: np.ndarray, alpha: float, gamma: float, tau: float,
     near = _SOE_NEAR
     beta = 1.0 - alpha
     frac_scale = gamma * tau ** beta
-    lu = CompositeOperator(W, tau + frac_scale, A).factorize()
+    lu = _factor(W, tau + frac_scale, A)
     if load is None:
         implicit = False  # with f = 0 both schemes are one linear recursion
         blocks, columns = [-A], [W @ u0]

@@ -332,11 +332,13 @@ def solve_final(run: Run, cache_dir: str | None = None) -> tuple[TriMesh, np.nda
 
 def _read_cached(path: str, key: str):
     """Values stored at ``path`` under ``key``; None when the file is
-    missing, unreadable or holds another key."""
+    missing, unreadable, not an npz archive or holds another key."""
     try:
-        with np.load(path) as data:
-            if "key" in data.files and str(data["key"]) == key:
-                return data["values"]
+        data = np.load(path)
+        if isinstance(data, np.lib.npyio.NpzFile):  # not a bare .npy array
+            with data:
+                if "key" in data.files and str(data["key"]) == key:
+                    return data["values"]
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
         pass
     return None

@@ -1,11 +1,10 @@
-"""The step-matrix factorization and a CG solver for the FEM solvers.
+"""A CG solver for the L2 projection, and the step operator W + c*A.
 
-The assembled operators are plain ``scipy.sparse`` CSR matrices.  The
-time-stepping matrix W + c*A of one run is described by
-:class:`CompositeOperator`; :meth:`CompositeOperator.factorize`
-materializes it once and returns its sparse LU factorization, which the
-steppers reuse for every step.  :func:`cg_solve` is a Jacobi-preconditioned
-conjugate gradient iteration for one-off solves (the L2 projection).
+The assembled operators are plain ``scipy.sparse`` CSR matrices.
+:func:`cg_solve` is a Jacobi-preconditioned conjugate gradient iteration
+for one-off solves (the L2 projection).  :class:`CompositeOperator`
+applies W + c*A without forming it; no solver in the package calls it,
+and ``bench/tracing.py`` wraps its ``matvec``.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ class CGConvergenceError(RuntimeError):
 
 
 class CompositeOperator:
-    """W + c*A for two CSR matrices, factorized once for repeated solves."""
+    """W + c*A for two CSR matrices, applied without forming it."""
 
     def __init__(self, W, c: float, A):
         if W.shape != A.shape:
@@ -42,30 +41,6 @@ class CompositeOperator:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.W @ x + self.c * (self.A @ x)
-
-    def factorize(self):
-        """SuperLU factorization of the materialized W + c*A.
-
-        Returns the ``scipy.sparse.linalg.SuperLU`` object; a solve then
-        costs two sparse triangular solves.  The matrix is symmetric, so a
-        minimum-degree ordering of A^T + A with symmetric pivoting keeps
-        the fill well below that of the default column ordering.
-
-        The factored matrix is (B + B^T)/2 for B = W + c*A, which is
-        symmetric bit for bit (and equal to B bit for bit when W and A
-        are, as assembled).  Callers may therefore solve with
-        ``.solve(b, trans="T")``: it gives the same solution as the
-        untransposed solve, to rounding, and SuperLU runs it faster (see
-        :mod:`frstokes.cq_time_stepper`).  The import is deferred because
-        ``scipy.sparse.linalg`` is heavy to load and most entry points
-        never factor.
-        """
-        from scipy.sparse.linalg import splu
-
-        B = self.W + self.c * self.A
-        B = 0.5 * (B + B.T)
-        return splu(B.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                    options=dict(SymmetricMode=True))
 
 
 def cg_solve(op, b, tol: float = 1e-12, maxit: int | None = None) -> np.ndarray:

@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 from hypothesis import settings
 
 import frstokes
@@ -18,6 +19,20 @@ def tree_env():
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     return env
+
+
+def random_spd_coo(n, seed):
+    """Random sparse SPD matrix as COO triplets plus its dense image."""
+    rng = np.random.default_rng(seed)
+    dense = np.zeros((n, n))
+    for _ in range(3 * n):
+        i, j = rng.integers(0, n, size=2)
+        v = rng.standard_normal()
+        dense[i, j] += v
+        dense[j, i] += v
+    dense += n * np.eye(n)  # diagonally dominant, hence SPD
+    rows, cols = np.nonzero(dense)
+    return rows, cols, dense[rows, cols], dense
 
 
 def hand_built_contour(delta):

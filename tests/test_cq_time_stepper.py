@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.special import binom
 
+from conftest import random_spd_coo
 from frstokes import cq_time_stepper
 from frstokes.cq_time_stepper import (
     DivergedError,
@@ -18,6 +19,7 @@ from frstokes.cq_time_stepper import (
     step_linearized,
     _advance,
     _extrapolate,
+    _factor,
     _gauss_legendre,
     _soe_tail,
     _source_builder,
@@ -37,7 +39,6 @@ from frstokes.fem_assembly import (
     zero_source,
 )
 from frstokes.mesh import build_nonsymmetric_mesh, build_symmetric_mesh
-from frstokes.sparse_linalg import CompositeOperator
 
 
 def brute_force_history(A, W, u0, alpha, gamma, tau, N, f=None, f_apply=None):
@@ -74,7 +75,7 @@ def direct_sum_advance(A, W, u0, alpha, gamma, tau, N, load=None, implicit=False
     history[0] = u0
     q = cq_weights(1.0 - alpha, N)
     frac_scale = gamma * tau ** (1.0 - alpha)
-    lu = CompositeOperator(W, tau + frac_scale, A).factorize()
+    lu = _factor(W, tau + frac_scale, A)
     w_u0 = W @ u0
     sum_plain = np.zeros(ndof)
     sum_source = np.zeros(ndof)
@@ -297,7 +298,7 @@ def count_lu_calls(monkeypatch):
     """Lists that collect the size of every factorization and one entry per
     solve made with it, while ``monkeypatch`` is active."""
     factorizations, solves = [], []
-    factorize = CompositeOperator.factorize
+    factor = cq_time_stepper._factor
 
     class CountingLU:
         def __init__(self, lu):
@@ -307,11 +308,11 @@ def count_lu_calls(monkeypatch):
             solves.append(1)
             return self.lu.solve(b, **kwargs)
 
-    def counting_factorize(op):
-        factorizations.append(op.A.shape[0])
-        return CountingLU(factorize(op))
+    def counting_factor(W, c, A):
+        factorizations.append(A.shape[0])
+        return CountingLU(factor(W, c, A))
 
-    monkeypatch.setattr(CompositeOperator, "factorize", counting_factorize)
+    monkeypatch.setattr(cq_time_stepper, "_factor", counting_factor)
     return factorizations, solves
 
 
@@ -693,13 +694,26 @@ def test_history_memory_does_not_grow_with_steps():
     assert peaks[1] <= 1.5 * peaks[0]
 
 
+def test_factor_solves_w_plus_c_times_a():
+    # the factorization solves the materialized matrix, for either mass type
+    rows, cols, vals, dense = random_spd_coo(9, seed=4)
+    A = sp.csr_matrix((vals, (rows, cols)), shape=(9, 9))
+    W = sp.diags(np.arange(1.0, 10.0), format="csr")
+    c = 0.37
+    b = np.random.default_rng(6).standard_normal(9)
+    for mass, W_dense in ((W, np.diag(np.arange(1.0, 10.0))), (A, dense)):
+        B = W_dense + c * dense
+        x = _factor(mass, c, A).solve(b)
+        assert np.linalg.norm(B @ x - b) <= 1e-13 * np.linalg.norm(b)
+
+
 FAMILIES = {"symmetric": build_symmetric_mesh, "nonsymmetric": build_nonsymmetric_mesh}
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("mass", ["consistent", "lumped"])
 def test_step_matrix_is_exactly_symmetric(family, mass):
-    # the steppers solve B^T x = b in place of B x = b; factorize() makes B
+    # the steppers solve B^T x = b in place of B x = b; _factor makes B
     # symmetric as (B + B^T)/2, which leaves the assembled B bitwise unchanged
     # only if B is symmetric bit for bit already
     mesh = FAMILIES[family](8)
@@ -716,7 +730,7 @@ def test_transposed_solve_matches_plain_solve(family, mass):
     A = mesh_operator(mesh, "stiffness")
     W = mesh_operator(mesh, "mass" if mass == "consistent" else "lumped_mass")
     # c = tau + gamma tau^(1-alpha) for tau = 0.01, gamma = 1, alpha = 0.5
-    lu = CompositeOperator(W, 0.01 + 0.1, A).factorize()
+    lu = _factor(W, 0.01 + 0.1, A)
     b = np.random.default_rng(7).standard_normal(mesh.n_interior)
     plain = lu.solve(b)
     transposed = lu.solve(b, trans="T")

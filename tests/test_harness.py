@@ -188,11 +188,15 @@ def _assert_replaced(path, fresh):
     assert [p.name for p in path.parent.iterdir()] == [path.name]
 
 
-@pytest.mark.parametrize("keep", [0.5, 0.0])
+@pytest.mark.parametrize("keep", [0.5, 0.0, "npy"])
 def test_solve_final_recomputes_unreadable_file(tmp_path, keep):
     args, _, fresh, path = _one_run_file(tmp_path)
-    whole = path.read_bytes()
-    path.write_bytes(whole[: int(keep * len(whole))])  # an interrupted write
+    if keep == "npy":  # a bare array, not an npz archive, at the run's path
+        with open(path, "wb") as fh:
+            np.save(fh, fresh)
+    else:  # an interrupted write
+        whole = path.read_bytes()
+        path.write_bytes(whole[: int(keep * len(whole))])
     _, again = solve_final(*args)
     assert np.array_equal(again, fresh)
     _assert_replaced(path, fresh)

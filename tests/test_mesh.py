@@ -212,6 +212,8 @@ def test_mesh_pickles_without_its_memo():
 ENTRY_POINTS = {
     "build_symmetric_mesh": (build_symmetric_mesh, "M", 4, np.int64(4)),
     "SchemeConfig": (lambda N: SchemeConfig("lumped-linearized", N), "N", 8, np.int64(8)),
+    "snapshot_stride": (lambda s: SchemeConfig("lumped-linearized", 8, snapshot_stride=s),
+                        "snapshot_stride", 5, np.int64(5)),
     "ProblemSpec": (lambda gamma: ProblemSpec(0.5, gamma, 1.0, Nonlinearity(np.sin, 1.0),
                                               InitialData()),
                     "gamma", 2.0, np.float64(2.0)),

@@ -193,3 +193,39 @@ def test_only_the_package_lists_public_names():
     modules = sorted(Path(frstokes.__file__).parent.glob("*.py"))
     assert [path.name for path in modules
             if path.name != "__init__.py" and _lists_public_names(path)] == []
+
+
+def _imported_names(path: Path) -> set[str]:
+    """Every dotted name ``path`` imports, relative ones without their dots:
+    ``from .a import b`` gives a.b, ``from . import a`` gives a."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(".".join(filter(None, (node.module, alias.name)))
+                         for alias in node.names)
+    return found
+
+
+def _splu_sites(path: Path) -> set[str]:
+    """The top-level definitions of ``path`` that use the name ``splu``."""
+    sites = set()
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        for node in ast.walk(top):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, (ast.Import, ast.ImportFrom))
+                     else [getattr(node, "id", None), getattr(node, "attr", None)])
+            if "splu" in names:
+                sites.add(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
+    return sites
+
+
+def test_the_stepper_alone_factors_its_step_matrix():
+    # the step matrix is factored beside the loop that relies on its
+    # symmetry, not behind an operator class in sparse_linalg
+    package = Path(frstokes.__file__).parent
+    assert [name for name in _imported_names(package / "cq_time_stepper.py")
+            if "sparse_linalg" in name.split(".")] == []
+    modules = sorted(package.glob("*.py"))
+    assert set().union(*map(_splu_sites, modules)) == {"cq_time_stepper._factor"}
